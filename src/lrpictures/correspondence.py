@@ -1,9 +1,11 @@
 """The staged bijection between pictures and pairs of Littlewood-Richardson
 crystal elements, through skew tableaux and lexicographic arrays.
 
-Every stage validates that its output lands in the expected set.  Those
-memberships are structural guarantees of the construction, so a failure is
-raised as InternalError (a bug), never as bad user input.
+Each public stage map checks its input once, as the caller's value, and
+raises ValueError when it lies outside the stage's set.  Outputs are not
+re-checked: that each stage lands in the next stage's set is a theorem of
+the construction, and ``verify --suite roundtrip`` sweeps it over the whole
+acceptance family.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .shapes import (
     partitions_of,
     row_lengths,
 )
-from .tableaux import SkewTableau, me_reading, p_index, validate_semistandard
+from .tableaux import SkewTableau, me_reading, validate_semistandard
 from .tableaux import SKEW_TABLEAU_SCHEMA
-from .shapes import SKEW_SHAPE_SCHEMA
 from .words import Word
 
 __all__ = [
@@ -47,19 +48,12 @@ __all__ = [
     "lr_routes",
     "lr_coefficient",
     "CRYSTAL_PAIR_SCHEMA",
-    "CONTEXT_SCHEMA",
 ]
 
 CRYSTAL_PAIR_SCHEMA = {
     "type": "object",
     "properties": {"first": SKEW_TABLEAU_SCHEMA, "second": SKEW_TABLEAU_SCHEMA},
     "required": ["first", "second"],
-    "additionalProperties": False,
-}
-CONTEXT_SCHEMA = {
-    "type": "object",
-    "properties": {"kappa1": SKEW_SHAPE_SCHEMA, "kappa2": SKEW_SHAPE_SCHEMA},
-    "required": ["kappa1", "kappa2"],
     "additionalProperties": False,
 }
 
@@ -186,10 +180,7 @@ def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau
     if not validate_picture(f):
         raise ValueError("map is not a picture")
     entries = {src: img.row for src, img in f.mapping().items()}
-    s = SkewTableau.from_entries(ctx.kappa1, entries)
-    if not in_s_set(ctx, s):
-        raise InternalError("image of a picture left the S set")
-    return s
+    return SkewTableau.from_entries(ctx.kappa1, entries)
 
 
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
@@ -199,10 +190,7 @@ def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedA
     cells = j_order_cells(ctx.kappa1)
     top = Word(tuple(c.row for c in cells))
     bottom = Word(tuple(s.entry(c) for c in cells))
-    w = TwoRowedArray(top, bottom)
-    if not in_w_set(ctx, w):
-        raise InternalError("image of an S-set tableau left the W set")
-    return w
+    return TwoRowedArray(top, bottom)
 
 
 def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair:
@@ -220,10 +208,7 @@ def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedA
         and lr_membership(pair.first, ctx.lambda1, ctx.nu1, ctx.rank).member
     ):
         raise ValueError("pair is not in the crystal product of this context")
-    w = rsk_inverse(pair.second, pair.first)
-    if not in_w_set(ctx, w):
-        raise InternalError("image of a crystal pair left the W set")
-    return w
+    return rsk_inverse(pair.second, pair.first)
 
 
 def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTableau:
@@ -231,26 +216,22 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
     if not in_w_set(ctx, w):
         raise ValueError("array is not in the W set of this context")
     cells = j_order_cells(ctx.kappa1)
-    s = SkewTableau.from_entries(ctx.kappa1, dict(zip(cells, w.bottom.letters)))
-    if not validate_semistandard(s):
-        raise InternalError("J-order fill of a W-set array is not semistandard")
-    if not in_s_set(ctx, s):
-        raise InternalError("image of a W-set array left the S set")
-    return s
+    return SkewTableau.from_entries(ctx.kappa1, dict(zip(cells, w.bottom.letters)))
 
 
 def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture:
     """Send each cell to (entry, lambda2-offset + rank from the right among equal entries)."""
     if not in_s_set(ctx, s):
         raise ValueError("tableau is not in the S set of this context")
+    # The cells of one entry form a horizontal strip, so the J order lists
+    # them right to left and a running count is each cell's p_index.
+    seen: dict[int, int] = {}
     images = []
     for c in j_order_cells(ctx.kappa1):
         k = s.entry(c)
-        images.append(Cell(k, ctx.lambda2.part(k) + p_index(s, c)))
-    f = Picture(ctx.kappa1, ctx.kappa2, tuple(images))
-    if not validate_picture(f):
-        raise InternalError("image of an S-set tableau is not a picture")
-    return f
+        seen[k] = seen.get(k, 0) + 1
+        images.append(Cell(k, ctx.lambda2.part(k) + seen[k]))
+    return Picture(ctx.kappa1, ctx.kappa2, tuple(images))
 
 
 def full_s(ctx: CorrespondenceContext, f: Picture) -> CrystalPair:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Callable, Iterator, Literal
 
 from .shapes import Partition, SkewShape, add_sequence
 from .tableaux import SkewTableau, enumerate_ssyt, me_reading
@@ -31,6 +31,7 @@ __all__ = [
     "is_highest_weight",
     "combinatorial_r",
     "knuth_step",
+    "neighbours",
     "equiv_check",
     "equiv_check_fast",
     "tensor_to_word",
@@ -40,22 +41,10 @@ __all__ = [
     "enumerate_lr_crystal",
     "DEFAULT_BFS_LENGTH",
     "cached_ssyt",
-    "LR_WITNESS_SCHEMA",
 ]
 
 # Longest words equiv_check will close over by breadth-first search.
 DEFAULT_BFS_LENGTH = 8
-
-LR_WITNESS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "member": {"type": "boolean"},
-        "final": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "fail_at": {"type": "integer", "minimum": 0},
-    },
-    "required": ["member"],
-    "additionalProperties": False,
-}
 
 
 @dataclass(frozen=True)
@@ -193,6 +182,27 @@ def knuth_step(w: Word, pos: int) -> tuple[Word, ...]:
     return tuple(Word(m) for m in _knuth_moves(w.letters, pos - 1))
 
 
+def neighbours(
+    mode: Literal["knuth", "crystal"],
+) -> Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]:
+    """A function yielding the letter tuples one move away from its argument:
+    one fundamental Knuth transformation for mode 'knuth', one non-trivial
+    R step for mode 'crystal'."""
+    if mode == "knuth":
+        def step(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            for i in range(len(t) - 2):
+                yield from _knuth_moves(t, i)
+    elif mode == "crystal":
+        def step(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            for i in range(len(t) - 2):
+                m = _r_move(t, i)
+                if m != t:
+                    yield m
+    else:
+        raise ValueError(f"mode must be 'knuth' or 'crystal', got {mode!r}")
+    return step
+
+
 def tensor_to_word(b: TensorWord) -> Word:
     """The word whose reversal lists b's tensor factors."""
     return Word(tuple(reversed(b.letters)))
@@ -233,25 +243,14 @@ def equiv_check(
         raise ValueError(f"length {len(a)} exceeds the BFS bound {bound}")
     if sorted(a) != sorted(b):
         return False  # both move families permute letters
-    if mode == "knuth":
-        def neighbours(t: tuple[int, ...]):
-            for i in range(len(t) - 2):
-                yield from _knuth_moves(t, i)
-    elif mode == "crystal":
-        def neighbours(t: tuple[int, ...]):
-            for i in range(len(t) - 2):
-                m = _r_move(t, i)
-                if m != t:
-                    yield m
-    else:
-        raise ValueError(f"mode must be 'knuth' or 'crystal', got {mode!r}")
+    step = neighbours(mode)
     if a == b:
         return True
     seen = {a}
     queue = deque([a])
     while queue:
         t = queue.popleft()
-        for m in neighbours(t):
+        for m in step(t):
             if m == b:
                 return True
             if m not in seen:

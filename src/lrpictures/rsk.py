@@ -185,13 +185,9 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
         r, c = _bump(cols, v)
         if r > len(q_rows):
             q_rows.append([])
-        if len(q_rows[r - 1]) != c - 1:
-            raise RuntimeError("internal: new box does not extend the recording tableau")
         q_rows[r - 1].append(u)
     p = _columns_to_tableau(cols)
     q = SkewTableau.straight(tuple(tuple(row) for row in q_rows))
-    if not (validate_semistandard(p) and validate_semistandard(q)):
-        raise RuntimeError("internal: RSK output failed the semistandard check")
     return p, q
 
 
@@ -223,17 +219,12 @@ def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
     pairs: list[tuple[int, int]] = []
     for _ in range(p.size):
         cell = _rightmost_max(q_rows)
-        if cell.col != len(q_rows[cell.row - 1]):
-            raise RuntimeError("internal: right-most maximum is not at the end of its row")
         u = q_rows[cell.row - 1].pop()
         while q_rows and not q_rows[-1]:
             q_rows.pop()
         current, v = reverse_column_insert(current, cell)
         pairs.append((u, v))
     pairs.reverse()
-    out = TwoRowedArray(
+    return TwoRowedArray(
         Word(tuple(u for u, _ in pairs)), Word(tuple(v for _, v in pairs))
     )
-    if not validate_lex_array(out):
-        raise RuntimeError("internal: inverse RSK produced a non-lexicographic array")
-    return out

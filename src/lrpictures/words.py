@@ -5,15 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["Word", "TensorWord", "WORD_SCHEMA", "TENSOR_WORD_SCHEMA"]
-
-WORD_SCHEMA = {"type": "array", "items": {"type": "integer", "minimum": 1}}
-TENSOR_WORD_SCHEMA = {
-    "type": "object",
-    "properties": {"rank": {"type": "integer", "minimum": 1}, "letters": WORD_SCHEMA},
-    "required": ["rank", "letters"],
-    "additionalProperties": False,
-}
+__all__ = ["Word", "TensorWord"]
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,10 @@ from lrpictures import (
     full_s,
     in_s_set,
     in_w_set,
+    j_order_cells,
     lr_coefficient,
     lr_routes,
+    p_index,
     s1_picture_to_skewtab,
     s2_skewtab_to_array,
     s3_array_to_pair,
@@ -139,6 +141,18 @@ def test_c1_examples():
     assert c1_skewtab_to_picture(HOOK_CTX, tab({(1, 2): 2, (2, 1): 1})) == SWAP
     f = c1_skewtab_to_picture(ROW_CTX, SkewTableau.straight(((1, 1),)))
     assert f.images == (Cell(1, 1), Cell(1, 2))  # J order lists (1,2) first
+
+
+def test_c1_running_count_matches_p_index():
+    # c1 counts equal entries along the J order instead of calling p_index
+    for ctx in small_contexts():
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            s = s1_picture_to_skewtab(ctx, f)
+            expected = tuple(
+                Cell(s.entry(c), ctx.lambda2.part(s.entry(c)) + p_index(s, c))
+                for c in j_order_cells(ctx.kappa1)
+            )
+            assert c1_skewtab_to_picture(ctx, s).images == expected
 
 
 def test_stage_errors_are_value_errors():

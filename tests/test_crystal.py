@@ -24,6 +24,7 @@ from lrpictures import (
     weight,
     word_to_tensor,
 )
+from lrpictures.crystal import neighbours
 
 
 def all_tensor_words(rank, length):
@@ -136,6 +137,19 @@ def test_knuth_step_is_symmetric():
     for letters in itertools.product(range(1, 4), repeat=3):
         for out in knuth_step(Word(letters), 1):
             assert Word(letters) in knuth_step(out, 1)
+
+
+def test_neighbours_match_single_moves():
+    # one move at every window: knuth_step for 'knuth', non-trivial R steps
+    # for 'crystal'
+    for letters in itertools.product(range(1, 4), repeat=4):
+        knuth = {m.letters for pos in (1, 2) for m in knuth_step(Word(letters), pos)}
+        assert set(neighbours("knuth")(letters)) == knuth
+        b = TensorWord(2, letters)
+        r = {combinatorial_r(b, pos).letters for pos in (1, 2)} - {letters}
+        assert set(neighbours("crystal")(letters)) == r
+    with pytest.raises(ValueError):
+        neighbours("plactic")
 
 
 def test_equiv_check_examples():

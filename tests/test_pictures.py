@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lrpictures import (
@@ -10,6 +12,7 @@ from lrpictures import (
     j_order_cells,
     validate_picture,
 )
+from lrpictures.verify import acceptance_contexts
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -18,6 +21,16 @@ COL2 = SkewShape(Partition((1, 1)))
 
 def staircase(n):
     return SkewShape(Partition(tuple(range(n, 0, -1))), Partition(tuple(range(n - 1, 0, -1))))
+
+
+def _brute_force_pictures(kappa1, kappa2):
+    # Every bijection, in the enumerator's order (lexicographic in the
+    # codomain J order), kept when validate_picture accepts it.
+    candidates = (
+        Picture(kappa1, kappa2, images)
+        for images in itertools.permutations(j_order_cells(kappa2))
+    )
+    return [p for p in candidates if validate_picture(p)]
 
 
 def test_is_pj_standard_examples():
@@ -54,11 +67,14 @@ def test_hook_pictures():
         assert p.inverse().inverse() == p
 
 
-@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 6), (4, 24)])
+@pytest.mark.parametrize(
+    "n, count", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720), (7, 5040)]
+)
 def test_staircase_antichain_counts(n, count):
     found = list(enumerate_pictures(staircase(n), staircase(n)))
     assert len(found) == count
     assert len(set(found)) == count
+    assert found == _brute_force_pictures(staircase(n), staircase(n))
 
 
 def test_enumeration_errors():
@@ -110,3 +126,14 @@ def test_enumeration_is_deterministic():
     a = [p.to_json() for p in enumerate_pictures(staircase(3), staircase(3))]
     b = [p.to_json() for p in enumerate_pictures(staircase(3), staircase(3))]
     assert a == b
+
+
+def test_enumeration_matches_validated_brute_force_on_family():
+    # enumerate_pictures yields its leaves without re-validating them; the
+    # sequence must equal the validated brute force, order and count included
+    total = 0
+    for ctx in acceptance_contexts(max_cells=5):
+        found = list(enumerate_pictures(ctx.kappa1, ctx.kappa2))
+        assert found == _brute_force_pictures(ctx.kappa1, ctx.kappa2)
+        total += len(found)
+    assert total == 5162

@@ -1,6 +1,16 @@
 import pytest
 
-from lrpictures.verify import SUITE_NAMES, SuiteReport, run_suite, suite_bumping_lemma
+import lrpictures.verify
+from lrpictures import SkewTableau
+from lrpictures.cli import cmd_run
+from lrpictures.verify import (
+    SUITE_NAMES,
+    SuiteReport,
+    acceptance_contexts,
+    run_suite,
+    suite_bumping_lemma,
+    suite_roundtrip,
+)
 
 
 def test_report_mechanics():
@@ -30,3 +40,36 @@ def test_bumping_suite_is_seed_deterministic():
     a = suite_bumping_lemma(instances=300, seed=9)
     b = suite_bumping_lemma(instances=300, seed=9)
     assert a.ok and b.ok and a.checked == b.checked
+
+
+def _plant_broken_s1(monkeypatch):
+    # shifts every entry up by one, so the tableau leaves the S set and the
+    # next stage's input check rejects it
+    real = lrpictures.verify.s1_picture_to_skewtab
+
+    def broken(ctx, f):
+        s = real(ctx, f)
+        return SkewTableau(s.shape, tuple(tuple(a + 1 for a in row) for row in s.rows))
+
+    monkeypatch.setattr(lrpictures.verify, "s1_picture_to_skewtab", broken)
+
+
+def test_roundtrip_reports_a_broken_stage_as_a_violation(monkeypatch):
+    _plant_broken_s1(monkeypatch)
+    report = suite_roundtrip(max_cells=2)
+    assert not report.ok
+    assert set(report.counterexample) == {"context", "picture", "error"}
+    assert "S set" in report.counterexample["error"]
+
+
+def test_broken_stage_exits_1_not_2(monkeypatch):
+    _plant_broken_s1(monkeypatch)
+    code, out = cmd_run(["verify", "--suite", "roundtrip", "--max-cells", "2"])
+    assert code == 1 and '"status":"violation"' in out
+
+
+@pytest.mark.parametrize("max_cells, count", [(6, 14068), (7, 31212)])
+def test_family_grows_with_max_cells(max_cells, count):
+    # the outer-shape bound follows max_cells past six; at five and below
+    # the family is unchanged (see test_acceptance_family_matches_specification)
+    assert sum(1 for _ in acceptance_contexts(max_cells)) == count
