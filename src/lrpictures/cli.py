@@ -30,45 +30,9 @@ from .shapes import Partition, SkewShape
 from .tableaux import SkewTableau
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["CommandReport", "cmd_run", "cmd_verify", "main", "OUTPUT_SCHEMAS"]
+__all__ = ["CommandReport", "cmd_run", "cmd_verify", "main"]
 
 _ENV_BOUND = "LRPK_MAX_CELLS"
-
-OUTPUT_SCHEMAS = {
-    "pictures": {
-        "type": "object",
-        "properties": {
-            "count": {"type": "integer", "minimum": 0},
-            "pictures": {"type": "array"},
-        },
-        "required": ["count"],
-        "additionalProperties": False,
-    },
-    "lr-coeff": {
-        "type": "object",
-        "properties": {
-            "coefficient": {"type": "integer", "minimum": 0},
-            "routes_agree": {"type": "boolean"},
-        },
-        "required": ["coefficient"],
-        "additionalProperties": False,
-    },
-    "rsk": {
-        "type": "object",
-        "properties": {"p": {"type": "object"}, "q": {"type": "object"}},
-        "required": ["p", "q"],
-        "additionalProperties": False,
-    },
-    "verify": {
-        "type": "object",
-        "properties": {
-            "status": {"enum": ["ok", "violation"]},
-            "payload": {"type": "object"},
-        },
-        "required": ["status", "payload"],
-        "additionalProperties": False,
-    },
-}
 
 
 @dataclass
@@ -137,6 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=10000)
     p.add_argument("--max-cells", type=int, default=5)
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _same_or_json(raw: str, other_raw: str, stdin_text: str | None):
@@ -225,9 +192,8 @@ _HANDLERS = {
 
 def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
     """Parse argv, run the subcommand, and return (exit_code, stdout text)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
     try:

@@ -26,8 +26,7 @@ from .shapes import (
     partitions_of,
     row_lengths,
 )
-from .tableaux import SkewTableau, me_reading, validate_semistandard
-from .tableaux import SKEW_TABLEAU_SCHEMA
+from .tableaux import SkewTableau, validate_semistandard
 from .words import Word
 
 __all__ = [
@@ -47,15 +46,7 @@ __all__ = [
     "enumerate_crystal_pairs",
     "lr_routes",
     "lr_coefficient",
-    "CRYSTAL_PAIR_SCHEMA",
 ]
-
-CRYSTAL_PAIR_SCHEMA = {
-    "type": "object",
-    "properties": {"first": SKEW_TABLEAU_SCHEMA, "second": SKEW_TABLEAU_SCHEMA},
-    "required": ["first", "second"],
-    "additionalProperties": False,
-}
 
 
 class InternalError(RuntimeError):
@@ -136,20 +127,15 @@ class CrystalPair:
 def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
     """Is s a Littlewood-Richardson skew tableau for this context?
 
-    Requires shape kappa1, entry-i multiplicity equal to the i-th row length
-    of kappa2, and a J-order reading that grows lambda2 into nu2 through
-    partitions.
+    Requires shape kappa1 and a J-order reading that grows lambda2 into nu2
+    through partitions; the latter forces entry i to occur exactly as often
+    as the i-th row length of kappa2.
     """
     if s.shape != ctx.kappa1:
         raise ValueError("tableau shape differs from the context's first shape")
     if not validate_semistandard(s):
         return False
-    counts = s.content()
-    lengths = row_lengths(ctx.kappa2)
-    top = max([ctx.kappa2.outer.rows, *counts.keys()], default=0)
-    if any(counts.get(i, 0) != lengths.part(i) for i in range(1, top + 1)):
-        return False
-    added = add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters)
+    added = add_sequence(ctx.lambda2, s.reading())
     return added.valid and added.result.to_partition() == ctx.nu2
 
 
@@ -179,8 +165,7 @@ def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau
         raise ValueError("picture does not match the context's shapes")
     if not validate_picture(f):
         raise ValueError("map is not a picture")
-    entries = {src: img.row for src, img in f.mapping().items()}
-    return SkewTableau.from_entries(ctx.kappa1, entries)
+    return SkewTableau.from_reading(ctx.kappa1, [img.row for img in f.images])
 
 
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
@@ -189,7 +174,7 @@ def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedA
         raise ValueError("tableau is not in the S set of this context")
     cells = j_order_cells(ctx.kappa1)
     top = Word(tuple(c.row for c in cells))
-    bottom = Word(tuple(s.entry(c) for c in cells))
+    bottom = Word(s.reading())
     return TwoRowedArray(top, bottom)
 
 
@@ -215,8 +200,7 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
     """Write the bottom row onto kappa1 along the J order."""
     if not in_w_set(ctx, w):
         raise ValueError("array is not in the W set of this context")
-    cells = j_order_cells(ctx.kappa1)
-    return SkewTableau.from_entries(ctx.kappa1, dict(zip(cells, w.bottom.letters)))
+    return SkewTableau.from_reading(ctx.kappa1, w.bottom.letters)
 
 
 def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture:
@@ -227,8 +211,7 @@ def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture
     # them right to left and a running count is each cell's p_index.
     seen: dict[int, int] = {}
     images = []
-    for c in j_order_cells(ctx.kappa1):
-        k = s.entry(c)
+    for k in s.reading():
         seen[k] = seen.get(k, 0) + 1
         images.append(Cell(k, ctx.lambda2.part(k) + seen[k]))
     return Picture(ctx.kappa1, ctx.kappa2, tuple(images))

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .shapes import Cell, SkewShape, j_order_cells, leq_j, leq_p
-from .shapes import CELL_SCHEMA, SKEW_SHAPE_SCHEMA
 
 __all__ = [
     "Picture",
@@ -14,30 +13,10 @@ __all__ = [
     "validate_picture",
     "enumerate_pictures",
     "DEFAULT_PICTURE_CELLS",
-    "PICTURE_SCHEMA",
 ]
 
 # Largest shapes enumerate_pictures will exhaust unless the caller widens it.
 DEFAULT_PICTURE_CELLS = 8
-
-PICTURE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "domain": SKEW_SHAPE_SCHEMA,
-        "codomain": SKEW_SHAPE_SCHEMA,
-        "pairs": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": CELL_SCHEMA,
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-    },
-    "required": ["domain", "codomain", "pairs"],
-    "additionalProperties": False,
-}
 
 
 @dataclass(frozen=True)
@@ -54,11 +33,8 @@ class Picture:
                 f"{len(self.images)} images for a domain of {self.domain.size} cells"
             )
 
-    def mapping(self) -> dict[Cell, Cell]:
-        return dict(zip(j_order_cells(self.domain), self.images))
-
     def inverse(self) -> "Picture":
-        back = {img: src for src, img in self.mapping().items()}
+        back = dict(zip(self.images, j_order_cells(self.domain)))
         if len(back) != len(self.images):
             raise ValueError("map is not injective; no inverse")
         return Picture(
@@ -82,6 +58,8 @@ class Picture:
         domain = SkewShape.from_json(obj["domain"])
         codomain = SkewShape.from_json(obj["codomain"])
         given = {Cell.from_json(s): Cell.from_json(i) for s, i in obj["pairs"]}
+        if len(given) != len(obj["pairs"]):
+            raise ValueError("pairs name a domain cell more than once")
         if set(given) != set(j_order_cells(domain)):
             raise ValueError("pairs do not cover exactly the domain cells")
         return cls(domain, codomain, tuple(given[c] for c in j_order_cells(domain)))

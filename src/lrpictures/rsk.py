@@ -26,18 +26,7 @@ __all__ = [
     "validate_lex_array",
     "rsk_forward",
     "rsk_inverse",
-    "TWO_ROWED_ARRAY_SCHEMA",
 ]
-
-TWO_ROWED_ARRAY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "top": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "bottom": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    },
-    "required": ["top", "bottom"],
-    "additionalProperties": False,
-}
 
 
 @dataclass(frozen=True)

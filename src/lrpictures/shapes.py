@@ -24,24 +24,14 @@ __all__ = [
     "partitions_of",
     "partitions_in_box",
     "subpartitions",
-    "PARTITION_SCHEMA",
-    "CELL_SCHEMA",
-    "SKEW_SHAPE_SCHEMA",
 ]
 
-PARTITION_SCHEMA = {"type": "array", "items": {"type": "integer", "minimum": 0}}
-CELL_SCHEMA = {
-    "type": "array",
-    "items": {"type": "integer", "minimum": 1},
-    "minItems": 2,
-    "maxItems": 2,
-}
-SKEW_SHAPE_SCHEMA = {
-    "type": "object",
-    "properties": {"outer": PARTITION_SCHEMA, "inner": PARTITION_SCHEMA},
-    "required": ["outer", "inner"],
-    "additionalProperties": False,
-}
+
+def _json_int(x) -> int:
+    """An integer read from JSON; floats, booleans and strings are refused."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,7 @@ class Cell:
     @classmethod
     def from_json(cls, obj) -> "Cell":
         row, col = obj
-        return cls(int(row), int(col))
+        return cls(_json_int(row), _json_int(col))
 
 
 def leq_p(a: Cell, b: Cell) -> bool:
@@ -115,7 +105,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, obj) -> "Partition":
-        return cls(tuple(int(p) for p in obj))
+        return cls(tuple(_json_int(p) for p in obj))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
-from .shapes import Cell, Partition, SkewShape, j_order_cells
+from .shapes import Cell, Partition, SkewShape, _json_int, j_order_cells
 from .words import TensorWord, Word
 
 __all__ = [
@@ -19,25 +19,10 @@ __all__ = [
     "p_index",
     "enumerate_ssyt",
     "DEFAULT_ENUMERATION_CELLS",
-    "SKEW_TABLEAU_SCHEMA",
 ]
 
 # Largest shape enumerate_ssyt will exhaust unless the caller widens it.
 DEFAULT_ENUMERATION_CELLS = 12
-
-SKEW_TABLEAU_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "outer": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "inner": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "rows": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        },
-    },
-    "required": ["outer", "inner", "rows"],
-    "additionalProperties": False,
-}
 
 
 @dataclass(frozen=True)
@@ -62,18 +47,22 @@ class SkewTableau:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def from_reading(cls, shape: SkewShape, letters: Sequence[int]) -> "SkewTableau":
+        """The filling whose J-order reading is letters; inverse of reading()."""
+        if len(letters) != shape.size:
+            raise ValueError(f"{len(letters)} letters for a shape of {shape.size} cells")
+        rows, end = [], 0
+        for i in range(1, shape.outer.rows + 1):
+            start, end = end, end + shape.row_length(i)
+            rows.append(letters[start:end][::-1])
+        return cls(shape, tuple(rows))
+
+    @classmethod
     def from_entries(cls, shape: SkewShape, entries: Mapping[Cell, int]) -> "SkewTableau":
-        cells = shape.cell_set()
-        if set(entries) != cells:
+        cells = j_order_cells(shape)
+        if set(entries) != set(cells):
             raise ValueError("entry map does not cover exactly the cells of the shape")
-        rows = tuple(
-            tuple(
-                entries[Cell(i, j)]
-                for j in range(shape.inner.part(i) + 1, shape.outer.part(i) + 1)
-            )
-            for i in range(1, shape.outer.rows + 1)
-        )
-        return cls(shape, rows)
+        return cls.from_reading(shape, [entries[c] for c in cells])
 
     @classmethod
     def straight(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
@@ -89,8 +78,12 @@ class SkewTableau:
             raise ValueError(f"cell ({c.row}, {c.col}) outside the shape")
         return self.rows[c.row - 1][c.col - 1 - self.shape.inner.part(c.row)]
 
+    def reading(self) -> tuple[int, ...]:
+        """Entries along the J order: rows top to bottom, each right to left."""
+        return tuple(a for row in self.rows for a in reversed(row))
+
     def entries(self) -> dict[Cell, int]:
-        return {c: self.entry(c) for c in j_order_cells(self.shape)}
+        return dict(zip(j_order_cells(self.shape), self.reading()))
 
     def content(self) -> Counter:
         return Counter(a for row in self.rows for a in row)
@@ -107,20 +100,20 @@ class SkewTableau:
         shape = SkewShape(
             Partition.from_json(obj["outer"]), Partition.from_json(obj.get("inner", []))
         )
-        return cls(shape, tuple(tuple(int(a) for a in row) for row in obj["rows"]))
+        return cls(shape, tuple(tuple(_json_int(a) for a in row) for row in obj["rows"]))
 
 
 def validate_semistandard(t: SkewTableau) -> bool:
     """Rows weakly increase left to right, columns strictly increase top to bottom."""
-    shape = t.shape
-    for i in range(1, shape.outer.rows + 1):
-        lo, hi = shape.inner.part(i), shape.outer.part(i)
-        for j in range(lo + 1, hi + 1):
-            if j + 1 <= hi and t.entry(Cell(i, j)) > t.entry(Cell(i, j + 1)):
-                return False
-            below = Cell(i + 1, j)
-            if shape.contains_cell(below) and t.entry(Cell(i, j)) >= t.entry(below):
-                return False
+    rows, inner = t.rows, t.shape.inner
+    for i, row in enumerate(rows, start=1):
+        if any(a > b for a, b in zip(row, row[1:])):
+            return False
+        # Row i+1 starts inner(i) - inner(i+1) columns left of row i.
+        if i < len(rows) and any(
+            a >= b for a, b in zip(row, rows[i][inner.part(i) - inner.part(i + 1):])
+        ):
+            return False
     return True
 
 
@@ -132,7 +125,7 @@ def me_reading(t: SkewTableau, rank: int | None = None) -> TensorWord:
     """
     if not validate_semistandard(t):
         raise ValueError("tableau is not semistandard")
-    letters = tuple(t.entry(c) for c in j_order_cells(t.shape))
+    letters = t.reading()
     if rank is None:
         rank = max(t.shape.outer.rows, max(letters, default=1) - 1, 1)
     return TensorWord(rank, letters)
@@ -159,7 +152,7 @@ def level_set(t: SkewTableau, k: int) -> tuple[Cell, ...]:
     In a semistandard tableau no two such cells share a column, so the
     column-descending order is well defined and agrees with the J order.
     """
-    cells = [c for c in j_order_cells(t.shape) if t.entry(c) == k]
+    cells = [c for c, a in zip(j_order_cells(t.shape), t.reading()) if a == k]
     cells.sort(key=lambda c: -c.col)
     return tuple(cells)
 
@@ -192,7 +185,7 @@ def enumerate_ssyt(
 
     def rec(pos: int) -> Iterator[SkewTableau]:
         if pos == len(cells):
-            yield SkewTableau.from_entries(shape, dict(zip(cells, values)))
+            yield SkewTableau.from_reading(shape, values)
             return
         lo = 1 if above[pos] is None else values[above[pos]] + 1
         hi = max_entry if right[pos] is None else values[right[pos]]

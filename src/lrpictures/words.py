@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .shapes import _json_int
+
 __all__ = ["Word", "TensorWord"]
 
 
@@ -31,7 +33,7 @@ class Word:
 
     @classmethod
     def from_json(cls, obj) -> "Word":
-        return cls(tuple(int(a) for a in obj))
+        return cls(tuple(_json_int(a) for a in obj))
 
 
 @dataclass(frozen=True)
@@ -60,4 +62,4 @@ class TensorWord:
 
     @classmethod
     def from_json(cls, obj) -> "TensorWord":
-        return cls(int(obj["rank"]), tuple(int(a) for a in obj["letters"]))
+        return cls(_json_int(obj["rank"]), tuple(_json_int(a) for a in obj["letters"]))

@@ -3,11 +3,15 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
-from lrpictures.cli import OUTPUT_SCHEMAS, cmd_run, cmd_verify
-from lrpictures.pictures import PICTURE_SCHEMA
-from lrpictures.rsk import TWO_ROWED_ARRAY_SCHEMA
-from lrpictures.correspondence import CRYSTAL_PAIR_SCHEMA
+from lrpictures.cli import cmd_run, cmd_verify
+from schemas import (
+    CRYSTAL_PAIR_SCHEMA,
+    OUTPUT_SCHEMAS,
+    PICTURE_SCHEMA,
+    TWO_ROWED_ARRAY_SCHEMA,
+)
 
 HOOK = '{"outer":[2,1],"inner":[1]}'
 
@@ -111,6 +115,34 @@ def test_usage_error_exits_2():
     assert code == 2
     code, _ = cmd_run(["lr-coeff", "--lambda", "[1]"])
     assert code == 2
+
+
+def test_failed_parse_leaves_the_parser_usable():
+    argv = ["pictures", "--kappa1", HOOK, "--kappa2", "same", "--count-only"]
+    alone = cmd_run(argv)
+    code, out = cmd_run(["bogus"])
+    assert code == 2 and out == ""
+    assert cmd_run(argv) == alone == (0, '{"count":2}\n')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lr-coeff", "--lambda", "[2.9,1]", "--mu", "[2,1]", "--nu", "[3,2,1]"],
+        ["lr-coeff", "--lambda", "[true]", "--mu", "[1]", "--nu", "[2]"],
+        ["rsk", "--array", '{"top":[1,1.5],"bottom":[2,1]}'],
+        ["pictures", "--kappa1", '{"outer":[2,1.0],"inner":[1]}', "--kappa2", "same"],
+        [
+            "to-pair",
+            "--picture",
+            '{"domain":%s,"codomain":%s,"pairs":[[[1,2],[1,2]],[[2,1],[2,1]],[[2,1],[2,1]]]}'
+            % (HOOK, HOOK),
+        ],
+    ],
+    ids=["float-part", "bool-part", "float-letter", "float-shape", "repeated-pair"],
+)
+def test_non_integer_or_repeated_input_exits_2(argv):
+    assert cmd_run(argv) == (2, "")
 
 
 def test_determinism():

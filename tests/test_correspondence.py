@@ -1,3 +1,4 @@
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from lrpictures import (
     combinatorial_r,
     enumerate_crystal_pairs,
     enumerate_pictures,
+    enumerate_ssyt,
     full_c,
     full_s,
     in_s_set,
@@ -34,6 +36,8 @@ from lrpictures import (
     s3_array_to_pair,
     validate_lex_array,
 )
+from lrpictures.verify import acceptance_contexts
+from cellwise import in_s_set_with_content_check
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -49,8 +53,6 @@ def tab(entries, shape=HOOK):
 
 
 def small_contexts():
-    from lrpictures.verify import acceptance_contexts
-
     return acceptance_contexts(max_cells=3, box=(3, 3), max_outer=4)
 
 
@@ -153,6 +155,25 @@ def test_c1_running_count_matches_p_index():
                 for c in j_order_cells(ctx.kappa1)
             )
             assert c1_skewtab_to_picture(ctx, s).images == expected
+
+
+def test_in_s_set_matches_the_content_checked_definition():
+    # in_s_set dropped its content check as implied by the addition
+    # condition.  Both definitions open with the same semistandard gate,
+    # compared with its cellwise original in test_tableaux, so the
+    # semistandard fillings are the ones that tell them apart.
+    groups = defaultdict(list)
+    for ctx in acceptance_contexts(4):
+        groups[ctx.kappa1, ctx.rank + 2].append(ctx)
+    members = 0
+    for (kappa1, max_entry), ctxs in groups.items():
+        fillings = list(enumerate_ssyt(kappa1, max_entry))
+        for ctx in ctxs:
+            for s in fillings:
+                verdict = in_s_set(ctx, s)
+                assert verdict == in_s_set_with_content_check(ctx, s), (ctx, s)
+                members += verdict
+    assert members > 0
 
 
 def test_stage_errors_are_value_errors():

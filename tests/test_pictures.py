@@ -122,6 +122,13 @@ def test_picture_json_round_trip():
     assert len(doc["pairs"]) == 2
 
 
+def test_picture_json_refuses_a_repeated_source():
+    doc = list(enumerate_pictures(HOOK, HOOK))[0].to_json()
+    for extra in (doc["pairs"][1], [doc["pairs"][1][0], doc["pairs"][0][1]]):
+        with pytest.raises(ValueError):
+            Picture.from_json({**doc, "pairs": doc["pairs"] + [extra]})
+
+
 def test_enumeration_is_deterministic():
     a = [p.to_json() for p in enumerate_pictures(staircase(3), staircase(3))]
     b = [p.to_json() for p in enumerate_pictures(staircase(3), staircase(3))]

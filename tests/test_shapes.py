@@ -183,3 +183,13 @@ def test_json_round_trips():
     assert Cell.from_json(c.to_json()) == c
     s = SkewShape(Partition((3, 1)), Partition((1,)))
     assert SkewShape.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize("x", [2.0, 2.9, True, "2"])
+def test_from_json_accepts_integers_only(x):
+    with pytest.raises(ValueError):
+        Partition.from_json([x, 1])
+    with pytest.raises(ValueError):
+        Cell.from_json([1, x])
+    with pytest.raises(ValueError):
+        SkewShape.from_json({"outer": [3, x], "inner": [1]})

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -13,9 +15,12 @@ from lrpictures import (
     level_set,
     me_reading,
     p_index,
+    partitions_in_box,
     skew_word,
+    subpartitions,
     validate_semistandard,
 )
+from cellwise import validate_semistandard_by_cells
 from conftest import skew_shapes
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -23,8 +28,6 @@ HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 
 def small_family():
     """Skew shapes of at most 6 cells inside a 3x3 box, with all fillings up to entry 4."""
-    from lrpictures import partitions_in_box, subpartitions
-
     for nu in partitions_in_box(9, 3, 3):
         for lam in subpartitions(nu):
             shape = SkewShape(nu, lam)
@@ -137,3 +140,42 @@ def test_json_round_trip():
     t = SkewTableau(HOOK, ((1,), (2,)))
     assert SkewTableau.from_json(t.to_json()) == t
     assert t.to_json() == {"outer": [2, 1], "inner": [1], "rows": [[1], [2]]}
+
+
+def test_row_based_semistandard_check_matches_cellwise():
+    # Every filling with entries <= 3, semistandard or not, of every skew
+    # shape of at most 5 cells in the 3x3 box.
+    checked = accepted = 0
+    for nu in partitions_in_box(9, 3, 3):
+        for lam in subpartitions(nu):
+            shape = SkewShape(nu, lam)
+            if shape.size > 5:
+                continue
+            for letters in product(range(1, 4), repeat=shape.size):
+                t = SkewTableau.from_reading(shape, letters)
+                verdict = validate_semistandard(t)
+                assert verdict == validate_semistandard_by_cells(t), t
+                checked += 1
+                accepted += verdict
+    assert 0 < accepted < checked
+
+
+def test_reading_is_the_j_order_entries():
+    for t in small_family():
+        assert t.reading() == tuple(t.entry(c) for c in j_order_cells(t.shape))
+        assert SkewTableau.from_reading(t.shape, t.reading()) == t
+
+
+def test_from_reading_rejects_a_wrong_length():
+    assert SkewTableau.from_reading(HOOK, (1, 2)).rows == ((1,), (2,))
+    with pytest.raises(ValueError):
+        SkewTableau.from_reading(HOOK, (1,))
+    with pytest.raises(ValueError):
+        SkewTableau.from_reading(HOOK, (1, 2, 3))
+
+
+def test_from_json_accepts_integers_only():
+    with pytest.raises(ValueError):
+        SkewTableau.from_json({"outer": [2, 1], "inner": [1], "rows": [[1], [2.0]]})
+    with pytest.raises(ValueError):
+        SkewTableau.from_json({"outer": [2, 1], "inner": [1], "rows": [[True], [2]]})

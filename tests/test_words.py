@@ -25,3 +25,16 @@ def test_json_round_trips():
     t = TensorWord(3, (1, 4))
     assert TensorWord.from_json(t.to_json()) == t
     assert t.to_json() == {"rank": 3, "letters": [1, 4]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[1.0], [True], ["1"]],
+)
+def test_from_json_accepts_integers_only(obj):
+    with pytest.raises(ValueError):
+        Word.from_json(obj)
+    with pytest.raises(ValueError):
+        TensorWord.from_json({"rank": 2, "letters": obj})
+    with pytest.raises(ValueError):
+        TensorWord.from_json({"rank": obj[0], "letters": [1]})
