@@ -14,19 +14,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .crystal import cached_ssyt, enumerate_lr_crystal, lr_membership
+from .crystal import enumerate_lr_crystal, lr_membership
 from .pictures import Picture, enumerate_pictures, validate_picture
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse, validate_lex_array
 from .shapes import (
     Cell,
     Partition,
     SkewShape,
+    _json_object,
     add_sequence,
     j_order_cells,
     partitions_of,
     row_lengths,
 )
-from .tableaux import SkewTableau, validate_semistandard
+from .tableaux import SkewTableau, enumerate_ssyt, validate_semistandard
 from .words import Word
 
 __all__ = [
@@ -96,6 +97,7 @@ class CorrespondenceContext:
 
     @classmethod
     def from_json(cls, obj) -> "CorrespondenceContext":
+        obj = _json_object(obj, "kappa1", "kappa2")
         return cls(SkewShape.from_json(obj["kappa1"]), SkewShape.from_json(obj["kappa2"]))
 
 
@@ -121,6 +123,7 @@ class CrystalPair:
 
     @classmethod
     def from_json(cls, obj) -> "CrystalPair":
+        obj = _json_object(obj, "first", "second")
         return cls(SkewTableau.from_json(obj["first"]), SkewTableau.from_json(obj["second"]))
 
 
@@ -251,9 +254,10 @@ def lr_routes(
 ) -> dict[str, int]:
     """The Littlewood-Richardson coefficient computed three independent ways.
 
-    'crystal' filters shape-mu tableaux by the addition condition, 'pictures'
-    counts pictures from straight mu to nu/lam, and 'skew_tableaux' counts
-    the Littlewood-Richardson skew tableaux of that context.
+    'crystal' fills shape mu under the addition condition, 'pictures' counts
+    pictures from straight mu to nu/lam, and 'skew_tableaux' counts the
+    Littlewood-Richardson skew tableaux of that context.  max_cells bounds
+    the last two, which enumerate exhaustively.
     """
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
@@ -263,7 +267,9 @@ def lr_routes(
     codomain = SkewShape(nu, lam)
     picture_count = sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=max_cells))
     ctx = CorrespondenceContext(domain, codomain)
-    skew_count = sum(1 for t in cached_ssyt(domain, n + 1) if in_s_set(ctx, t))
+    skew_count = sum(
+        1 for t in enumerate_ssyt(domain, n + 1, max_cells=max_cells) if in_s_set(ctx, t)
+    )
     return {"crystal": crystal_count, "pictures": picture_count, "skew_tableaux": skew_count}
 
 

@@ -318,19 +318,58 @@ def cached_ssyt(shape: SkewShape, max_entry: int) -> tuple[SkewTableau, ...]:
 def _lr_crystal_cached(
     mu: Partition, lam: Partition, nu: Partition, n: int
 ) -> tuple[SkewTableau, ...]:
+    """Fill mu along the J order, values ascending, with the bounds of
+    enumerate_ssyt, and add each letter's box to lam as it is placed.
+
+    A letter is refused when its box would break the partition or leave nu.
+    Neither failure recovers later, and since |lam| + |mu| = |nu| a filling
+    that stays inside nu ends exactly at nu.  So every leaf is a member, and
+    the output is enumerate_ssyt(SkewShape(mu), n + 1) filtered by
+    lr_membership, in the same order.
+    """
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return ()
-    return tuple(
-        t
-        for t in cached_ssyt(SkewShape(mu), n + 1)
-        if lr_membership(t, lam, nu, n).member
-    )
+    # Both padded to at least n + 1 rows, one per letter.
+    parts = list(lam.parts) + [0] * (n + 1 - lam.rows)
+    cap = list(nu.parts) + [0] * (n + 1 - nu.rows)
+    # Reading positions of each cell's right neighbour (an upper bound) and
+    # of the cell above it (a strict lower bound); row i's k-th cell from the
+    # right sits below the (k + mu_{i-1} - mu_i)-th of row i-1.
+    right: list[int | None] = []
+    above: list[int | None] = []
+    for i, length in enumerate(mu.parts):
+        start = len(right)
+        for k in range(length):
+            right.append(start + k - 1 if k else None)
+            above.append(start - length + k if i else None)
+    size = len(right)
+    values = [0] * size
+    shape = SkewShape(mu)
+    out: list[SkewTableau] = []
+
+    def fill(pos: int) -> None:
+        if pos == size:
+            out.append(SkewTableau.from_reading(shape, values))
+            return
+        lo = 1 if above[pos] is None else values[above[pos]] + 1
+        hi = n + 1 if right[pos] is None else values[right[pos]]
+        for v in range(lo, hi + 1):
+            r = v - 1
+            if parts[r] < cap[r] and (r == 0 or parts[r - 1] > parts[r]):
+                values[pos] = v
+                parts[r] += 1
+                fill(pos + 1)
+                parts[r] -= 1
+
+    fill(0)
+    return tuple(out)
 
 
 def enumerate_lr_crystal(
     mu: Partition, lam: Partition, nu: Partition, n: int | None = None
 ) -> tuple[SkewTableau, ...]:
-    """All straight shape-mu tableaux whose reading is a valid lam -> nu addition.
+    """All straight shape-mu tableaux whose reading is a valid lam -> nu addition,
+    lexicographic in the J-order reading.
 
     The count is the Littlewood-Richardson coefficient of the triple, which
     is stable in n once n reaches the row count of nu.

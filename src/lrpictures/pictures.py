@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .shapes import Cell, SkewShape, j_order_cells, leq_j, leq_p
+from .shapes import Cell, SkewShape, _json_object, j_order_cells, leq_j, leq_p
 
 __all__ = [
     "Picture",
@@ -55,14 +55,16 @@ class Picture:
 
     @classmethod
     def from_json(cls, obj) -> "Picture":
+        obj = _json_object(obj, "domain", "codomain", "pairs")
         domain = SkewShape.from_json(obj["domain"])
         codomain = SkewShape.from_json(obj["codomain"])
         given = {Cell.from_json(s): Cell.from_json(i) for s, i in obj["pairs"]}
         if len(given) != len(obj["pairs"]):
             raise ValueError("pairs name a domain cell more than once")
-        if set(given) != set(j_order_cells(domain)):
+        cells = j_order_cells(domain)
+        if given.keys() != set(cells):
             raise ValueError("pairs do not cover exactly the domain cells")
-        return cls(domain, codomain, tuple(given[c] for c in j_order_cells(domain)))
+        return cls(domain, codomain, tuple(given[c] for c in cells))
 
 
 def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
@@ -80,15 +82,14 @@ def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
 
 def validate_picture(p: Picture) -> bool:
     """Bijective onto the codomain, PJ-standard in both directions."""
-    if len(set(p.images)) != len(p.images):
-        return False
-    if set(p.images) != p.codomain.cell_set():
+    images = set(p.images)
+    targets = j_order_cells(p.codomain)
+    if len(images) != len(p.images) or images != set(targets):
         return False
     sources = j_order_cells(p.domain)
     if not is_pj_standard(sources, p.images):
         return False
     back = {img: src for src, img in zip(sources, p.images)}
-    targets = j_order_cells(p.codomain)
     return is_pj_standard(targets, tuple(back[c] for c in targets))
 
 

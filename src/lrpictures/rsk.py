@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .shapes import Cell, SkewShape
+from .shapes import Cell, SkewShape, _json_object
 from .tableaux import SkewTableau, validate_semistandard
 from .words import Word
 
@@ -53,6 +53,7 @@ class TwoRowedArray:
 
     @classmethod
     def from_json(cls, obj) -> "TwoRowedArray":
+        obj = _json_object(obj, "top", "bottom")
         return cls(Word.from_json(obj["top"]), Word.from_json(obj["bottom"]))
 
 

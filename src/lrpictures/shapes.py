@@ -27,11 +27,20 @@ __all__ = [
 ]
 
 
-def _json_int(x) -> int:
-    """An integer read from JSON; floats, booleans and strings are refused."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
+def _ints(values) -> tuple[int, ...]:
+    """values as a tuple of ints; floats, booleans and strings are refused, not coerced."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"expected an integer, got {x!r}")
+    return values
+
+
+def _json_object(obj, *keys: str) -> dict:
+    """obj itself when it is a JSON object; otherwise a ValueError naming the keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with keys {', '.join(keys)}; got {obj!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,8 @@ class Cell:
     col: int
 
     def __post_init__(self) -> None:
+        if type(self.row) is not int or type(self.col) is not int:
+            _ints((self.row, self.col))
         if self.row < 1 or self.col < 1:
             raise ValueError(f"cell coordinates are 1-based, got ({self.row}, {self.col})")
 
@@ -51,7 +62,7 @@ class Cell:
     @classmethod
     def from_json(cls, obj) -> "Cell":
         row, col = obj
-        return cls(_json_int(row), _json_int(col))
+        return cls(row, col)
 
 
 def leq_p(a: Cell, b: Cell) -> bool:
@@ -71,7 +82,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = _ints(self.parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -105,7 +116,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, obj) -> "Partition":
-        return cls(tuple(_json_int(p) for p in obj))
+        return cls(obj)
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ class Composition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = _ints(self.parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
         object.__setattr__(self, "parts", parts)
@@ -172,6 +183,7 @@ class SkewShape:
 
     @classmethod
     def from_json(cls, obj) -> "SkewShape":
+        obj = _json_object(obj, "outer", "inner")
         return cls(Partition.from_json(obj["outer"]), Partition.from_json(obj.get("inner", [])))
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .shapes import Cell, Partition, SkewShape, _json_int, j_order_cells
+from .shapes import Cell, Partition, SkewShape, _ints, _json_object, j_order_cells
 from .words import TensorWord, Word
 
 __all__ = [
@@ -33,7 +33,7 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(a) for a in row) for row in self.rows)
+        rows = tuple(_ints(row) for row in self.rows)
         expected = self.shape.outer.rows
         if len(rows) != expected:
             raise ValueError(f"expected {expected} rows, got {len(rows)}")
@@ -97,10 +97,8 @@ class SkewTableau:
 
     @classmethod
     def from_json(cls, obj) -> "SkewTableau":
-        shape = SkewShape(
-            Partition.from_json(obj["outer"]), Partition.from_json(obj.get("inner", []))
-        )
-        return cls(shape, tuple(tuple(_json_int(a) for a in row) for row in obj["rows"]))
+        obj = _json_object(obj, "outer", "inner", "rows")
+        return cls(SkewShape.from_json(obj), obj["rows"])
 
 
 def validate_semistandard(t: SkewTableau) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import _json_int
+from .shapes import _ints, _json_object
 
 __all__ = ["Word", "TensorWord"]
 
@@ -17,7 +17,7 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        letters = tuple(int(a) for a in self.letters)
+        letters = _ints(self.letters)
         if any(a < 1 for a in letters):
             raise ValueError(f"letters must be positive, got {letters}")
         object.__setattr__(self, "letters", letters)
@@ -33,7 +33,7 @@ class Word:
 
     @classmethod
     def from_json(cls, obj) -> "Word":
-        return cls(tuple(_json_int(a) for a in obj))
+        return cls(obj)
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,10 @@ class TensorWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        _ints((self.rank,))
+        letters = _ints(self.letters)
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
-        letters = tuple(int(a) for a in self.letters)
         if any(not 1 <= a <= self.rank + 1 for a in letters):
             raise ValueError(f"letters must lie in 1..{self.rank + 1}, got {letters}")
         object.__setattr__(self, "letters", letters)
@@ -62,4 +63,5 @@ class TensorWord:
 
     @classmethod
     def from_json(cls, obj) -> "TensorWord":
-        return cls(_json_int(obj["rank"]), tuple(_json_int(a) for a in obj["letters"]))
+        obj = _json_object(obj, "rank", "letters")
+        return cls(obj["rank"], obj["letters"])

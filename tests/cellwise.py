@@ -1,12 +1,22 @@
-"""Cell-by-cell reference definitions for the differential tests.
+"""Reference definitions for the differential tests.
 
-Each reads a tableau one Cell at a time through SkewTableau.entry, so it
-shares no logic with the row-based kernels it is compared against.
+The cell-by-cell checks read a tableau one Cell at a time through
+SkewTableau.entry, so they share no logic with the row-based kernels they
+are compared against.  The LR crystal reference filters every semistandard
+tableau by lr_membership instead of pruning a filling.
 """
 
 from functools import lru_cache
 
-from lrpictures import Cell, add_sequence, me_reading, row_lengths
+from lrpictures import (
+    Cell,
+    SkewShape,
+    add_sequence,
+    enumerate_ssyt,
+    lr_membership,
+    me_reading,
+    row_lengths,
+)
 
 
 # Memoised: the in_s_set comparison asks about each filling once per context
@@ -38,3 +48,15 @@ def in_s_set_with_content_check(ctx, s):
         return False
     added = add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters)
     return added.valid and added.result.to_partition() == ctx.nu2
+
+
+def lr_crystal_by_filter(mu, lam, nu, n):
+    """enumerate_lr_crystal by exhaustion: every shape-mu semistandard
+    tableau with entries at most n+1 that passes lr_membership."""
+    if lam.size + mu.size != nu.size or not nu.contains(lam):
+        return ()
+    return tuple(
+        t
+        for t in enumerate_ssyt(SkewShape(mu), n + 1)
+        if lr_membership(t, lam, nu, n).member
+    )

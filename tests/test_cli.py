@@ -145,6 +145,27 @@ def test_non_integer_or_repeated_input_exits_2(argv):
     assert cmd_run(argv) == (2, "")
 
 
+def test_non_object_shape_names_its_keys(capsys):
+    assert cmd_run(["pictures", "--kappa1", "[2,1]", "--kappa2", "same"]) == (2, "")
+    assert "outer" in capsys.readouterr().err
+
+
+def test_lr_coeff_past_twelve_cells():
+    # The 13-cell shape is filled directly; swapped, all three routes run
+    # on the 6-cell one.
+    small, big, nu = "[3,2,1]", "[5,4,3,1]", "[7,5,4,2,1]"
+    assert run_ok(["lr-coeff", "--lambda", small, "--mu", big, "--nu", nu]) == {"coefficient": 8}
+    swapped = run_ok(["lr-coeff", "--lambda", big, "--mu", small, "--nu", nu, "--cross-check"])
+    assert swapped == {"coefficient": 8, "routes_agree": True}
+
+
+def test_env_bound_reaches_every_cross_check_route(monkeypatch):
+    argv = ["lr-coeff", "--lambda", "[1]", "--mu", "[7,6]", "--nu", "[8,6]", "--cross-check"]
+    assert cmd_run(argv) == (2, "")
+    monkeypatch.setenv("LRPK_MAX_CELLS", "13")
+    assert cmd_run(argv) == (0, '{"coefficient":1,"routes_agree":true}\n')
+
+
 def test_determinism():
     argv = ["verify", "--suite", "bumping-lemma", "--seed", "3", "--instances", "500"]
     first = cmd_run(argv)

@@ -13,18 +13,24 @@ from lrpictures import (
     apply_crystal_op,
     combinatorial_r,
     enumerate_lr_crystal,
+    enumerate_pictures,
     epsilon,
     equiv_check,
     equiv_check_fast,
     is_highest_weight,
     knuth_step,
+    lr_coefficient,
     lr_membership,
+    partitions_in_box,
+    partitions_of,
     phi,
+    subpartitions,
     tensor_to_word,
     weight,
     word_to_tensor,
 )
 from lrpictures.crystal import neighbours
+from cellwise import lr_crystal_by_filter
 
 
 def all_tensor_words(rank, length):
@@ -256,3 +262,75 @@ def test_witness_json():
     assert w.to_json() == {"member": True, "final": [2, 1]}
     w = lr_membership(SkewTableau.straight(((2, 2),)), Partition(()), Partition((2,)))
     assert w.to_json() == {"member": False, "fail_at": 1}
+
+
+def lr_triples(sizes):
+    """Every (lam, mu, nu) with |nu| in sizes, lam inside nu and |mu| = |nu| - |lam|."""
+    for size in sizes:
+        for nu in partitions_of(size):
+            for lam in subpartitions(nu):
+                for mu in partitions_of(size - lam.size):
+                    yield lam, mu, nu
+
+
+def test_pruned_filling_equals_the_filtered_enumeration():
+    # Whole tableau sequences, not counts: same members, same order.  Rank 1
+    # (entries 1 and 2) lies below the row count of most nu here.
+    for lam, mu, nu in lr_triples(range(7)):
+        base = max(nu.rows, mu.rows + lam.rows, 1)
+        ranks = (1, base, base + 1) if nu.size <= 5 else (base,)
+        for n in ranks:
+            assert enumerate_lr_crystal(mu, lam, nu, n) == lr_crystal_by_filter(
+                mu, lam, nu, n
+            ), (lam, mu, nu, n)
+
+
+def test_pruned_filling_agrees_with_the_pictures_route():
+    checked = 0
+    for nu in partitions_in_box(12, 4, 4):
+        for lam in subpartitions(nu):
+            if not 8 <= nu.size - lam.size <= 9:
+                continue
+            for mu in partitions_of(nu.size - lam.size):
+                if mu.rows > 4:
+                    continue
+                pictures = enumerate_pictures(SkewShape(mu), SkewShape(nu, lam), max_cells=9)
+                assert len(enumerate_lr_crystal(mu, lam, nu)) == sum(1 for _ in pictures)
+                checked += 1
+    assert checked == 1707
+
+
+@pytest.mark.parametrize(
+    "lam, mu, nu, expected",
+    [
+        ((4, 3, 2, 1), (4, 3, 2, 1), (7, 5, 4, 3, 1), 12),
+        ((5, 4, 3, 2, 1), (4, 3, 2, 1), (8, 6, 5, 3, 2, 1), 26),
+    ],
+)
+def test_ten_cell_coefficients(lam, mu, nu, expected):
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    assert lr_coefficient(lam, mu, nu) == expected
+    pictures = enumerate_pictures(SkewShape(mu), SkewShape(nu, lam), max_cells=10)
+    assert sum(1 for _ in pictures) == expected
+
+
+def test_pieri_rule_past_twelve_cells():
+    # Adding a 13-box row to (5, 3) gives (13, 5, 3) in exactly one way.
+    assert lr_coefficient(Partition((5, 3)), Partition((13,)), Partition((13, 5, 3))) == 1
+
+
+@pytest.mark.parametrize(
+    "lam, mu, nu, expected",
+    [
+        ((3, 2, 1), (5, 4, 3, 1), (7, 5, 4, 2, 1), 8),
+        ((2, 1), (6, 4, 3, 1), (7, 5, 4, 1), 2),
+        ((3, 1), (6, 5, 3, 1), (7, 6, 4, 2), 3),
+        ((2, 1), (7, 5, 3, 1), (8, 6, 4, 1), 2),
+        ((3, 2), (6, 5, 4, 1), (7, 6, 5, 3), 3),
+    ],
+)
+def test_coefficients_past_twelve_cells_are_symmetric(lam, mu, nu, expected):
+    # mu has 13-16 cells; swapped, the small shape is filled instead.
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    assert lr_coefficient(lam, mu, nu) == expected
+    assert lr_coefficient(mu, lam, nu, cross_check=True) == expected
