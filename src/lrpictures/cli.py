@@ -26,7 +26,7 @@ from .correspondence import (
 )
 from .pictures import Picture, enumerate_pictures
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
-from .shapes import Partition, SkewShape
+from .shapes import Partition, SkewShape, _json_object
 from .tableaux import SkewTableau
 from .verify import SUITE_NAMES, run_suite
 
@@ -58,9 +58,12 @@ def _bound_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError as exc:
         raise ValueError(f"{_ENV_BOUND} must be an integer, got {raw!r}") from exc
+    if bound < 0:
+        raise ValueError(f"{_ENV_BOUND} must not be negative, got {raw!r}")
+    return bound
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +158,7 @@ def _run_rsk(args, stdin_text):
 
 
 def _run_unrsk(args, stdin_text):
-    obj = _read_json(args.pair, stdin_text)
+    obj = _json_object(_read_json(args.pair, stdin_text), "p", "q")
     p = SkewTableau.from_json(obj["p"])
     q = SkewTableau.from_json(obj["q"])
     return rsk_inverse(p, q).to_json(), 0

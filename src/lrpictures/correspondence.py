@@ -11,7 +11,6 @@ acceptance family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .crystal import enumerate_lr_crystal, lr_membership
@@ -242,11 +241,6 @@ def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]
         for t1 in firsts:
             for t2 in seconds:
                 yield CrystalPair(t1, t2)
-
-
-@lru_cache(maxsize=None)
-def cached_pictures(kappa1: SkewShape, kappa2: SkewShape) -> tuple[Picture, ...]:
-    return tuple(enumerate_pictures(kappa1, kappa2))
 
 
 def lr_routes(

@@ -99,10 +99,18 @@ def enumerate_pictures(
     """All pictures from kappa1 to kappa2, by backtracking over images.
 
     Images are assigned along the domain's J order and candidates tried in
-    the codomain's J order, so output order is deterministic.  Pruning uses
-    only constraints among already-assigned pairs, hence is exact: every
-    leaf is a picture and is yielded without re-validation.  The tests
-    compare the output with a brute force filtered by validate_picture.
+    the codomain's J order, so output order is deterministic.  Codomain
+    cells are numbered in J order, where leq_j is <= on the numbers.  The
+    forward condition on the current source is an open interval of numbers:
+    above every image of an earlier source weakly north-west of it, below
+    every image of an earlier source weakly south-east of it.  The inverse
+    condition is a lookahead: an image is taken only when every other
+    codomain cell weakly north-west of it is already used.  This is exact,
+    because a cell still unused gets its source later, so J-after the
+    current source, which the inverse condition forbids.  Every leaf is
+    therefore a picture and is yielded without re-validation.  The tests
+    compare the output with a brute force filtered by validate_picture and
+    with a search that checks every assigned pair.
     """
     bound = DEFAULT_PICTURE_CELLS if max_cells is None else max_cells
     if kappa1.size != kappa2.size:
@@ -113,33 +121,34 @@ def enumerate_pictures(
     domain = j_order_cells(kappa1)
     codomain = j_order_cells(kappa2)
     n = len(domain)
-    images: list[Cell] = []
-    used = [False] * n
+    # Earlier sources weakly north-west (before) and south-east (after) of
+    # each source; the bits of the other codomain cells weakly north-west
+    # of each image.  leq_p is written out: on small shapes these tables
+    # cost more than the search.
+    before = [
+        [k for k in range(pos) if domain[k].row <= c.row and domain[k].col <= c.col]
+        for pos, c in enumerate(domain)
+    ]
+    after = [
+        [k for k in range(pos) if c.row <= domain[k].row and c.col <= domain[k].col]
+        for pos, c in enumerate(domain)
+    ]
+    above = [
+        sum(1 << t for t, x in enumerate(codomain) if x.row <= y.row and x.col <= y.col and t != u)
+        for u, y in enumerate(codomain)
+    ]
+    images: list[int] = []
 
-    def admits(c: Cell, y: Cell) -> bool:
-        # c is later than every assigned source in the J order, so the
-        # inverse direction only forbids y sitting weakly north-west of a
-        # used image; the forward direction is checked both ways.
-        for src, img in zip(domain, images):
-            if leq_p(src, c) and not leq_j(img, y):
-                return False
-            if leq_p(c, src) and not leq_j(y, img):
-                return False
-            if leq_p(y, img):
-                return False
-        return True
-
-    def rec(pos: int) -> Iterator[Picture]:
+    def rec(pos: int, used: int) -> Iterator[Picture]:
         if pos == n:
-            yield Picture(kappa1, kappa2, tuple(images))
+            yield Picture(kappa1, kappa2, tuple(codomain[y] for y in images))
             return
-        c = domain[pos]
-        for idx, y in enumerate(codomain):
-            if not used[idx] and admits(c, y):
-                used[idx] = True
+        lo = max([images[k] for k in before[pos]], default=-1)
+        hi = min([images[k] for k in after[pos]], default=n)
+        for y in range(lo + 1, hi):
+            if not used >> y & 1 and used & above[y] == above[y]:
                 images.append(y)
-                yield from rec(pos + 1)
+                yield from rec(pos + 1, used | 1 << y)
                 images.pop()
-                used[idx] = False
 
-    yield from rec(0)
+    yield from rec(0, 0)

@@ -7,6 +7,7 @@ column.  All values here are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -37,9 +38,16 @@ def _ints(values) -> tuple[int, ...]:
 
 
 def _json_object(obj, *keys: str) -> dict:
-    """obj itself when it is a JSON object; otherwise a ValueError naming the keys."""
+    """obj itself when it is a JSON object with no key beyond keys; otherwise
+    a ValueError naming the keys."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with keys {', '.join(keys)}; got {obj!r}")
+    extra = obj.keys() - set(keys)
+    if extra:
+        raise ValueError(
+            f"unexpected keys {', '.join(sorted(map(str, extra)))}; "
+            f"expected an object with keys {', '.join(keys)}"
+        )
     return obj
 
 
@@ -178,6 +186,16 @@ class SkewShape:
     def cell_set(self) -> frozenset[Cell]:
         return frozenset(j_order_cells(self))
 
+    @cached_property
+    def _j_order(self) -> tuple[Cell, ...]:
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # equality and hashing ignore it.
+        return tuple(
+            Cell(i, j)
+            for i in range(1, self.outer.rows + 1)
+            for j in range(self.outer.part(i), self.inner.part(i), -1)
+        )
+
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(), "inner": self.inner.to_json()}
 
@@ -191,14 +209,10 @@ def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:
     """All cells of the shape, ascending in the total order leq_j.
 
     Rows are visited top to bottom and each row right to left, so the k-th
-    cell is the source of the k-th letter of any J-order reading.
+    cell is the source of the k-th letter of any J-order reading.  Each
+    shape builds the tuple once and keeps it.
     """
-    out: list[Cell] = []
-    for i in range(1, shape.outer.rows + 1):
-        lo, hi = shape.inner.part(i), shape.outer.part(i)
-        for j in range(hi, lo, -1):
-            out.append(Cell(i, j))
-    return tuple(out)
+    return shape._j_order
 
 
 def row_lengths(shape: SkewShape) -> Composition:

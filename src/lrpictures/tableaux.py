@@ -98,7 +98,8 @@ class SkewTableau:
     @classmethod
     def from_json(cls, obj) -> "SkewTableau":
         obj = _json_object(obj, "outer", "inner", "rows")
-        return cls(SkewShape.from_json(obj), obj["rows"])
+        shape = SkewShape.from_json({k: v for k, v in obj.items() if k != "rows"})
+        return cls(shape, obj["rows"])
 
 
 def validate_semistandard(t: SkewTableau) -> bool:

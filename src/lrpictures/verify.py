@@ -17,7 +17,6 @@ from .correspondence import (
     c1_skewtab_to_picture,
     c2_array_to_skewtab,
     c3_pair_to_array,
-    cached_pictures,
     enumerate_crystal_pairs,
     lr_routes,
     s1_picture_to_skewtab,
@@ -33,6 +32,7 @@ from .crystal import (
     neighbours,
     tensor_concat,
 )
+from .pictures import enumerate_pictures
 from .rsk import (
     TwoRowedArray,
     column_insert,
@@ -118,7 +118,7 @@ def suite_roundtrip(max_cells: int = 5, transport: bool = True) -> SuiteReport:
     report = SuiteReport("roundtrip")
     for ctx in acceptance_contexts(max_cells):
         report.count("contexts")
-        for f in cached_pictures(ctx.kappa1, ctx.kappa2):
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
             # Each stage's output is checked as the next stage's input, so a
             # ValueError here is a broken guarantee of the construction.
             try:
@@ -171,7 +171,7 @@ def check_cardinality_identity(max_cells: int = 5) -> SuiteReport:
     report = SuiteReport("cardinality-identity")
     for ctx in acceptance_contexts(max_cells):
         report.count("contexts")
-        left = len(cached_pictures(ctx.kappa1, ctx.kappa2))
+        left = sum(1 for _ in enumerate_pictures(ctx.kappa1, ctx.kappa2))
         right = sum(1 for _ in enumerate_crystal_pairs(ctx))
         if left != right:
             report.fail(context=ctx.to_json(), pictures=left, crystal_pairs=right)
@@ -187,7 +187,7 @@ def check_staircase_counts() -> SuiteReport:
             Partition(tuple(range(n, 0, -1))), Partition(tuple(range(n - 1, 0, -1)))
         )
         report.count("staircases")
-        got = len(cached_pictures(staircase, staircase))
+        got = sum(1 for _ in enumerate_pictures(staircase, staircase))
         if got != target:
             report.fail(staircase=staircase.to_json(), pictures=got, expected=target)
             return report

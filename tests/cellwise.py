@@ -3,16 +3,21 @@
 The cell-by-cell checks read a tableau one Cell at a time through
 SkewTableau.entry, so they share no logic with the row-based kernels they
 are compared against.  The LR crystal reference filters every semistandard
-tableau by lr_membership instead of pruning a filling.
+tableau by lr_membership instead of pruning a filling.  The picture search
+reference checks each candidate image against every assigned pair of Cells.
 """
 
 from functools import lru_cache
 
 from lrpictures import (
     Cell,
+    Picture,
     SkewShape,
     add_sequence,
     enumerate_ssyt,
+    j_order_cells,
+    leq_j,
+    leq_p,
     lr_membership,
     me_reading,
     row_lengths,
@@ -60,3 +65,52 @@ def lr_crystal_by_filter(mu, lam, nu, n):
         for t in enumerate_ssyt(SkewShape(mu), n + 1)
         if lr_membership(t, lam, nu, n).member
     )
+
+
+def j_order_cells_by_rows(shape):
+    """The J-order cell tuple, built afresh: rows top down, each right to left."""
+    return tuple(
+        Cell(i, j)
+        for i in range(1, shape.outer.rows + 1)
+        for j in range(shape.outer.part(i), shape.inner.part(i), -1)
+    )
+
+
+def pictures_by_pairwise_search(kappa1, kappa2):
+    """enumerate_pictures without a size bound, pruning each candidate image
+    by comparing it with every (source, image) pair assigned so far."""
+    domain = j_order_cells(kappa1)
+    codomain = j_order_cells(kappa2)
+    n = len(domain)
+    images = []
+    used = [False] * n
+
+    def admits(c, y):
+        # c is later than every assigned source in the J order, so the
+        # inverse direction only forbids y sitting weakly north-west of a
+        # used image; the forward direction is checked both ways.
+        for src, img in zip(domain, images):
+            if leq_p(src, c) and not leq_j(img, y):
+                return False
+            if leq_p(c, src) and not leq_j(y, img):
+                return False
+            if leq_p(y, img):
+                return False
+        return True
+
+    def rec(pos):
+        if pos == n:
+            yield Picture(kappa1, kappa2, tuple(images))
+            return
+        c = domain[pos]
+        for idx, y in enumerate(codomain):
+            if not used[idx] and admits(c, y):
+                used[idx] = True
+                images.append(y)
+                yield from rec(pos + 1)
+                images.pop()
+                used[idx] = False
+
+    if kappa1.size != kappa2.size:
+        raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
+    yield from rec(0)

@@ -59,3 +59,39 @@ READERS = [
 def test_from_json_names_the_keys_of_a_missing_object(cls, key, obj):
     with pytest.raises(ValueError, match=key):
         cls.from_json(obj)
+
+
+SHAPE = {"outer": [2, 1], "inner": [1]}
+TABLEAU = {"outer": [2], "inner": [], "rows": [[1, 2]]}
+DOCUMENTS = [
+    (SkewShape, SHAPE),
+    (SkewTableau, TABLEAU),
+    (TensorWord, {"rank": 2, "letters": [1, 3]}),
+    (TwoRowedArray, {"top": [1, 1], "bottom": [2, 1]}),
+    (CrystalPair, {"first": TABLEAU, "second": TABLEAU}),
+    (
+        Picture,
+        {"domain": SHAPE, "codomain": SHAPE, "pairs": [[[1, 2], [2, 1]], [[2, 1], [1, 2]]]},
+    ),
+    (CorrespondenceContext, {"kappa1": SHAPE, "kappa2": SHAPE}),
+]
+
+
+@pytest.mark.parametrize("cls, doc", DOCUMENTS, ids=[c.__name__ for c, _ in DOCUMENTS])
+def test_from_json_refuses_an_extra_key(cls, doc):
+    assert cls.from_json(doc).to_json() == doc
+    with pytest.raises(ValueError, match="zzz"):
+        cls.from_json({**doc, "zzz": 1})
+
+
+# The documents that hold a nested object
+@pytest.mark.parametrize("cls, doc", DOCUMENTS[4:], ids=[c.__name__ for c, _ in DOCUMENTS[4:]])
+def test_from_json_refuses_an_extra_key_one_level_down(cls, doc):
+    key, inner = next((k, v) for k, v in doc.items() if isinstance(v, dict))
+    with pytest.raises(ValueError, match="zzz"):
+        cls.from_json({**doc, key: {**inner, "zzz": 1}})
+
+
+def test_skew_shape_inner_stays_optional():
+    assert SkewShape.from_json({"outer": [2, 1]}) == SkewShape(Partition((2, 1)))
+    assert SkewTableau.from_json({"outer": [2], "rows": [[1, 2]]}).shape.inner == Partition()

@@ -150,6 +150,22 @@ def test_non_object_shape_names_its_keys(capsys):
     assert "outer" in capsys.readouterr().err
 
 
+def test_unrsk_non_object_pair_names_its_keys(capsys):
+    assert cmd_run(["unrsk", "--pair", "[1]"]) == (2, "")
+    assert "keys p, q" in capsys.readouterr().err
+
+
+def test_unrsk_refuses_an_extra_key():
+    doc = run_ok(["rsk", "--array", '{"top":[1,1],"bottom":[2,1]}'])
+    assert cmd_run(["unrsk", "--pair", json.dumps({**doc, "zzz": 1})]) == (2, "")
+
+
+def test_negative_env_bound_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("LRPK_MAX_CELLS", "-1")
+    assert cmd_run(["pictures", "--kappa1", HOOK, "--kappa2", "same"]) == (2, "")
+    assert "LRPK_MAX_CELLS" in capsys.readouterr().err
+
+
 def test_lr_coeff_past_twelve_cells():
     # The 13-cell shape is filled directly; swapped, all three routes run
     # on the 6-cell one.

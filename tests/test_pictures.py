@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,9 +11,12 @@ from lrpictures import (
     enumerate_pictures,
     is_pj_standard,
     j_order_cells,
+    partitions_in_box,
+    subpartitions,
     validate_picture,
 )
 from lrpictures.verify import acceptance_contexts
+from cellwise import pictures_by_pairwise_search
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -144,3 +148,68 @@ def test_enumeration_matches_validated_brute_force_on_family():
         assert found == _brute_force_pictures(ctx.kappa1, ctx.kappa2)
         total += len(found)
     assert total == 5162
+
+
+def _connected(shape):
+    cells = {(c.row, c.col) for c in j_order_cells(shape)}
+    todo = [cells.pop()]
+    while todo:
+        r, c = todo.pop()
+        for d in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if d in cells:
+                cells.remove(d)
+                todo.append(d)
+    return not cells
+
+
+def _stacked(pieces):
+    # Straight pieces along the antidiagonal, first piece top right; they
+    # touch at most at a corner.
+    outer, inner = [], []
+    offset = sum(p[0] for p in pieces)
+    for piece in pieces:
+        offset -= piece[0]
+        outer.extend(offset + length for length in piece)
+        inner.extend(offset for _ in piece)
+    return SkewShape(Partition(tuple(outer)), Partition(tuple(x for x in inner if x)))
+
+
+def _assert_same_as_pairwise_search(kappa1, kappa2):
+    found = list(enumerate_pictures(kappa1, kappa2, max_cells=9))
+    assert found == list(pictures_by_pairwise_search(kappa1, kappa2))
+    return len(found)
+
+
+def test_search_matches_pairwise_reference_on_connected_shapes():
+    # Connected 7-9-cell skew shapes with nu in the 4x4 box, paired at random
+    joined = {k: [] for k in (7, 8, 9)}
+    for nu in partitions_in_box(16, 4, 4):
+        for lam in subpartitions(nu):
+            shape = SkewShape(nu, lam)
+            if shape.size in joined and _connected(shape):
+                joined[shape.size].append(shape)
+    rng = random.Random(5)
+    total = 0
+    for i in range(600):
+        group = joined[7 + i % 3]
+        total += _assert_same_as_pairwise_search(rng.choice(group), rng.choice(group))
+    assert total == 554
+
+
+def test_search_matches_pairwise_reference_on_disconnected_shapes():
+    # Four straight pieces of 1-3 cells each, 7-9 cells in all
+    pieces = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
+    splits = {
+        k: [c for c in itertools.product((1, 2, 3), repeat=4) if sum(c) == k]
+        for k in (7, 8, 9)
+    }
+    rng = random.Random(11)
+    total = 0
+    for i in range(48):
+        split = splits[7 + i % 3]
+        a, b = (
+            _stacked([rng.choice(pieces[s]) for s in rng.choice(split)]) for _ in range(2)
+        )
+        assert not _connected(a) and not _connected(b)
+        total += _assert_same_as_pairwise_search(a, b)
+    assert total == 6029

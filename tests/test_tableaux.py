@@ -20,7 +20,7 @@ from lrpictures import (
     subpartitions,
     validate_semistandard,
 )
-from cellwise import validate_semistandard_by_cells
+from cellwise import j_order_cells_by_rows, validate_semistandard_by_cells
 from conftest import skew_shapes
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -179,3 +179,15 @@ def test_from_json_accepts_integers_only():
         SkewTableau.from_json({"outer": [2, 1], "inner": [1], "rows": [[1], [2.0]]})
     with pytest.raises(ValueError):
         SkewTableau.from_json({"outer": [2, 1], "inner": [1], "rows": [[True], [2]]})
+
+
+def test_j_order_cells_built_once_per_shape():
+    for shape in {t.shape for t in small_family()}:
+        twin = SkewShape.from_json(shape.to_json())
+        cells = j_order_cells(shape)
+        assert cells == j_order_cells_by_rows(shape)
+        assert j_order_cells(shape) is cells
+        # the kept tuple plays no part in equality or hashing
+        assert twin == shape and hash(twin) == hash(shape)
+        assert j_order_cells(twin) == cells
+        assert twin == shape and hash(twin) == hash(shape)
