@@ -37,17 +37,19 @@ def _ints(values) -> tuple[int, ...]:
     return values
 
 
-def _json_object(obj, *keys: str) -> dict:
-    """obj itself when it is a JSON object with no key beyond keys; otherwise
-    a ValueError naming the keys."""
+def _json_object(obj, *keys: str, optional: tuple[str, ...] = ()) -> dict:
+    """obj itself when it is a JSON object with every key of keys, none beyond
+    them, and only the optional ones left out; otherwise a ValueError naming
+    the keys."""
+    expected = f"expected an object with keys {', '.join(keys)}"
     if not isinstance(obj, dict):
-        raise ValueError(f"expected an object with keys {', '.join(keys)}; got {obj!r}")
+        raise ValueError(f"{expected}; got {obj!r}")
     extra = obj.keys() - set(keys)
     if extra:
-        raise ValueError(
-            f"unexpected keys {', '.join(sorted(map(str, extra)))}; "
-            f"expected an object with keys {', '.join(keys)}"
-        )
+        raise ValueError(f"unexpected keys {', '.join(sorted(map(str, extra)))}; {expected}")
+    missing = [k for k in keys if k not in obj and k not in optional]
+    if missing:
+        raise ValueError(f"missing keys {', '.join(missing)}; {expected}")
     return obj
 
 
@@ -201,7 +203,7 @@ class SkewShape:
 
     @classmethod
     def from_json(cls, obj) -> "SkewShape":
-        obj = _json_object(obj, "outer", "inner")
+        obj = _json_object(obj, "outer", "inner", optional=("inner",))
         return cls(Partition.from_json(obj["outer"]), Partition.from_json(obj.get("inner", [])))
 
 

@@ -21,7 +21,7 @@ __all__ = [
     "DEFAULT_ENUMERATION_CELLS",
 ]
 
-# Largest shape enumerate_ssyt will exhaust unless the caller widens it.
+# Largest shape enumerate_ssyt will exhaust.
 DEFAULT_ENUMERATION_CELLS = 12
 
 
@@ -97,7 +97,7 @@ class SkewTableau:
 
     @classmethod
     def from_json(cls, obj) -> "SkewTableau":
-        obj = _json_object(obj, "outer", "inner", "rows")
+        obj = _json_object(obj, "outer", "inner", "rows", optional=("inner",))
         shape = SkewShape.from_json({k: v for k, v in obj.items() if k != "rows"})
         return cls(shape, obj["rows"])
 
@@ -163,27 +163,42 @@ def p_index(t: SkewTableau, c: Cell) -> int:
     return level_set(t, t.entry(c)).index(c) + 1
 
 
-def enumerate_ssyt(
-    shape: SkewShape, max_entry: int, max_cells: int | None = None
-) -> Iterator[SkewTableau]:
+def _fill_bounds(shape: SkewShape) -> tuple[list[int | None], list[int | None]]:
+    """J-order reading positions of each cell's right neighbour (an upper
+    bound on its entry) and of the cell above it (a strict lower bound), or
+    None.  Both precede the cell, so a filling in J order knows its bounds."""
+    outer, inner = shape.outer, shape.inner
+    right: list[int | None] = []
+    above: list[int | None] = []
+    prev_start = 0
+    for i in range(1, outer.rows + 1):
+        start = len(right)
+        # Cell (i, j) reads at start + outer_i - j.
+        for j in range(outer.part(i), inner.part(i), -1):
+            right.append(len(right) - 1 if j < outer.part(i) else None)
+            above.append(
+                prev_start + outer.part(i - 1) - j if i > 1 and j > inner.part(i - 1) else None
+            )
+        prev_start = start
+    return right, above
+
+
+def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     """All semistandard fillings with entries in 1..max_entry.
 
     Output order is lexicographic in the J-order reading.  Shapes with more
-    than max_cells boxes (default DEFAULT_ENUMERATION_CELLS) are refused.
+    than DEFAULT_ENUMERATION_CELLS boxes are refused.
     """
-    bound = DEFAULT_ENUMERATION_CELLS if max_cells is None else max_cells
-    if shape.size > bound:
-        raise ValueError(f"shape has {shape.size} cells, enumeration bound is {bound}")
-    cells = j_order_cells(shape)
-    index = {c: i for i, c in enumerate(cells)}
-    # Predecessors in assignment order: the right neighbour bounds the value
-    # from above, the one above bounds it strictly from below.
-    right = [index.get(Cell(c.row, c.col + 1)) for c in cells]
-    above = [index.get(Cell(c.row - 1, c.col)) if c.row > 1 else None for c in cells]
-    values = [0] * len(cells)
+    if shape.size > DEFAULT_ENUMERATION_CELLS:
+        raise ValueError(
+            f"shape has {shape.size} cells, enumeration bound is {DEFAULT_ENUMERATION_CELLS}"
+        )
+    right, above = _fill_bounds(shape)
+    size = shape.size
+    values = [0] * size
 
     def rec(pos: int) -> Iterator[SkewTableau]:
-        if pos == len(cells):
+        if pos == size:
             yield SkewTableau.from_reading(shape, values)
             return
         lo = 1 if above[pos] is None else values[above[pos]] + 1

@@ -67,6 +67,16 @@ def lr_crystal_by_filter(mu, lam, nu, n):
     )
 
 
+def fill_bounds_by_cells(shape):
+    """The right-neighbour and cell-above reading positions, looked up by Cell
+    in an index of the J-order cells."""
+    cells = j_order_cells(shape)
+    index = {c: i for i, c in enumerate(cells)}
+    right = [index.get(Cell(c.row, c.col + 1)) for c in cells]
+    above = [index.get(Cell(c.row - 1, c.col)) if c.row > 1 else None for c in cells]
+    return right, above
+
+
 def j_order_cells_by_rows(shape):
     """The J-order cell tuple, built afresh: rows top down, each right to left."""
     return tuple(

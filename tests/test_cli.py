@@ -155,6 +155,29 @@ def test_unrsk_non_object_pair_names_its_keys(capsys):
     assert "keys p, q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["unrsk", "--pair", '{"p":{"outer":[2]},"q":{"outer":[2],"rows":[[1,1]]}}'],
+            "missing keys rows; expected an object with keys outer, inner, rows",
+        ),
+        (
+            ["pictures", "--kappa1", '{"inner":[]}', "--kappa2", "same"],
+            "missing keys outer; expected an object with keys outer, inner",
+        ),
+        (
+            ["to-pair", "--picture", '{"domain":%s,"codomain":%s}' % (HOOK, HOOK)],
+            "missing keys pairs; expected an object with keys domain, codomain, pairs",
+        ),
+    ],
+    ids=["unrsk-rows", "pictures-outer", "to-pair-pairs"],
+)
+def test_missing_key_is_named(argv, message, capsys):
+    assert cmd_run(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unrsk_refuses_an_extra_key():
     doc = run_ok(["rsk", "--array", '{"top":[1,1],"bottom":[2,1]}'])
     assert cmd_run(["unrsk", "--pair", json.dumps({**doc, "zzz": 1})]) == (2, "")
@@ -176,6 +199,7 @@ def test_lr_coeff_past_twelve_cells():
 
 
 def test_env_bound_reaches_every_cross_check_route(monkeypatch):
+    # The picture search is the only bounded route; the two fillings prune.
     argv = ["lr-coeff", "--lambda", "[1]", "--mu", "[7,6]", "--nu", "[8,6]", "--cross-check"]
     assert cmd_run(argv) == (2, "")
     monkeypatch.setenv("LRPK_MAX_CELLS", "13")

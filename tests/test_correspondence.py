@@ -36,6 +36,7 @@ from lrpictures import (
     s3_array_to_pair,
     validate_lex_array,
 )
+from lrpictures.crystal import _lr_fillings
 from lrpictures.verify import acceptance_contexts
 from cellwise import in_s_set_with_content_check
 
@@ -169,10 +170,15 @@ def test_in_s_set_matches_the_content_checked_definition():
     for (kappa1, max_entry), ctxs in groups.items():
         fillings = list(enumerate_ssyt(kappa1, max_entry))
         for ctx in ctxs:
+            found = []
             for s in fillings:
                 verdict = in_s_set(ctx, s)
                 assert verdict == in_s_set_with_content_check(ctx, s), (ctx, s)
-                members += verdict
+                if verdict:
+                    found.append(s)
+            # The pruned filler reaches the same members in the same order.
+            assert tuple(found) == _lr_fillings(ctx.kappa1, ctx.lambda2, ctx.nu2, ctx.rank), ctx
+            members += len(found)
     assert members > 0
 
 
@@ -253,8 +259,10 @@ def test_r_move_on_insertion_word_swaps_two_new_boxes():
     ],
 )
 def test_lr_coefficient_values(lam, mu, nu, expected):
-    got = lr_coefficient(Partition(lam), Partition(mu), Partition(nu), cross_check=True)
-    assert got == expected
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    assert lr_coefficient(lam, mu, nu) == expected
+    routes = lr_routes(lam, mu, nu)
+    assert routes == {"crystal": expected, "pictures": expected, "skew_tableaux": expected}
 
 
 def test_lr_routes_agree_spot():

@@ -21,6 +21,7 @@ from lrpictures import (
     knuth_step,
     lr_coefficient,
     lr_membership,
+    lr_routes,
     partitions_in_box,
     partitions_of,
     phi,
@@ -29,7 +30,7 @@ from lrpictures import (
     weight,
     word_to_tensor,
 )
-from lrpictures.crystal import neighbours
+from lrpictures.crystal import _lr_fillings, cached_ssyt, neighbours
 from cellwise import lr_crystal_by_filter
 
 
@@ -257,13 +258,6 @@ def test_lr_counts_stable_in_rank():
                 assert a == b
 
 
-def test_witness_json():
-    w = lr_membership(SkewTableau.straight(((1, 2),)), Partition((1,)), Partition((2, 1)))
-    assert w.to_json() == {"member": True, "final": [2, 1]}
-    w = lr_membership(SkewTableau.straight(((2, 2),)), Partition(()), Partition((2,)))
-    assert w.to_json() == {"member": False, "fail_at": 1}
-
-
 def lr_triples(sizes):
     """Every (lam, mu, nu) with |nu| in sizes, lam inside nu and |mu| = |nu| - |lam|."""
     for size in sizes:
@@ -283,6 +277,30 @@ def test_pruned_filling_equals_the_filtered_enumeration():
             assert enumerate_lr_crystal(mu, lam, nu, n) == lr_crystal_by_filter(
                 mu, lam, nu, n
             ), (lam, mu, nu, n)
+
+
+def test_skew_route_equals_the_crystal_route():
+    # The LR rule on nu/lam (content mu, lattice reading) against the crystal
+    # route on mu: two fillings of different shapes, one count.
+    checked = 0
+    for lam, mu, nu in lr_triples(range(9)):
+        n = max(nu.rows, mu.rows + lam.rows, 1)
+        skew = _lr_fillings(SkewShape(nu, lam), Partition(), mu, n)
+        assert len(skew) == len(enumerate_lr_crystal(mu, lam, nu, n)), (lam, mu, nu)
+        checked += 1
+    assert checked == 4136
+
+
+def test_filling_caches_stay_bounded():
+    # 10,000 distinct triples: one box added to a row of 1 to 10,000 cells.
+    for k in range(1, 10001):
+        assert lr_coefficient(Partition((k,)), Partition((1,)), Partition((k + 1,))) == 1
+    info = _lr_fillings.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for k in range(1, 1001):
+        assert len(cached_ssyt(SkewShape(Partition((k,)), Partition((k - 1,))), 1)) == 1
+    info = cached_ssyt.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_pruned_filling_agrees_with_the_pictures_route():
@@ -333,4 +351,5 @@ def test_coefficients_past_twelve_cells_are_symmetric(lam, mu, nu, expected):
     # mu has 13-16 cells; swapped, the small shape is filled instead.
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     assert lr_coefficient(lam, mu, nu) == expected
-    assert lr_coefficient(mu, lam, nu, cross_check=True) == expected
+    routes = lr_routes(mu, lam, nu)
+    assert routes == {"crystal": expected, "pictures": expected, "skew_tableaux": expected}

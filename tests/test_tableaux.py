@@ -20,7 +20,8 @@ from lrpictures import (
     subpartitions,
     validate_semistandard,
 )
-from cellwise import j_order_cells_by_rows, validate_semistandard_by_cells
+from lrpictures.tableaux import _fill_bounds
+from cellwise import fill_bounds_by_cells, j_order_cells_by_rows, validate_semistandard_by_cells
 from conftest import skew_shapes
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -93,7 +94,16 @@ def test_enumerate_ssyt_examples():
 def test_enumerate_ssyt_bound():
     with pytest.raises(ValueError):
         list(enumerate_ssyt(SkewShape(Partition((5, 5, 3))), 3))
-    assert list(enumerate_ssyt(SkewShape(Partition((5, 5, 3))), 1, max_cells=13)) == []
+
+
+def test_fill_bounds_match_the_cell_index():
+    checked = 0
+    for nu in partitions_in_box(12, 5, 5):
+        for lam in subpartitions(nu):
+            shape = SkewShape(nu, lam)
+            assert _fill_bounds(shape) == fill_bounds_by_cells(shape), shape
+            checked += 1
+    assert checked == 3700
 
 
 def test_enumerate_ssyt_is_j_reading_lexicographic():
