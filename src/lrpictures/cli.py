@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .correspondence import (
     CorrespondenceContext,
     CrystalPair,
-    InternalError,
     full_c,
     full_s,
     lr_coefficient,
@@ -66,6 +65,16 @@ def _bound_override() -> int | None:
     return bound
 
 
+def _non_negative(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrpictures",
@@ -101,23 +110,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)} or all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=10000)
-    p.add_argument("--max-cells", type=int, default=5)
+    p.add_argument("--instances", type=_non_negative, default=10000)
+    p.add_argument("--max-cells", type=_non_negative, default=5)
     return parser
 
 
 _PARSER = _build_parser()
 
 
-def _same_or_json(raw: str, other_raw: str, stdin_text: str | None):
-    if raw == "same":
-        raw = other_raw
-    return _read_json(raw, stdin_text)
+def _read_shapes(args, stdin_text) -> tuple[SkewShape, SkewShape]:
+    """--kappa1 and --kappa2, where kappa2 'same' reuses kappa1 as parsed."""
+    kappa1 = SkewShape.from_json(_read_json(args.kappa1, stdin_text))
+    if args.kappa2 == "same":
+        return kappa1, kappa1
+    return kappa1, SkewShape.from_json(_read_json(args.kappa2, stdin_text))
 
 
 def _run_pictures(args, stdin_text):
-    kappa1 = SkewShape.from_json(_read_json(args.kappa1, stdin_text))
-    kappa2 = SkewShape.from_json(_same_or_json(args.kappa2, args.kappa1, stdin_text))
+    kappa1, kappa2 = _read_shapes(args, stdin_text)
     found = list(enumerate_pictures(kappa1, kappa2, max_cells=_bound_override()))
     if args.count_only:
         return {"count": len(found)}, 0
@@ -131,10 +141,7 @@ def _run_to_pair(args, stdin_text):
 
 
 def _run_to_picture(args, stdin_text):
-    ctx = CorrespondenceContext(
-        SkewShape.from_json(_read_json(args.kappa1, stdin_text)),
-        SkewShape.from_json(_same_or_json(args.kappa2, args.kappa1, stdin_text)),
-    )
+    ctx = CorrespondenceContext(*_read_shapes(args, stdin_text))
     pair = CrystalPair.from_json(_read_json(args.pair, stdin_text))
     return full_c(ctx, pair).to_json(), 0
 
@@ -145,7 +152,7 @@ def _run_lr_coeff(args, stdin_text):
     nu = Partition.from_json(_read_json(args.nu, stdin_text))
     if not args.cross_check:
         return {"coefficient": lr_coefficient(lam, mu, nu)}, 0
-    routes = lr_routes(lam, mu, nu, max_cells=_bound_override())
+    routes = lr_routes(lam, mu, nu)
     agree = len(set(routes.values())) == 1
     doc = {"coefficient": routes["crystal"], "routes_agree": agree}
     return doc, 0 if agree else 1
@@ -204,9 +211,6 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2, ""
-    except InternalError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1, ""
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""

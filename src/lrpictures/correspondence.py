@@ -5,7 +5,10 @@ Each public stage map checks its input once, as the caller's value, and
 raises ValueError when it lies outside the stage's set.  Outputs are not
 re-checked: that each stage lands in the next stage's set is a theorem of
 the construction, and ``verify --suite roundtrip`` sweeps it over the whole
-acceptance family.
+acceptance family.  The composed maps check only at the boundary: full_s
+checks the picture (through s1) and full_c the crystal pair (through c3),
+and both then run the remaining stages unchecked, each stage's computation
+shared with its public map.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ from .shapes import (
     add_sequence,
     j_order_cells,
     partitions_of,
-    row_lengths,
 )
 from .tableaux import SkewTableau, validate_semistandard
 from .words import Word
 
 __all__ = [
-    "InternalError",
     "CorrespondenceContext",
     "CrystalPair",
     "s1_picture_to_skewtab",
@@ -47,10 +48,6 @@ __all__ = [
     "lr_routes",
     "lr_coefficient",
 ]
-
-
-class InternalError(RuntimeError):
-    """A structural guarantee of the pipeline failed; indicates a bug."""
 
 
 @dataclass(frozen=True)
@@ -141,24 +138,34 @@ def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
     return added.valid and added.result.to_partition() == ctx.nu2
 
 
+def _in_product(ctx: CorrespondenceContext, pair: CrystalPair) -> bool:
+    return (
+        lr_membership(pair.second, ctx.lambda2, ctx.nu2, ctx.rank).member
+        and lr_membership(pair.first, ctx.lambda1, ctx.nu1, ctx.rank).member
+    )
+
+
+def _s3(w: TwoRowedArray) -> CrystalPair:
+    p, q = rsk_forward(w)
+    return CrystalPair(first=q, second=p)
+
+
+def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
+    """s3's image of w when w is in the W set of this context, else None."""
+    if len(w) != ctx.size or not validate_lex_array(w):
+        return None
+    for word, kappa in ((w.top, ctx.kappa1), (w.bottom, ctx.kappa2)):
+        rows = range(1, kappa.outer.rows + 1)
+        if sorted(word.letters) != [i for i in rows for _ in range(kappa.row_length(i))]:
+            return None
+    pair = _s3(w)
+    return pair if _in_product(ctx, pair) else None
+
+
 def in_w_set(ctx: CorrespondenceContext, w: TwoRowedArray) -> bool:
     """Is w a lexicographic array of this context, with both RSK tableaux in
     their Littlewood-Richardson crystals?"""
-    if len(w) != ctx.size:
-        return False
-    if not validate_lex_array(w):
-        return False
-    for word, kappa in ((w.top, ctx.kappa1), (w.bottom, ctx.kappa2)):
-        lengths = row_lengths(kappa)
-        top = max([kappa.outer.rows, *word.letters], default=0)
-        for i in range(1, top + 1):
-            if sum(1 for a in word.letters if a == i) != lengths.part(i):
-                return False
-    p, q = rsk_forward(w)
-    return (
-        lr_membership(p, ctx.lambda2, ctx.nu2, ctx.rank).member
-        and lr_membership(q, ctx.lambda1, ctx.nu1, ctx.rank).member
-    )
+    return _w_pair(ctx, w) is not None
 
 
 def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau:
@@ -170,30 +177,29 @@ def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau
     return SkewTableau.from_reading(ctx.kappa1, [img.row for img in f.images])
 
 
+def _s2(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> TwoRowedArray:
+    top = Word(tuple(c.row for c in j_order_cells(ctx.kappa1)))
+    return TwoRowedArray(top, Word(reading))
+
+
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
     """Pair each reading letter with the row it was read from."""
     if not in_s_set(ctx, s):
         raise ValueError("tableau is not in the S set of this context")
-    cells = j_order_cells(ctx.kappa1)
-    top = Word(tuple(c.row for c in cells))
-    bottom = Word(s.reading())
-    return TwoRowedArray(top, bottom)
+    return _s2(ctx, s.reading())
 
 
 def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair:
     """Column-insert the bottom row; the recording tableau comes first."""
-    if not in_w_set(ctx, w):
+    pair = _w_pair(ctx, w)
+    if pair is None:
         raise ValueError("array is not in the W set of this context")
-    p, q = rsk_forward(w)
-    return CrystalPair(first=q, second=p)
+    return pair
 
 
 def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
     """Reverse-bump the second tableau using the first as recording tableau."""
-    if not (
-        lr_membership(pair.second, ctx.lambda2, ctx.nu2, ctx.rank).member
-        and lr_membership(pair.first, ctx.lambda1, ctx.nu1, ctx.rank).member
-    ):
+    if not _in_product(ctx, pair):
         raise ValueError("pair is not in the crystal product of this context")
     return rsk_inverse(pair.second, pair.first)
 
@@ -205,28 +211,34 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
     return SkewTableau.from_reading(ctx.kappa1, w.bottom.letters)
 
 
-def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture:
-    """Send each cell to (entry, lambda2-offset + rank from the right among equal entries)."""
-    if not in_s_set(ctx, s):
-        raise ValueError("tableau is not in the S set of this context")
+def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
     # The cells of one entry form a horizontal strip, so the J order lists
     # them right to left and a running count is each cell's p_index.
     seen: dict[int, int] = {}
     images = []
-    for k in s.reading():
+    for k in reading:
         seen[k] = seen.get(k, 0) + 1
         images.append(Cell(k, ctx.lambda2.part(k) + seen[k]))
     return Picture(ctx.kappa1, ctx.kappa2, tuple(images))
 
 
+def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture:
+    """Send each cell to (entry, lambda2-offset + rank from the right among equal entries)."""
+    if not in_s_set(ctx, s):
+        raise ValueError("tableau is not in the S set of this context")
+    return _c1(ctx, s.reading())
+
+
 def full_s(ctx: CorrespondenceContext, f: Picture) -> CrystalPair:
-    """Picture to crystal pair, through the S and W sets."""
-    return s3_array_to_pair(ctx, s2_skewtab_to_array(ctx, s1_picture_to_skewtab(ctx, f)))
+    """Picture to crystal pair: s3(s2(s1(f))), checking only the picture."""
+    return _s3(_s2(ctx, s1_picture_to_skewtab(ctx, f).reading()))
 
 
 def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
-    """Crystal pair to picture; inverse of full_s."""
-    return c1_skewtab_to_picture(ctx, c2_array_to_skewtab(ctx, c3_pair_to_array(ctx, pair)))
+    """Crystal pair to picture, the inverse of full_s: c1(c2(c3(pair))),
+    checking only the pair.  The J-order reading of c2's tableau is the
+    array's bottom row."""
+    return _c1(ctx, c3_pair_to_array(ctx, pair).bottom.letters)
 
 
 def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:
@@ -243,15 +255,13 @@ def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]
                 yield CrystalPair(t1, t2)
 
 
-def lr_routes(
-    lam: Partition, mu: Partition, nu: Partition, max_cells: int | None = None
-) -> dict[str, int]:
+def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     """The Littlewood-Richardson coefficient computed three independent ways.
 
     'crystal' fills shape mu so that its reading carries lam to nu,
     'pictures' counts pictures from straight mu to nu/lam, and
     'skew_tableaux' fills nu/lam with content mu and a lattice reading (the
-    LR rule).  Only the picture search has a cell bound, max_cells.
+    LR rule).  No route has a cell bound.
     """
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
@@ -259,7 +269,7 @@ def lr_routes(
     domain, codomain = SkewShape(mu), SkewShape(nu, lam)
     return {
         "crystal": len(enumerate_lr_crystal(mu, lam, nu, n)),
-        "pictures": sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=max_cells)),
+        "pictures": sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=mu.size)),
         "skew_tableaux": len(_lr_fillings(codomain, Partition(), mu, n)),
     }
 

@@ -30,12 +30,10 @@ __all__ = [
     "weight",
     "is_highest_weight",
     "combinatorial_r",
-    "knuth_step",
     "neighbours",
     "equiv_check",
     "equiv_check_fast",
     "tensor_to_word",
-    "word_to_tensor",
     "tensor_concat",
     "lr_membership",
     "enumerate_lr_crystal",
@@ -172,13 +170,6 @@ def _knuth_moves(letters: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...
     return tuple(out)
 
 
-def knuth_step(w: Word, pos: int) -> tuple[Word, ...]:
-    """Words reachable by one fundamental Knuth transformation at pos (1-based)."""
-    if not 1 <= pos <= len(w.letters) - 2:
-        raise ValueError(f"window {pos}..{pos + 2} out of range for length {len(w.letters)}")
-    return tuple(Word(m) for m in _knuth_moves(w.letters, pos - 1))
-
-
 def neighbours(
     mode: Literal["knuth", "crystal"],
 ) -> Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]:
@@ -203,13 +194,6 @@ def neighbours(
 def tensor_to_word(b: TensorWord) -> Word:
     """The word whose reversal lists b's tensor factors."""
     return Word(tuple(reversed(b.letters)))
-
-
-def word_to_tensor(w: Word, rank: int | None = None) -> TensorWord:
-    """Inverse of tensor_to_word; rank defaults to the smallest admissible value."""
-    if rank is None:
-        rank = max(max(w.letters, default=2) - 1, 1)
-    return TensorWord(rank, tuple(reversed(w.letters)))
 
 
 def _letters_of(x) -> tuple[int, ...]:

@@ -129,24 +129,36 @@ def _is_removable_corner(shape: SkewShape, c: Cell) -> bool:
     )
 
 
+def _unbump(cols: list[list[int]], j: int) -> int:
+    """Undo the _bump whose new box ended column j (0-based); returns the
+    ejected letter.
+
+    Walking leftward from column j, the carried value replaces the
+    bottom-most entry less than or equal to it, and whatever leaves the
+    first column is ejected.
+    """
+    carry = cols[j].pop()
+    if not cols[j]:  # a corner alone in its column ends the last column
+        cols.pop()
+    for k in range(j - 1, -1, -1):
+        col = cols[k]
+        i = bisect_right(col, carry) - 1  # bottom-most entry <= carry
+        if i < 0:
+            raise ValueError("reverse bumping failed; tableau is not semistandard")
+        col[i], carry = carry, col[i]
+    return carry
+
+
 def reverse_column_insert(t: SkewTableau, c: Cell) -> tuple[SkewTableau, int]:
     """Undo a column insertion whose new box was c; returns the ejected letter.
 
-    Walking leftward from c's column, the carried value replaces the
-    bottom-most entry less than or equal to it, and whatever leaves column 1
-    is ejected.  This inverts column_insert exactly.
+    This inverts column_insert exactly.
     """
     _require_straight(t)
     if not _is_removable_corner(t.shape, c):
         raise ValueError(f"cell ({c.row}, {c.col}) is not a removable corner")
     cols = _to_columns(t)
-    carry = cols[c.col - 1].pop()
-    for j in range(c.col - 2, -1, -1):
-        col = cols[j]
-        i = bisect_right(col, carry) - 1  # bottom-most entry <= carry
-        if i < 0:
-            raise ValueError("reverse bumping failed; tableau is not semistandard")
-        col[i], carry = carry, col[i]
+    carry = _unbump(cols, c.col - 1)
     return _columns_to_tableau(cols), carry
 
 
@@ -181,22 +193,13 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
     return p, q
 
 
-def _rightmost_max(rows: Sequence[Sequence[int]]) -> Cell:
-    best: tuple[int, int, int] | None = None  # (value, col, row)
-    for i, row in enumerate(rows, start=1):
-        for j, a in enumerate(row, start=1):
-            if best is None or (a, j) > (best[0], best[1]):
-                best = (a, j, i)
-    assert best is not None
-    return Cell(best[2], best[1])
-
-
 def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
     """Invert rsk_forward.
 
     Repeatedly reverse-bump P from the position of the right-most maximum
     entry of Q; emitted pairs are stacked back to front so the result is
-    again lexicographic.
+    again lexicographic.  In a semistandard Q that entry ends its column,
+    and it is the last column whose bottom entry is the maximum.
     """
     if p.shape != q.shape:
         raise ValueError("tableaux must have the same shape")
@@ -204,16 +207,15 @@ def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
         raise ValueError("straight tableaux required")
     if not (validate_semistandard(p) and validate_semistandard(q)):
         raise ValueError("tableaux must be semistandard")
-    q_rows = [list(row) for row in q.rows]
-    current = p
+    p_cols, q_cols = _to_columns(p), _to_columns(q)
     pairs: list[tuple[int, int]] = []
-    for _ in range(p.size):
-        cell = _rightmost_max(q_rows)
-        u = q_rows[cell.row - 1].pop()
-        while q_rows and not q_rows[-1]:
-            q_rows.pop()
-        current, v = reverse_column_insert(current, cell)
-        pairs.append((u, v))
+    while q_cols:
+        u = max(col[-1] for col in q_cols)
+        j = max(k for k, col in enumerate(q_cols) if col[-1] == u)
+        q_cols[j].pop()
+        if not q_cols[j]:
+            q_cols.pop()
+        pairs.append((u, _unbump(p_cols, j)))
     pairs.reverse()
     return TwoRowedArray(
         Word(tuple(u for u, _ in pairs)), Word(tuple(v for _, v in pairs))

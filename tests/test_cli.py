@@ -198,12 +198,44 @@ def test_lr_coeff_past_twelve_cells():
     assert swapped == {"coefficient": 8, "routes_agree": True}
 
 
-def test_env_bound_reaches_every_cross_check_route(monkeypatch):
-    # The picture search is the only bounded route; the two fillings prune.
+def test_cross_check_ignores_the_env_bound(monkeypatch):
+    # No route of lr-coeff has a cell bound, and LRPK_MAX_CELLS is not read.
     argv = ["lr-coeff", "--lambda", "[1]", "--mu", "[7,6]", "--nu", "[8,6]", "--cross-check"]
-    assert cmd_run(argv) == (2, "")
-    monkeypatch.setenv("LRPK_MAX_CELLS", "13")
     assert cmd_run(argv) == (0, '{"coefficient":1,"routes_agree":true}\n')
+    monkeypatch.setenv("LRPK_MAX_CELLS", "0")
+    assert cmd_run(argv) == (0, '{"coefficient":1,"routes_agree":true}\n')
+
+
+def test_cross_check_on_ten_cells():
+    argv = ["lr-coeff", "--lambda", "[4,3,2,1]", "--mu", "[4,3,2,1]", "--nu", "[7,5,4,3,1]",
+            "--cross-check"]
+    assert cmd_run(argv) == (0, '{"coefficient":12,"routes_agree":true}\n')
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--suite", "roundtrip", "--max-cells", "-1"], "--max-cells"),
+        (["verify", "--suite", "bumping-lemma", "--instances", "-3"], "--instances"),
+    ],
+    ids=["max-cells", "instances"],
+)
+def test_negative_verify_size_exits_2(argv, flag, capsys):
+    assert cmd_run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must not be negative, got -" in err
+
+
+def test_same_shape_from_stdin_is_read_once():
+    argv = ["pictures", "--kappa1", "-", "--kappa2", "same", "--count-only"]
+    assert cmd_run(argv, stdin_text='{"outer":[2,1]}') == (0, '{"count":1}\n')
+    out = subprocess.run(
+        [sys.executable, "-m", "lrpictures", *argv],
+        input='{"outer":[2,1]}\n',
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout) == (0, '{"count":1}\n'), out.stderr
 
 
 def test_determinism():

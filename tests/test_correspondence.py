@@ -1,13 +1,14 @@
-from collections import defaultdict
+import sys
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
 
+import lrpictures
 from lrpictures import (
     Cell,
     CorrespondenceContext,
     CrystalPair,
-    InternalError,
     Partition,
     Picture,
     SkewShape,
@@ -31,9 +32,11 @@ from lrpictures import (
     lr_coefficient,
     lr_routes,
     p_index,
+    partitions_in_box,
     s1_picture_to_skewtab,
     s2_skewtab_to_array,
     s3_array_to_pair,
+    subpartitions,
     validate_lex_array,
 )
 from lrpictures.crystal import _lr_fillings
@@ -76,6 +79,8 @@ def test_s1_rejects_non_picture():
     not_picture = Picture(ROW2, ROW2, (Cell(1, 2), Cell(1, 1)))
     with pytest.raises(ValueError):
         s1_picture_to_skewtab(ROW_CTX, not_picture)
+    with pytest.raises(ValueError, match="not a picture"):
+        full_s(ROW_CTX, not_picture)
 
 
 def test_in_s_set_examples():
@@ -112,6 +117,8 @@ def test_in_w_set_examples():
     assert in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((2, 1))))
     assert not in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 1)), Word((1, 2))))
     assert not in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((1, 1))))
+    # a letter past the rank is refused by the content check, not by a raise
+    assert not in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((5, 1))))
 
 
 def test_c3_examples():
@@ -189,11 +196,11 @@ def test_stage_errors_are_value_errors():
         s3_array_to_pair(HOOK_CTX, TwoRowedArray(Word((1, 1)), Word((1, 2))))
     with pytest.raises(ValueError):
         c2_array_to_skewtab(HOOK_CTX, TwoRowedArray(Word((1, 1)), Word((1, 2))))
+    outside = CrystalPair(SkewTableau.straight(((1, 1),)), SkewTableau.straight(((1, 1),)))
     with pytest.raises(ValueError):
-        c3_pair_to_array(
-            HOOK_CTX,
-            CrystalPair(SkewTableau.straight(((1, 1),)), SkewTableau.straight(((1, 1),))),
-        )
+        c3_pair_to_array(HOOK_CTX, outside)
+    with pytest.raises(ValueError, match="crystal product"):
+        full_c(HOOK_CTX, outside)
 
 
 def test_full_maps_on_hook_context():
@@ -201,6 +208,90 @@ def test_full_maps_on_hook_context():
     assert full_s(HOOK_CTX, SWAP).second.rows == ((1, 2),)
     for f in (IDENTITY, SWAP):
         assert full_c(HOOK_CTX, full_s(HOOK_CTX, f)) == f
+
+
+def roundtrip_population():
+    """Every picture between equal-sized 5-7-cell shapes nu/lam with nu in
+    the 4x4 box and |nu| <= 8, with its context."""
+    by_size = defaultdict(list)
+    for nu in partitions_in_box(8, 4, 4):
+        for lam in subpartitions(nu):
+            if 5 <= nu.size - lam.size <= 7:
+                by_size[nu.size - lam.size].append(SkewShape(nu, lam))
+    for shapes in by_size.values():
+        for kappa1, kappa2 in product(shapes, repeat=2):
+            ctx = CorrespondenceContext(kappa1, kappa2)
+            for f in enumerate_pictures(kappa1, kappa2):
+                yield ctx, f
+
+
+def composed_s(ctx, f):
+    return s3_array_to_pair(ctx, s2_skewtab_to_array(ctx, s1_picture_to_skewtab(ctx, f)))
+
+
+def composed_c(ctx, pair):
+    return c1_skewtab_to_picture(ctx, c2_array_to_skewtab(ctx, c3_pair_to_array(ctx, pair)))
+
+
+def test_full_maps_equal_the_composed_stages():
+    pictures = pairs = 0
+    for ctx in acceptance_contexts(5):
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            assert full_s(ctx, f) == composed_s(ctx, f), (ctx, f)
+            pictures += 1
+        for pair in enumerate_crystal_pairs(ctx):
+            assert full_c(ctx, pair) == composed_c(ctx, pair), (ctx, pair)
+            pairs += 1
+    assert pictures == pairs == 5162
+    population = 0
+    for ctx, f in roundtrip_population():
+        pair = full_s(ctx, f)
+        assert pair == composed_s(ctx, f), (ctx, f)
+        assert full_c(ctx, pair) == composed_c(ctx, pair) == f, (ctx, f)
+        population += 1
+    assert population == 3044
+
+
+COUNTED = (
+    "validate_picture",
+    "lr_membership",
+    "rsk_forward",
+    "in_s_set",
+    "in_w_set",
+    "reverse_column_insert",
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of COUNTED through every binding in the lrpictures modules."""
+    counts = Counter()
+    originals = {name: getattr(lrpictures, name) for name in COUNTED}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "lrpictures" or modname.startswith("lrpictures."):
+            for attr, value in list(vars(module).items()):
+                for name, fn in originals.items():
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted(name, fn))
+    return counts
+
+
+def test_full_maps_check_once(calls):
+    ctx = CorrespondenceContext(
+        SkewShape(Partition((3, 2, 1)), Partition((1,))),
+        SkewShape(Partition((4, 2)), Partition((1,))),
+    )
+    f = next(enumerate_pictures(ctx.kappa1, ctx.kappa2))
+    calls.clear()
+    assert full_c(ctx, full_s(ctx, f)) == f
+    assert calls == Counter(validate_picture=1, lr_membership=2, rsk_forward=1)
 
 
 def test_stage_round_trips_small_family():
@@ -280,14 +371,15 @@ def test_empty_context_round_trip():
     assert full_c(ctx, pairs[0]) == pics[0]
 
 
-def test_internal_error_reserved_for_bugs():
+def test_mismatched_picture_is_an_input_error():
     # a context whose shapes disagree in content admits no pictures at all,
     # so stage one can never be reached with a valid picture; feeding a
     # mismatched picture is a plain input error
     ctx = CorrespondenceContext(ROW2, SkewShape(Partition((1, 1))))
     with pytest.raises(ValueError):
         s1_picture_to_skewtab(ctx, IDENTITY)
-    assert issubclass(InternalError, RuntimeError)
+    with pytest.raises(ValueError):
+        full_s(ctx, IDENTITY)
 
 
 def test_pair_json_round_trip():

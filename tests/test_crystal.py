@@ -18,7 +18,6 @@ from lrpictures import (
     equiv_check,
     equiv_check_fast,
     is_highest_weight,
-    knuth_step,
     lr_coefficient,
     lr_membership,
     lr_routes,
@@ -28,9 +27,8 @@ from lrpictures import (
     subpartitions,
     tensor_to_word,
     weight,
-    word_to_tensor,
 )
-from lrpictures.crystal import _lr_fillings, cached_ssyt, neighbours
+from lrpictures.crystal import _knuth_moves, _lr_fillings, cached_ssyt, neighbours
 from cellwise import lr_crystal_by_filter
 
 
@@ -133,24 +131,24 @@ def test_r_commutes_with_crystal_ops():
 
 
 def test_knuth_step_examples():
-    assert [w.letters for w in knuth_step(Word((2, 1, 2)), 1)] == [(2, 2, 1)]
-    assert [w.letters for w in knuth_step(Word((1, 2, 1)), 1)] == [(2, 1, 1)]
-    assert knuth_step(Word((1, 1, 1)), 1) == ()
-    with pytest.raises(ValueError):
-        knuth_step(Word((1, 2)), 1)
+    assert _knuth_moves((2, 1, 2), 0) == ((2, 2, 1),)
+    assert _knuth_moves((1, 2, 1), 0) == ((2, 1, 1),)
+    assert _knuth_moves((1, 1, 1), 0) == ()
+    assert list(neighbours("knuth")((1, 2))) == []
+    assert list(neighbours("knuth")((3, 2, 1, 2))) == [(3, 2, 2, 1)]
 
 
 def test_knuth_step_is_symmetric():
     for letters in itertools.product(range(1, 4), repeat=3):
-        for out in knuth_step(Word(letters), 1):
-            assert Word(letters) in knuth_step(out, 1)
+        for out in _knuth_moves(letters, 0):
+            assert letters in _knuth_moves(out, 0)
 
 
 def test_neighbours_match_single_moves():
-    # one move at every window: knuth_step for 'knuth', non-trivial R steps
-    # for 'crystal'
+    # one move at every window: the Knuth moves for 'knuth', non-trivial R
+    # steps for 'crystal'
     for letters in itertools.product(range(1, 4), repeat=4):
-        knuth = {m.letters for pos in (1, 2) for m in knuth_step(Word(letters), pos)}
+        knuth = {m for i in (0, 1) for m in _knuth_moves(letters, i)}
         assert set(neighbours("knuth")(letters)) == knuth
         b = TensorWord(2, letters)
         r = {combinatorial_r(b, pos).letters for pos in (1, 2)} - {letters}
@@ -181,15 +179,13 @@ def test_reversal_matches_knuth_and_crystal():
         for b in words4:
             knuth = equiv_check(Word(a), Word(b), "knuth")
             crystal = equiv_check(
-                word_to_tensor(Word(a), 3), word_to_tensor(Word(b), 3), "crystal"
+                TensorWord(3, tuple(reversed(a))), TensorWord(3, tuple(reversed(b))), "crystal"
             )
             assert knuth == crystal
 
 
 def test_tensor_word_conversions():
-    w = Word((1, 2, 3))
-    assert word_to_tensor(w).letters == (3, 2, 1)
-    assert tensor_to_word(word_to_tensor(w)) == w
+    assert tensor_to_word(TensorWord(2, (3, 2, 1))) == Word((1, 2, 3))
 
 
 @given(st.lists(st.integers(1, 3), max_size=6).map(tuple), st.randoms())
