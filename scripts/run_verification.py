@@ -8,6 +8,7 @@ import argparse
 import sys
 import time
 
+from lrpictures.cli import _non_negative
 from lrpictures.verify import SUITE_NAMES, run_suite
 
 
@@ -15,7 +16,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("suite", nargs="?", default="all", help=f"{', '.join(SUITE_NAMES)} or all")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--instances", type=int, default=10000)
+    parser.add_argument("--instances", type=_non_negative, default=10000)
     args = parser.parse_args()
 
     start = time.monotonic()

@@ -9,6 +9,7 @@ stdout bytes are reproducible, so timing is reported on stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,10 +47,9 @@ class CommandReport:
         return {"status": self.status, "payload": self.payload}
 
 
-def _read_json(raw: str, stdin_text: str | None):
-    if raw == "-":
-        raw = sys.stdin.read() if stdin_text is None else stdin_text
-    return json.loads(raw)
+def _read_json(raw: str, stdin):
+    """Parse raw, or the stdin document when raw is '-'; stdin() returns it."""
+    return json.loads(stdin() if raw == "-" else raw)
 
 
 def _bound_override() -> int | None:
@@ -118,38 +118,38 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _read_shapes(args, stdin_text) -> tuple[SkewShape, SkewShape]:
+def _read_shapes(args, stdin) -> tuple[SkewShape, SkewShape]:
     """--kappa1 and --kappa2, where kappa2 'same' reuses kappa1 as parsed."""
-    kappa1 = SkewShape.from_json(_read_json(args.kappa1, stdin_text))
+    kappa1 = SkewShape.from_json(_read_json(args.kappa1, stdin))
     if args.kappa2 == "same":
         return kappa1, kappa1
-    return kappa1, SkewShape.from_json(_read_json(args.kappa2, stdin_text))
+    return kappa1, SkewShape.from_json(_read_json(args.kappa2, stdin))
 
 
-def _run_pictures(args, stdin_text):
-    kappa1, kappa2 = _read_shapes(args, stdin_text)
+def _run_pictures(args, stdin):
+    kappa1, kappa2 = _read_shapes(args, stdin)
     found = list(enumerate_pictures(kappa1, kappa2, max_cells=_bound_override()))
     if args.count_only:
         return {"count": len(found)}, 0
     return {"count": len(found), "pictures": [f.to_json() for f in found]}, 0
 
 
-def _run_to_pair(args, stdin_text):
-    f = Picture.from_json(_read_json(args.picture, stdin_text))
+def _run_to_pair(args, stdin):
+    f = Picture.from_json(_read_json(args.picture, stdin))
     ctx = CorrespondenceContext(f.domain, f.codomain)
     return full_s(ctx, f).to_json(), 0
 
 
-def _run_to_picture(args, stdin_text):
-    ctx = CorrespondenceContext(*_read_shapes(args, stdin_text))
-    pair = CrystalPair.from_json(_read_json(args.pair, stdin_text))
+def _run_to_picture(args, stdin):
+    ctx = CorrespondenceContext(*_read_shapes(args, stdin))
+    pair = CrystalPair.from_json(_read_json(args.pair, stdin))
     return full_c(ctx, pair).to_json(), 0
 
 
-def _run_lr_coeff(args, stdin_text):
-    lam = Partition.from_json(_read_json(args.lam, stdin_text))
-    mu = Partition.from_json(_read_json(args.mu, stdin_text))
-    nu = Partition.from_json(_read_json(args.nu, stdin_text))
+def _run_lr_coeff(args, stdin):
+    lam = Partition.from_json(_read_json(args.lam, stdin))
+    mu = Partition.from_json(_read_json(args.mu, stdin))
+    nu = Partition.from_json(_read_json(args.nu, stdin))
     if not args.cross_check:
         return {"coefficient": lr_coefficient(lam, mu, nu)}, 0
     routes = lr_routes(lam, mu, nu)
@@ -158,14 +158,14 @@ def _run_lr_coeff(args, stdin_text):
     return doc, 0 if agree else 1
 
 
-def _run_rsk(args, stdin_text):
-    w = TwoRowedArray.from_json(_read_json(args.array, stdin_text))
+def _run_rsk(args, stdin):
+    w = TwoRowedArray.from_json(_read_json(args.array, stdin))
     p, q = rsk_forward(w)
     return {"p": p.to_json(), "q": q.to_json()}, 0
 
 
-def _run_unrsk(args, stdin_text):
-    obj = _json_object(_read_json(args.pair, stdin_text), "p", "q")
+def _run_unrsk(args, stdin):
+    obj = _json_object(_read_json(args.pair, stdin), "p", "q")
     p = SkewTableau.from_json(obj["p"])
     q = SkewTableau.from_json(obj["q"])
     return rsk_inverse(p, q).to_json(), 0
@@ -181,7 +181,7 @@ def cmd_verify(suite: str, seed: int = 0, instances: int = 10000, max_cells: int
     return CommandReport("ok" if ok else "violation", payload, elapsed)
 
 
-def _run_verify(args, stdin_text):
+def _run_verify(args, stdin):
     report = cmd_verify(
         args.suite, seed=args.seed, instances=args.instances, max_cells=args.max_cells
     )
@@ -206,8 +206,10 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
+    # Real stdin is read on the first '-' only, so every '-' sees one document.
+    stdin = functools.cache(sys.stdin.read) if stdin_text is None else lambda: stdin_text
     try:
-        doc, code = _HANDLERS[args.command](args, stdin_text)
+        doc, code = _HANDLERS[args.command](args, stdin)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2, ""

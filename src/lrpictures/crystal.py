@@ -33,7 +33,6 @@ __all__ = [
     "neighbours",
     "equiv_check",
     "equiv_check_fast",
-    "tensor_to_word",
     "tensor_concat",
     "lr_membership",
     "enumerate_lr_crystal",
@@ -191,11 +190,6 @@ def neighbours(
     return step
 
 
-def tensor_to_word(b: TensorWord) -> Word:
-    """The word whose reversal lists b's tensor factors."""
-    return Word(tuple(reversed(b.letters)))
-
-
 def _letters_of(x) -> tuple[int, ...]:
     if isinstance(x, (Word, TensorWord)):
         return x.letters
@@ -212,7 +206,7 @@ def equiv_check(
 
     mode 'knuth' closes a word under the fundamental Knuth transformations;
     mode 'crystal' closes a tensor word under R at every window.  The two
-    notions correspond under letter reversal (see tensor_to_word).  Words
+    notions correspond under letter reversal.  Words
     longer than max_len (default DEFAULT_BFS_LENGTH) are refused; use
     equiv_check_fast for those.
     """

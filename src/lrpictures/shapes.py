@@ -20,7 +20,6 @@ __all__ = [
     "leq_j",
     "j_order_cells",
     "row_lengths",
-    "add_one",
     "add_sequence",
     "partitions_of",
     "partitions_in_box",
@@ -115,11 +114,6 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(1, other.rows + 1))
-
-    def cells(self) -> Iterator[Cell]:
-        for i, length in enumerate(self.parts, start=1):
-            for j in range(1, length + 1):
-                yield Cell(i, j)
 
     def to_json(self) -> list[int]:
         return list(self.parts)
@@ -219,21 +213,6 @@ def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:
 
 def row_lengths(shape: SkewShape) -> Composition:
     return Composition(tuple(shape.row_length(i) for i in range(1, shape.outer.rows + 1)))
-
-
-def add_one(shape: Composition | Partition, i: int) -> Composition:
-    """Add one box to row i; rows beyond the current length count as empty.
-
-    The result may fail to be weakly decreasing; callers that care check
-    with Composition.is_partition.
-    """
-    if i < 1:
-        raise ValueError(f"row index must be positive, got {i}")
-    parts = list(shape.parts)
-    while len(parts) < i:
-        parts.append(0)
-    parts[i - 1] += 1
-    return Composition(tuple(parts))
 
 
 class AdditionResult(NamedTuple):

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .shapes import Cell, Partition, SkewShape, _ints, _json_object, j_order_cells
 from .words import TensorWord, Word
@@ -58,13 +57,6 @@ class SkewTableau:
         return cls(shape, tuple(rows))
 
     @classmethod
-    def from_entries(cls, shape: SkewShape, entries: Mapping[Cell, int]) -> "SkewTableau":
-        cells = j_order_cells(shape)
-        if set(entries) != set(cells):
-            raise ValueError("entry map does not cover exactly the cells of the shape")
-        return cls.from_reading(shape, [entries[c] for c in cells])
-
-    @classmethod
     def straight(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
         outer = Partition(tuple(len(r) for r in rows))
         return cls(SkewShape(outer), tuple(tuple(r) for r in rows))
@@ -81,12 +73,6 @@ class SkewTableau:
     def reading(self) -> tuple[int, ...]:
         """Entries along the J order: rows top to bottom, each right to left."""
         return tuple(a for row in self.rows for a in reversed(row))
-
-    def entries(self) -> dict[Cell, int]:
-        return dict(zip(j_order_cells(self.shape), self.reading()))
-
-    def content(self) -> Counter:
-        return Counter(a for row in self.rows for a in row)
 
     def to_json(self) -> dict:
         return {

@@ -5,12 +5,15 @@ SkewTableau.entry, so they share no logic with the row-based kernels they
 are compared against.  The LR crystal reference filters every semistandard
 tableau by lr_membership instead of pruning a filling.  The picture search
 reference checks each candidate image against every assigned pair of Cells.
+add_one builds a shape one box at a time, for a second route to add_sequence.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from lrpictures import (
     Cell,
+    Composition,
     Picture,
     SkewShape,
     add_sequence,
@@ -46,13 +49,21 @@ def in_s_set_with_content_check(ctx, s):
         raise ValueError("tableau shape differs from the context's first shape")
     if not validate_semistandard_by_cells(s):
         return False
-    counts = s.content()
+    counts = Counter(s.reading())
     lengths = row_lengths(ctx.kappa2)
     top = max([ctx.kappa2.outer.rows, *counts.keys()], default=0)
     if any(counts.get(i, 0) != lengths.part(i) for i in range(1, top + 1)):
         return False
     added = add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters)
     return added.valid and added.result.to_partition() == ctx.nu2
+
+
+def add_one(shape, i):
+    """Add one box to row i of a Composition or Partition; rows beyond the
+    current length count as empty, and the result need not be a partition."""
+    parts = list(shape.parts) + [0] * max(0, i - len(shape.parts))
+    parts[i - 1] += 1
+    return Composition(tuple(parts))
 
 
 def lr_crystal_by_filter(mu, lam, nu, n):

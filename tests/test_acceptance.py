@@ -33,7 +33,7 @@ def report_line(number, label, ok):
 @pytest.fixture(scope="module")
 def roundtrip():
     start = time.monotonic()
-    report = suite_roundtrip(max_cells=5, transport=True)
+    report = suite_roundtrip(max_cells=5)
     return report, time.monotonic() - start
 
 
@@ -42,8 +42,7 @@ def test_criterion_01_roundtrip_bijection(roundtrip):
     ok = report.ok and elapsed < 300
     report_line(1, "round-trip bijection", ok)
     assert report.ok, report.counterexample
-    assert report.checked["pictures"] >= 100
-    assert report.checked["pictures"] == report.checked["pairs"]
+    assert report.checked == {"contexts": 5739, "pictures": 5162, "transport": 5162, "pairs": 5162}
     assert elapsed < 300, f"round trips took {elapsed:.1f}s, target is five minutes"
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -236,6 +237,44 @@ def test_same_shape_from_stdin_is_read_once():
         text=True,
     )
     assert (out.returncode, out.stdout) == (0, '{"count":1}\n'), out.stderr
+
+
+def test_every_dash_sees_one_stdin_document():
+    argv = ["pictures", "--kappa1", "-", "--kappa2", "-", "--count-only"]
+    assert cmd_run(argv, stdin_text='{"outer":[2,1]}') == (0, '{"count":1}\n')
+    out = subprocess.run(
+        [sys.executable, "-m", "lrpictures", *argv],
+        input='{"outer":[2,1]}\n',
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout) == (0, '{"count":1}\n'), out.stderr
+
+
+def test_stdin_is_not_read_without_a_dash(monkeypatch):
+    class Unreadable:
+        def read(self):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr(sys, "stdin", Unreadable())
+    assert cmd_run(["lr-coeff", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]"]) == (
+        0,
+        '{"coefficient":1}\n',
+    )
+
+
+@pytest.mark.parametrize("suite", ["roundtrip", "cardinality", "all"])
+def test_family_suites_refuse_more_cells_than_pictures_list(suite, capsys):
+    start = time.monotonic()
+    assert cmd_run(["verify", "--suite", suite, "--max-cells", "9"]) == (2, "")
+    assert time.monotonic() - start < 1
+    assert "enumeration bound 8" in capsys.readouterr().err
+
+
+def test_max_cells_at_the_bound_still_parses():
+    argv = ["verify", "--suite", "bumping-lemma", "--instances", "10", "--max-cells", "8"]
+    assert cmd_run(argv) == cmd_run(argv[:-2])
+    assert cmd_run(argv)[0] == 0
 
 
 def test_determinism():

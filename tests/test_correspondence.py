@@ -40,7 +40,7 @@ from lrpictures import (
     validate_lex_array,
 )
 from lrpictures.crystal import _lr_fillings
-from lrpictures.verify import acceptance_contexts
+from lrpictures.verify import acceptance_contexts, suite_roundtrip
 from cellwise import in_s_set_with_content_check
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -53,7 +53,7 @@ SWAP = Picture(HOOK, HOOK, (Cell(2, 1), Cell(1, 2)))
 
 
 def tab(entries, shape=HOOK):
-    return SkewTableau.from_entries(shape, {Cell(*k): v for k, v in entries.items()})
+    return SkewTableau.from_reading(shape, [entries[c.row, c.col] for c in j_order_cells(shape)])
 
 
 def small_contexts():
@@ -259,6 +259,10 @@ COUNTED = (
     "in_s_set",
     "in_w_set",
     "reverse_column_insert",
+    "rsk_inverse",
+    "c1_skewtab_to_picture",
+    "c2_array_to_skewtab",
+    "c3_pair_to_array",
 )
 
 
@@ -291,7 +295,19 @@ def test_full_maps_check_once(calls):
     f = next(enumerate_pictures(ctx.kappa1, ctx.kappa2))
     calls.clear()
     assert full_c(ctx, full_s(ctx, f)) == f
-    assert calls == Counter(validate_picture=1, lr_membership=2, rsk_forward=1)
+    assert calls == Counter(
+        validate_picture=1, lr_membership=2, rsk_forward=1, c3_pair_to_array=1, rsk_inverse=1
+    )
+
+
+def test_roundtrip_suite_checks_each_set_once(calls):
+    report = suite_roundtrip(max_cells=2)
+    n = report.checked["pictures"]
+    assert report.ok and n == report.checked["pairs"] > 0
+    # no backward stage map: the inverses run on the kernels
+    assert calls == Counter(
+        validate_picture=n, in_s_set=n, rsk_forward=n, lr_membership=2 * n, rsk_inverse=n
+    )
 
 
 def test_stage_round_trips_small_family():

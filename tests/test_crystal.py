@@ -21,11 +21,12 @@ from lrpictures import (
     lr_coefficient,
     lr_membership,
     lr_routes,
+    me_reading,
     partitions_in_box,
     partitions_of,
     phi,
+    skew_word,
     subpartitions,
-    tensor_to_word,
     weight,
 )
 from lrpictures.crystal import _knuth_moves, _lr_fillings, cached_ssyt, neighbours
@@ -185,7 +186,10 @@ def test_reversal_matches_knuth_and_crystal():
 
 
 def test_tensor_word_conversions():
-    assert tensor_to_word(TensorWord(2, (3, 2, 1))) == Word((1, 2, 3))
+    # the J-order tensor reading lists the row word's letters reversed
+    t = SkewTableau.straight(((1, 2), (3,)))
+    assert me_reading(t) == TensorWord(2, (2, 1, 3))
+    assert skew_word(t) == Word(tuple(reversed(me_reading(t).letters)))
 
 
 @given(st.lists(st.integers(1, 3), max_size=6).map(tuple), st.randoms())

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from lrpictures import (
     Cell,
-    Composition,
     Partition,
     SkewShape,
-    add_one,
     add_sequence,
     j_order_cells,
     leq_j,
@@ -17,6 +15,7 @@ from lrpictures import (
     row_lengths,
     subpartitions,
 )
+from cellwise import add_one
 from conftest import cells, partitions, skew_shapes
 
 GRID = [Cell(r, c) for r in range(1, 7) for c in range(1, 7)]
@@ -118,7 +117,8 @@ def test_skew_shape_rejects_non_nested():
     [((2, 2), 3, (2, 2, 1)), ((2, 2), 2, (2, 3)), ((), 1, (1,))],
 )
 def test_add_one_examples(base, i, expected):
-    assert add_one(Composition(base), i).parts == expected
+    # one box, added whether or not the result is a partition
+    assert add_sequence(Partition(base), (i,)).result.parts == expected
 
 
 def test_add_sequence_worked_example():

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 import lrpictures.verify
-from lrpictures import SkewTableau
+from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray, Word
 from lrpictures.cli import cmd_run
 from lrpictures.verify import (
     SUITE_NAMES,
@@ -64,6 +66,88 @@ def test_roundtrip_reports_a_broken_stage_as_a_violation(monkeypatch):
 
 def test_broken_stage_exits_1_not_2(monkeypatch):
     _plant_broken_s1(monkeypatch)
+    code, out = cmd_run(["verify", "--suite", "roundtrip", "--max-cells", "2"])
+    assert code == 1 and '"status":"violation"' in out
+
+
+# Each fault breaks one fact the round-trip suite checks, on the two-cell
+# contexts only; each builder takes the real function and returns the broken one.
+def _drop_last_pair(real):
+    return lambda ctx: list(real(ctx))[:-1] if ctx.size == 2 else real(ctx)
+
+
+def _repeat_last_pair(real):
+    def broken(ctx):
+        pairs = list(real(ctx))
+        return pairs + pairs[-1:] if ctx.size == 2 else pairs
+
+    return broken
+
+
+def _repeat_first_picture(real):
+    def broken(kappa1, kappa2):
+        found = list(real(kappa1, kappa2))
+        return found[:1] + found if kappa1.size == 2 else found
+
+    return broken
+
+
+def _shift_one_image(real):
+    def broken(ctx, reading):
+        f = real(ctx, reading)
+        if ctx.size != 2:
+            return f
+        first, *rest = f.images
+        return Picture(f.domain, f.codomain, (Cell(first.row, first.col + 1), *rest))
+
+    return broken
+
+
+def _raise_bottom_row(real):
+    def broken(p, q):
+        w = real(p, q)
+        if len(w) != 2:
+            return w
+        return TwoRowedArray(w.top, Word(tuple(a + 1 for a in w.bottom.letters)))
+
+    return broken
+
+
+def _raise_written_entries(real):
+    def from_reading(shape, letters):
+        if len(letters) == 2:
+            letters = [a + 1 for a in letters]
+        return real.from_reading(shape, letters)
+
+    return SimpleNamespace(from_reading=from_reading)
+
+
+PLANTED = {
+    "pair-dropped": ("enumerate_crystal_pairs", _drop_last_pair, "pair"),
+    "pair-twice": ("enumerate_crystal_pairs", _repeat_last_pair, "pair"),
+    "picture-twice": ("enumerate_pictures", _repeat_first_picture, "picture"),
+    "c1-kernel": ("_c1", _shift_one_image, "picture"),
+    "c2-kernel": ("SkewTableau", _raise_written_entries, "picture"),
+    "c3-kernel": ("rsk_inverse", _raise_bottom_row, "picture"),
+}
+
+
+@pytest.fixture(params=sorted(PLANTED))
+def planted(request, monkeypatch):
+    name, build, key = PLANTED[request.param]
+    monkeypatch.setattr(lrpictures.verify, name, build(getattr(lrpictures.verify, name)))
+    return key
+
+
+def test_roundtrip_reports_a_planted_fault(planted):
+    report = suite_roundtrip(max_cells=2)
+    assert not report.ok
+    assert set(report.counterexample) == {"context", planted}
+    kappa1 = report.counterexample["context"]["kappa1"]
+    assert sum(kappa1["outer"]) - sum(kappa1["inner"]) == 2
+
+
+def test_planted_fault_exits_1(planted):
     code, out = cmd_run(["verify", "--suite", "roundtrip", "--max-cells", "2"])
     assert code == 1 and '"status":"violation"' in out
 
