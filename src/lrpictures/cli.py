@@ -9,7 +9,6 @@ stdout bytes are reproducible, so timing is reported on stderr only.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -207,7 +206,12 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
     # Real stdin is read on the first '-' only, so every '-' sees one document.
-    stdin = functools.cache(sys.stdin.read) if stdin_text is None else lambda: stdin_text
+    def stdin() -> str:
+        nonlocal stdin_text
+        if stdin_text is None:
+            stdin_text = sys.stdin.read()
+        return stdin_text
+
     try:
         doc, code = _HANDLERS[args.command](args, stdin)
     except json.JSONDecodeError as exc:

@@ -6,7 +6,7 @@ raises ValueError when it lies outside the stage's set.  Outputs are not
 re-checked: that each stage lands in the next stage's set is a theorem of
 the construction, and ``verify --suite roundtrip`` sweeps it over the whole
 acceptance family.  The composed maps check only at the boundary: full_s
-checks the picture (through s1) and full_c the crystal pair (through c3),
+checks the picture (through s1) and full_c the crystal pair (c3's test),
 and both then run the remaining stages unchecked, each stage's computation
 shared with its public map.
 """
@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .crystal import _lr_fillings, enumerate_lr_crystal, lr_membership
 from .pictures import Picture, enumerate_pictures, validate_picture
-from .rsk import TwoRowedArray, rsk_forward, rsk_inverse, validate_lex_array
+from .rsk import TwoRowedArray, _rsk_inverse, rsk_forward, validate_lex_array
 from .shapes import (
     Cell,
     Partition,
@@ -197,11 +197,17 @@ def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPai
     return pair
 
 
-def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
-    """Reverse-bump the second tableau using the first as recording tableau."""
+def _c3(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
+    # CrystalPair makes both tableaux straight and same-shaped and the LR
+    # memberships check them semistandard: all that rsk_inverse checks.
     if not _in_product(ctx, pair):
         raise ValueError("pair is not in the crystal product of this context")
-    return rsk_inverse(pair.second, pair.first)
+    return _rsk_inverse(pair.second, pair.first)
+
+
+def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
+    """Reverse-bump the second tableau using the first as recording tableau."""
+    return _c3(ctx, pair)
 
 
 def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTableau:
@@ -238,7 +244,7 @@ def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
     """Crystal pair to picture, the inverse of full_s: c1(c2(c3(pair))),
     checking only the pair.  The J-order reading of c2's tableau is the
     array's bottom row."""
-    return _c1(ctx, c3_pair_to_array(ctx, pair).bottom.letters)
+    return _c1(ctx, _c3(ctx, pair).bottom.letters)
 
 
 def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:

@@ -61,10 +61,9 @@ class Picture:
         given = {Cell.from_json(s): Cell.from_json(i) for s, i in obj["pairs"]}
         if len(given) != len(obj["pairs"]):
             raise ValueError("pairs name a domain cell more than once")
-        cells = j_order_cells(domain)
-        if given.keys() != set(cells):
+        if given.keys() != domain._j_index.keys():
             raise ValueError("pairs do not cover exactly the domain cells")
-        return cls(domain, codomain, tuple(given[c] for c in cells))
+        return cls(domain, codomain, tuple(given[c] for c in j_order_cells(domain)))
 
 
 def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
@@ -81,16 +80,22 @@ def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
 
 
 def validate_picture(p: Picture) -> bool:
-    """Bijective onto the codomain, PJ-standard in both directions."""
-    images = set(p.images)
-    targets = j_order_cells(p.codomain)
-    if len(images) != len(p.images) or images != set(targets):
+    """Bijective onto the codomain, PJ-standard in both directions.
+
+    Each image becomes its codomain J position.  The order conditions are
+    checked on neighbouring cells only: in a skew shape every a <=_p b is
+    a chain of right and down steps, and the J order is transitive.
+    """
+    index = p.codomain._j_index
+    r = [index.get(c) for c in p.images]
+    if len(r) != len(index) or None in r or len(set(r)) != len(r):
         return False
-    sources = j_order_cells(p.domain)
-    if not is_pj_standard(sources, p.images):
-        return False
-    back = {img: src for src, img in zip(sources, p.images)}
-    return is_pj_standard(targets, tuple(back[c] for c in targets))
+    back = [0] * len(r)
+    for k, y in enumerate(r):
+        back[y] = k
+    return all(r[k] < r[m] for k, m in p.domain._neighbours) and all(
+        back[k] < back[m] for k, m in p.codomain._neighbours
+    )
 
 
 def enumerate_pictures(

@@ -194,19 +194,24 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
 
 
 def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
-    """Invert rsk_forward.
-
-    Repeatedly reverse-bump P from the position of the right-most maximum
-    entry of Q; emitted pairs are stacked back to front so the result is
-    again lexicographic.  In a semistandard Q that entry ends its column,
-    and it is the last column whose bottom entry is the maximum.
-    """
+    """Invert rsk_forward on two same-shaped straight semistandard tableaux."""
     if p.shape != q.shape:
         raise ValueError("tableaux must have the same shape")
     if not p.shape.is_straight:
         raise ValueError("straight tableaux required")
     if not (validate_semistandard(p) and validate_semistandard(q)):
         raise ValueError("tableaux must be semistandard")
+    return _rsk_inverse(p, q)
+
+
+def _rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
+    """rsk_inverse on tableaux the caller has already checked.
+
+    Repeatedly reverse-bump P from the position of the right-most maximum
+    entry of Q; emitted pairs are stacked back to front so the result is
+    again lexicographic.  In a semistandard Q that entry ends its column,
+    and it is the last column whose bottom entry is the maximum.
+    """
     p_cols, q_cols = _to_columns(p), _to_columns(q)
     pairs: list[tuple[int, int]] = []
     while q_cols:

@@ -7,7 +7,7 @@ column.  All values here are immutable and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -25,6 +25,10 @@ __all__ = [
     "partitions_in_box",
     "subpartitions",
 ]
+
+# Distinct skew shapes kept per process by SkewShape.from_json and
+# SkewTableau.straight; the roundtrip benchmark uses 93.
+_SHAPE_CACHE_SIZE = 256
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -182,14 +186,29 @@ class SkewShape:
     def cell_set(self) -> frozenset[Cell]:
         return frozenset(j_order_cells(self))
 
+    # The tables below are kept in the instance __dict__, outside the
+    # dataclass fields, so equality and hashing ignore them.
     @cached_property
     def _j_order(self) -> tuple[Cell, ...]:
-        # Kept in the instance __dict__, outside the dataclass fields, so
-        # equality and hashing ignore it.
         return tuple(
             Cell(i, j)
             for i in range(1, self.outer.rows + 1)
             for j in range(self.outer.part(i), self.inner.part(i), -1)
+        )
+
+    @cached_property
+    def _j_index(self) -> dict[Cell, int]:
+        return {c: k for k, c in enumerate(self._j_order)}
+
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[int, int], ...]:
+        """J positions (k, m) of each cell and its right or lower neighbour."""
+        index = self._j_index
+        return tuple(
+            (k, index[d])
+            for k, c in enumerate(self._j_order)
+            for d in (Cell(c.row, c.col + 1), Cell(c.row + 1, c.col))
+            if d in index
         )
 
     def to_json(self) -> dict:
@@ -197,8 +216,23 @@ class SkewShape:
 
     @classmethod
     def from_json(cls, obj) -> "SkewShape":
+        """The shared shape of obj's outer and inner lists; equal lists give
+        the same object."""
         obj = _json_object(obj, "outer", "inner", optional=("inner",))
-        return cls(Partition.from_json(obj["outer"]), Partition.from_json(obj.get("inner", [])))
+        outer = _ints(obj["outer"])
+        try:
+            inner = _ints(obj.get("inner", ()))
+        except (TypeError, ValueError):
+            Partition(outer)  # a bad outer is reported first
+            raise
+        return _interned_shape(outer, inner)
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _interned_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
+    """One SkewShape per (outer, inner) of plain ints; the key must not hold
+    floats or booleans, which hash like the ints they equal."""
+    return SkewShape(Partition(outer), Partition(inner))
 
 
 def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:

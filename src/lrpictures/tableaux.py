@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .shapes import Cell, Partition, SkewShape, _ints, _json_object, j_order_cells
+from .shapes import Cell, Partition, SkewShape, _interned_shape, _ints, _json_object, j_order_cells
 from .words import TensorWord, Word
 
 __all__ = [
@@ -58,8 +58,8 @@ class SkewTableau:
 
     @classmethod
     def straight(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
-        outer = Partition(tuple(len(r) for r in rows))
-        return cls(SkewShape(outer), tuple(tuple(r) for r in rows))
+        """A straight filling, on the shared shape of its row lengths."""
+        return cls(_interned_shape(tuple(len(r) for r in rows), ()), rows)
 
     @property
     def size(self) -> int:

@@ -4,7 +4,8 @@ The cell-by-cell checks read a tableau one Cell at a time through
 SkewTableau.entry, so they share no logic with the row-based kernels they
 are compared against.  The LR crystal reference filters every semistandard
 tableau by lr_membership instead of pruning a filling.  The picture search
-reference checks each candidate image against every assigned pair of Cells.
+reference checks each candidate image against every assigned pair of Cells,
+and the picture reference compares every pair of cells both ways.
 add_one builds a shape one box at a time, for a second route to add_sequence.
 """
 
@@ -18,6 +19,7 @@ from lrpictures import (
     SkewShape,
     add_sequence,
     enumerate_ssyt,
+    is_pj_standard,
     j_order_cells,
     leq_j,
     leq_p,
@@ -135,3 +137,16 @@ def pictures_by_pairwise_search(kappa1, kappa2):
     if kappa1.size != kappa2.size:
         raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
     yield from rec(0)
+
+
+def picture_by_all_pairs(p):
+    """validate_picture by its definition: a bijection onto the codomain
+    cells, PJ-standard both ways over every pair of cells."""
+    targets = j_order_cells(p.codomain)
+    if len(set(p.images)) != len(p.images) or set(p.images) != set(targets):
+        return False
+    sources = j_order_cells(p.domain)
+    back = dict(zip(p.images, sources))
+    return is_pj_standard(sources, p.images) and is_pj_standard(
+        targets, [back[c] for c in targets]
+    )

@@ -6,7 +6,9 @@ import time
 import jsonschema
 import pytest
 
+from lrpictures import enumerate_pictures
 from lrpictures.cli import cmd_run, cmd_verify
+from lrpictures.verify import acceptance_contexts
 from schemas import (
     CRYSTAL_PAIR_SCHEMA,
     OUTPUT_SCHEMAS,
@@ -66,6 +68,26 @@ def test_round_trip_byte_identical():
         assert code == 0
         assert json.loads(back) == picture
         assert back.strip() == picture_text
+
+
+def test_round_trip_on_the_whole_five_to_seven_cell_family():
+    # one process, so the shapes stay interned across the 3,044 pictures
+    pictures = 0
+    for ctx in acceptance_contexts(max_cells=7):
+        if ctx.size < 5:
+            continue
+        k1 = json.dumps(ctx.kappa1.to_json(), separators=(",", ":"))
+        k2 = json.dumps(ctx.kappa2.to_json(), separators=(",", ":"))
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            picture = json.dumps(f.to_json(), separators=(",", ":")) + "\n"
+            code, pair = cmd_run(["to-pair", "--picture", picture])
+            assert code == 0
+            assert cmd_run(["to-picture", "--kappa1", k1, "--kappa2", k2, "--pair", pair]) == (
+                0,
+                picture,
+            )
+            pictures += 1
+    assert pictures == 3044
 
 
 def test_rsk_and_unrsk():
@@ -149,6 +171,27 @@ def test_non_integer_or_repeated_input_exits_2(argv):
 def test_non_object_shape_names_its_keys(capsys):
     assert cmd_run(["pictures", "--kappa1", "[2,1]", "--kappa2", "same"]) == (2, "")
     assert "outer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ('{"outer":[2.0,1]}', "expected an integer, got 2.0"),
+        ('{"outer":[true,1]}', "expected an integer, got True"),
+        ("[true,1]", "expected an object with keys outer, inner; got [True, 1]"),
+        ("[1,2]", "expected an object with keys outer, inner; got [1, 2]"),
+        ('{"outer":[1,2]}', "parts not weakly decreasing: (1, 2)"),
+        ('{"outer":[1,2],"inner":[1.5]}', "parts not weakly decreasing: (1, 2)"),
+        ('{"outer":5}', "'int' object is not iterable"),
+    ],
+)
+def test_refusals_survive_a_cached_equal_shape(shape, message, capsys):
+    # [2,1] is interned first; values equal to it, or hashing like it, must
+    # still be refused with their own message
+    assert cmd_run(["pictures", "--kappa1", '{"outer":[2,1]}', "--kappa2", "same"])[0] == 0
+    capsys.readouterr()
+    assert cmd_run(["pictures", "--kappa1", shape, "--kappa2", "same", "--count-only"]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unrsk_non_object_pair_names_its_keys(capsys):

@@ -254,6 +254,7 @@ def test_full_maps_equal_the_composed_stages():
 
 COUNTED = (
     "validate_picture",
+    "validate_semistandard",
     "lr_membership",
     "rsk_forward",
     "in_s_set",
@@ -295,8 +296,10 @@ def test_full_maps_check_once(calls):
     f = next(enumerate_pictures(ctx.kappa1, ctx.kappa2))
     calls.clear()
     assert full_c(ctx, full_s(ctx, f)) == f
+    # full_c's LR memberships check both tableaux semistandard; the RSK
+    # inverse runs unchecked after them
     assert calls == Counter(
-        validate_picture=1, lr_membership=2, rsk_forward=1, c3_pair_to_array=1, rsk_inverse=1
+        validate_picture=1, lr_membership=2, validate_semistandard=2, rsk_forward=1
     )
 
 
@@ -304,9 +307,14 @@ def test_roundtrip_suite_checks_each_set_once(calls):
     report = suite_roundtrip(max_cells=2)
     n = report.checked["pictures"]
     assert report.ok and n == report.checked["pairs"] > 0
-    # no backward stage map: the inverses run on the kernels
+    # no backward stage map: the inverses run on the kernels, and each
+    # tableau is checked semistandard once (in_s_set, two LR memberships)
     assert calls == Counter(
-        validate_picture=n, in_s_set=n, rsk_forward=n, lr_membership=2 * n, rsk_inverse=n
+        validate_picture=n,
+        in_s_set=n,
+        rsk_forward=n,
+        lr_membership=2 * n,
+        validate_semistandard=3 * n,
     )
 
 

@@ -16,7 +16,7 @@ from lrpictures import (
     validate_picture,
 )
 from lrpictures.verify import acceptance_contexts
-from cellwise import pictures_by_pairwise_search
+from cellwise import picture_by_all_pairs, pictures_by_pairwise_search
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -148,6 +148,36 @@ def test_enumeration_matches_validated_brute_force_on_family():
         assert found == _brute_force_pictures(ctx.kappa1, ctx.kappa2)
         total += len(found)
     assert total == 5162
+
+
+def test_validate_picture_matches_the_pairwise_definition_on_family():
+    # every bijection of every context; validate_picture compares neighbours
+    # only, the reference every pair of cells
+    maps = accepted = 0
+    for ctx in acceptance_contexts(max_cells=5):
+        for images in itertools.permutations(j_order_cells(ctx.kappa2)):
+            f = Picture(ctx.kappa1, ctx.kappa2, images)
+            verdict = validate_picture(f)
+            assert verdict == picture_by_all_pairs(f), f
+            maps += 1
+            accepted += verdict
+    assert (maps, accepted) == (44097, 5162)
+
+
+def test_validate_picture_matches_the_pairwise_definition_off_bijections():
+    # every map into the codomain plus one cell outside it, so images repeat
+    # or leave the codomain
+    maps = accepted = 0
+    for ctx in acceptance_contexts(max_cells=3):
+        targets = j_order_cells(ctx.kappa2)
+        outside = Cell(1, 1) if ctx.kappa2.inner.rows else Cell(1, ctx.kappa2.outer.part(1) + 1)
+        for images in itertools.product(targets + (outside,), repeat=len(targets)):
+            f = Picture(ctx.kappa1, ctx.kappa2, images)
+            verdict = validate_picture(f)
+            assert verdict == picture_by_all_pairs(f), f
+            maps += 1
+            accepted += verdict
+    assert (maps, accepted) == (98355, 4695)
 
 
 def _connected(shape):

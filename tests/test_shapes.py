@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -12,9 +13,12 @@ from lrpictures import (
     j_order_cells,
     leq_j,
     leq_p,
+    partitions_in_box,
     row_lengths,
     subpartitions,
 )
+from lrpictures.shapes import _SHAPE_CACHE_SIZE, _interned_shape
+from lrpictures.tableaux import SkewTableau
 from cellwise import add_one
 from conftest import cells, partitions, skew_shapes
 
@@ -193,3 +197,30 @@ def test_from_json_accepts_integers_only(x):
         Cell.from_json([1, x])
     with pytest.raises(ValueError):
         SkewShape.from_json({"outer": [3, x], "inner": [1]})
+
+
+def test_equal_json_gives_one_shared_shape():
+    a = SkewShape.from_json(json.loads('{"outer":[3,1],"inner":[1]}'))
+    b = SkewShape.from_json(json.loads('{"inner":[1],"outer":[3,1]}'))
+    assert a is b and a == SkewShape(Partition((3, 1)), Partition((1,)))
+    assert SkewShape.from_json({"outer": [2, 1]}) is SkewShape.from_json({"outer": [2, 1], "inner": []})
+    # rsk_forward's straight tableaux share the same shapes
+    assert SkewTableau.straight(((1, 1), (2,))).shape is SkewShape.from_json({"outer": [2, 1]})
+
+
+def test_shape_cache_is_bounded():
+    assert _interned_shape.cache_info().maxsize == _SHAPE_CACHE_SIZE
+    for nu in itertools.islice(partitions_in_box(20, 6, 6), _SHAPE_CACHE_SIZE + 50):
+        SkewShape.from_json({"outer": list(nu.parts)})
+    assert _interned_shape.cache_info().currsize == _SHAPE_CACHE_SIZE
+
+
+def test_neighbour_pairs_are_the_right_and_lower_steps():
+    shape = SkewShape(Partition((3, 2)), Partition((1,)))
+    cells = j_order_cells(shape)  # (1,3) (1,2) (2,2) (2,1)
+    pairs = {(cells[k], cells[m]) for k, m in shape._neighbours}
+    assert pairs == {
+        (Cell(1, 2), Cell(1, 3)),
+        (Cell(1, 2), Cell(2, 2)),
+        (Cell(2, 1), Cell(2, 2)),
+    }

@@ -128,7 +128,7 @@ PLANTED = {
     "picture-twice": ("enumerate_pictures", _repeat_first_picture, "picture"),
     "c1-kernel": ("_c1", _shift_one_image, "picture"),
     "c2-kernel": ("SkewTableau", _raise_written_entries, "picture"),
-    "c3-kernel": ("rsk_inverse", _raise_bottom_row, "picture"),
+    "c3-kernel": ("_rsk_inverse", _raise_bottom_row, "picture"),
 }
 
 
