@@ -74,7 +74,8 @@ def _non_negative(raw: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The whole parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="lrpictures",
         description="Pictures between skew diagrams and Littlewood-Richardson crystals.",
@@ -111,10 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=_non_negative, default=10000)
     p.add_argument("--max-cells", type=_non_negative, default=5)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _read_shapes(args, stdin) -> tuple[SkewShape, SkewShape]:
@@ -199,10 +200,26 @@ _HANDLERS = {
 }
 
 
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command argv names and its options.
+
+    The whole parser would only hand argv[1:] to the command's parser, so a
+    well-formed argv goes there directly.  Help and every usage error are
+    left to the whole parser, which prints them as it always has.
+    """
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is not None:
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return argv[0], args
+    args = _PARSER.parse_args(argv)
+    return args.command, args
+
+
 def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
     """Parse argv, run the subcommand, and return (exit_code, stdout text)."""
     try:
-        args = _PARSER.parse_args(argv)
+        command, args = _parse(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
     # Real stdin is read on the first '-' only, so every '-' sees one document.
@@ -213,7 +230,7 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
         return stdin_text
 
     try:
-        doc, code = _HANDLERS[args.command](args, stdin)
+        doc, code = _HANDLERS[command](args, stdin)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2, ""

@@ -23,12 +23,13 @@ from .shapes import (
     Cell,
     Partition,
     SkewShape,
+    _interned_shape,
     _json_object,
     add_sequence,
     j_order_cells,
     partitions_of,
 )
-from .tableaux import SkewTableau, validate_semistandard
+from .tableaux import SkewTableau, _reading_rows, validate_semistandard
 from .words import Word
 
 __all__ = [
@@ -174,7 +175,7 @@ def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau
         raise ValueError("picture does not match the context's shapes")
     if not validate_picture(f):
         raise ValueError("map is not a picture")
-    return SkewTableau.from_reading(ctx.kappa1, [img.row for img in f.images])
+    return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, [img.row for img in f.images]))
 
 
 def _s2(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> TwoRowedArray:
@@ -214,7 +215,7 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
     """Write the bottom row onto kappa1 along the J order."""
     if not in_w_set(ctx, w):
         raise ValueError("array is not in the W set of this context")
-    return SkewTableau.from_reading(ctx.kappa1, w.bottom.letters)
+    return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, w.bottom.letters))
 
 
 def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
@@ -272,7 +273,7 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
     n = max(nu.rows, mu.rows + lam.rows, 1)
-    domain, codomain = SkewShape(mu), SkewShape(nu, lam)
+    domain, codomain = _interned_shape(mu.parts, ()), _interned_shape(nu.parts, lam.parts)
     return {
         "crystal": len(enumerate_lr_crystal(mu, lam, nu, n)),
         "pictures": sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=mu.size)),

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, add_sequence
-from .tableaux import SkewTableau, _fill_bounds, enumerate_ssyt, me_reading
+from .shapes import Partition, SkewShape, _interned_shape, add_sequence
+from .tableaux import SkewTableau, _reading_rows, enumerate_ssyt, me_reading
 from .rsk import column_insert_sequence
 from .words import TensorWord, Word
 
@@ -309,14 +309,14 @@ def _lr_fillings(
     # Both padded to at least n + 1 rows, one per letter.
     parts = list(lam.parts) + [0] * (n + 1 - lam.rows)
     cap = list(nu.parts) + [0] * (n + 1 - nu.rows)
-    right, above = _fill_bounds(shape)
+    right, above = shape._fill_bounds
     size = shape.size
     values = [0] * size
     out: list[SkewTableau] = []
 
     def fill(pos: int) -> None:
         if pos == size:
-            out.append(SkewTableau.from_reading(shape, values))
+            out.append(SkewTableau._built(shape, _reading_rows(shape, values)))
             return
         lo = 1 if above[pos] is None else values[above[pos]] + 1
         hi = n + 1 if right[pos] is None else values[right[pos]]
@@ -345,4 +345,4 @@ def enumerate_lr_crystal(
         n = max(nu.rows, mu.rows + lam.rows, 1)
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
-    return _lr_fillings(SkewShape(mu), lam, nu, n)
+    return _lr_fillings(_interned_shape(mu.parts, ()), lam, nu, n)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .shapes import Cell, SkewShape, _json_object, j_order_cells, leq_j, leq_p
+from .shapes import Cell, SkewShape, _json_object, _json_pair, j_order_cells, leq_j, leq_p
 
 __all__ = [
     "Picture",
@@ -58,8 +58,14 @@ class Picture:
         obj = _json_object(obj, "domain", "codomain", "pairs")
         domain = SkewShape.from_json(obj["domain"])
         codomain = SkewShape.from_json(obj["codomain"])
-        given = {Cell.from_json(s): Cell.from_json(i) for s, i in obj["pairs"]}
-        if len(given) != len(obj["pairs"]):
+        pairs = obj["pairs"]
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError(f"expected a list of [cell, image] pairs, got {pairs!r}")
+        given = {
+            Cell.from_json(s): Cell.from_json(i)
+            for s, i in (_json_pair(p, "[cell, image]") for p in pairs)
+        }
+        if len(given) != len(pairs):
             raise ValueError("pairs name a domain cell more than once")
         if given.keys() != domain._j_index.keys():
             raise ValueError("pairs do not cover exactly the domain cells")

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .shapes import Cell, SkewShape, _json_object
+from .shapes import Cell, SkewShape, _interned_shape, _ints, _json_object
 from .tableaux import SkewTableau, validate_semistandard
 from .words import Word
 
@@ -70,13 +70,17 @@ def _to_columns(t: SkewTableau) -> list[list[int]]:
     return cols
 
 
+def _straight(rows: tuple[tuple[int, ...], ...]) -> SkewTableau:
+    """SkewTableau.straight without the checks, for rows of checked letters."""
+    return SkewTableau._built(_interned_shape(tuple(map(len, rows)), ()), rows)
+
+
 def _columns_to_tableau(cols: Sequence[Sequence[int]]) -> SkewTableau:
     cols = [c for c in cols if c]
     nrows = len(cols[0]) if cols else 0
-    rows = tuple(
-        tuple(col[i] for col in cols if len(col) > i) for i in range(nrows)
+    return _straight(
+        tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(nrows))
     )
-    return SkewTableau.straight(rows)
 
 
 def _require_straight(t: SkewTableau) -> None:
@@ -99,11 +103,17 @@ def _bump(cols: list[list[int]], x: int) -> tuple[int, int]:
         j += 1
 
 
+def _check_letter(x: int) -> None:
+    if x < 1:
+        raise ValueError(f"letters must be positive, got {x}")
+    if type(x) is not int:
+        _ints((x,))
+
+
 def column_insert(t: SkewTableau, x: int) -> BumpOutcome:
     """Column-insert x into a straight semistandard tableau."""
     _require_straight(t)
-    if x < 1:
-        raise ValueError(f"letters must be positive, got {x}")
+    _check_letter(x)
     cols = _to_columns(t)
     r, c = _bump(cols, x)
     return BumpOutcome(_columns_to_tableau(cols), Cell(r, c))
@@ -114,8 +124,7 @@ def column_insert_sequence(letters: Iterable[int]) -> tuple[SkewTableau, tuple[C
     cols: list[list[int]] = []
     boxes: list[Cell] = []
     for x in letters:
-        if x < 1:
-            raise ValueError(f"letters must be positive, got {x}")
+        _check_letter(x)
         r, c = _bump(cols, x)
         boxes.append(Cell(r, c))
     return _columns_to_tableau(cols), tuple(boxes)
@@ -189,7 +198,7 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
             q_rows.append([])
         q_rows[r - 1].append(u)
     p = _columns_to_tableau(cols)
-    q = SkewTableau.straight(tuple(tuple(row) for row in q_rows))
+    q = _straight(tuple(tuple(row) for row in q_rows))
     return p, q
 
 

@@ -33,11 +33,22 @@ _SHAPE_CACHE_SIZE = 256
 
 def _ints(values) -> tuple[int, ...]:
     """values as a tuple of ints; floats, booleans and strings are refused, not coerced."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"expected a list of integers, got {values!r}") from None
     for x in values:
         if type(x) is not int:
             raise ValueError(f"expected an integer, got {x!r}")
     return values
+
+
+def _json_pair(obj, what: str) -> list | tuple:
+    """obj itself when it is a two-item list; otherwise a ValueError saying
+    that a what pair was expected."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise ValueError(f"expected a {what} pair, got {obj!r}")
+    return obj
 
 
 def _json_object(obj, *keys: str, optional: tuple[str, ...] = ()) -> dict:
@@ -74,8 +85,7 @@ class Cell:
 
     @classmethod
     def from_json(cls, obj) -> "Cell":
-        row, col = obj
-        return cls(row, col)
+        return cls(*_json_pair(obj, "[row, col]"))
 
 
 def leq_p(a: Cell, b: Cell) -> bool:
@@ -211,6 +221,26 @@ class SkewShape:
             if d in index
         )
 
+    @cached_property
+    def _fill_bounds(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+        """J positions of each cell's right neighbour (an upper bound on its
+        entry) and of the cell above it (a strict lower bound), or None.  Both
+        precede the cell, so a filling in J order knows its bounds."""
+        outer, inner = self.outer, self.inner
+        right: list[int | None] = []
+        above: list[int | None] = []
+        prev_start = 0
+        for i in range(1, outer.rows + 1):
+            start = len(right)
+            # Cell (i, j) reads at start + outer_i - j.
+            for j in range(outer.part(i), inner.part(i), -1):
+                right.append(len(right) - 1 if j < outer.part(i) else None)
+                above.append(
+                    prev_start + outer.part(i - 1) - j if i > 1 and j > inner.part(i - 1) else None
+                )
+            prev_start = start
+        return tuple(right), tuple(above)
+
     def to_json(self) -> dict:
         return {"outer": self.outer.to_json(), "inner": self.inner.to_json()}
 
@@ -222,7 +252,7 @@ class SkewShape:
         outer = _ints(obj["outer"])
         try:
             inner = _ints(obj.get("inner", ()))
-        except (TypeError, ValueError):
+        except ValueError:
             Partition(outer)  # a bad outer is reported first
             raise
         return _interned_shape(outer, inner)

@@ -32,7 +32,10 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        rows = tuple(_ints(row) for row in self.rows)
+        try:
+            rows = tuple(_ints(row) for row in self.rows)
+        except TypeError:
+            raise ValueError(f"expected a list of rows, got {self.rows!r}") from None
         expected = self.shape.outer.rows
         if len(rows) != expected:
             raise ValueError(f"expected {expected} rows, got {len(rows)}")
@@ -50,11 +53,17 @@ class SkewTableau:
         """The filling whose J-order reading is letters; inverse of reading()."""
         if len(letters) != shape.size:
             raise ValueError(f"{len(letters)} letters for a shape of {shape.size} cells")
-        rows, end = [], 0
-        for i in range(1, shape.outer.rows + 1):
-            start, end = end, end + shape.row_length(i)
-            rows.append(letters[start:end][::-1])
-        return cls(shape, tuple(rows))
+        return cls(shape, _reading_rows(shape, letters))
+
+    @classmethod
+    def _built(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
+        """A tableau on rows the library made itself, from letters it has
+        already checked: tuples of positive ints that fit the shape.  The
+        constructor's checks are for rows that come from outside."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "rows", rows)
+        return t
 
     @classmethod
     def straight(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
@@ -86,6 +95,15 @@ class SkewTableau:
         obj = _json_object(obj, "outer", "inner", "rows", optional=("inner",))
         shape = SkewShape.from_json({k: v for k, v in obj.items() if k != "rows"})
         return cls(shape, obj["rows"])
+
+
+def _reading_rows(shape: SkewShape, letters: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the filling of shape whose J-order reading is letters."""
+    rows, end = [], 0
+    for i in range(1, shape.outer.rows + 1):
+        start, end = end, end + shape.row_length(i)
+        rows.append(tuple(letters[start:end][::-1]))
+    return tuple(rows)
 
 
 def validate_semistandard(t: SkewTableau) -> bool:
@@ -149,26 +167,6 @@ def p_index(t: SkewTableau, c: Cell) -> int:
     return level_set(t, t.entry(c)).index(c) + 1
 
 
-def _fill_bounds(shape: SkewShape) -> tuple[list[int | None], list[int | None]]:
-    """J-order reading positions of each cell's right neighbour (an upper
-    bound on its entry) and of the cell above it (a strict lower bound), or
-    None.  Both precede the cell, so a filling in J order knows its bounds."""
-    outer, inner = shape.outer, shape.inner
-    right: list[int | None] = []
-    above: list[int | None] = []
-    prev_start = 0
-    for i in range(1, outer.rows + 1):
-        start = len(right)
-        # Cell (i, j) reads at start + outer_i - j.
-        for j in range(outer.part(i), inner.part(i), -1):
-            right.append(len(right) - 1 if j < outer.part(i) else None)
-            above.append(
-                prev_start + outer.part(i - 1) - j if i > 1 and j > inner.part(i - 1) else None
-            )
-        prev_start = start
-    return right, above
-
-
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     """All semistandard fillings with entries in 1..max_entry.
 
@@ -179,13 +177,13 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
         raise ValueError(
             f"shape has {shape.size} cells, enumeration bound is {DEFAULT_ENUMERATION_CELLS}"
         )
-    right, above = _fill_bounds(shape)
+    right, above = shape._fill_bounds
     size = shape.size
     values = [0] * size
 
     def rec(pos: int) -> Iterator[SkewTableau]:
         if pos == size:
-            yield SkewTableau.from_reading(shape, values)
+            yield SkewTableau._built(shape, _reading_rows(shape, values))
             return
         lo = 1 if above[pos] is None else values[above[pos]] + 1
         hi = max_entry if right[pos] is None else values[right[pos]]

@@ -14,6 +14,8 @@ from lrpictures import (
     TensorWord,
     TwoRowedArray,
     Word,
+    column_insert,
+    column_insert_sequence,
 )
 
 BUILDERS = {
@@ -26,6 +28,8 @@ BUILDERS = {
     "tensor-word-letter": lambda x: TensorWord(2, (1, x)),
     "tableau-straight": lambda x: SkewTableau.straight(((x, 2),)),
     "tableau": lambda x: SkewTableau(SkewShape(Partition((2,))), ((1, x),)),
+    "column-insert": lambda x: column_insert(SkewTableau.straight(((1,),)), x),
+    "column-insert-sequence": lambda x: column_insert_sequence((2, x)),
 }
 
 

@@ -182,7 +182,7 @@ def test_non_object_shape_names_its_keys(capsys):
         ("[1,2]", "expected an object with keys outer, inner; got [1, 2]"),
         ('{"outer":[1,2]}', "parts not weakly decreasing: (1, 2)"),
         ('{"outer":[1,2],"inner":[1.5]}', "parts not weakly decreasing: (1, 2)"),
-        ('{"outer":5}', "'int' object is not iterable"),
+        ('{"outer":5}', "expected a list of integers, got 5"),
     ],
 )
 def test_refusals_survive_a_cached_equal_shape(shape, message, capsys):
@@ -191,6 +191,52 @@ def test_refusals_survive_a_cached_equal_shape(shape, message, capsys):
     assert cmd_run(["pictures", "--kappa1", '{"outer":[2,1]}', "--kappa2", "same"])[0] == 0
     capsys.readouterr()
     assert cmd_run(["pictures", "--kappa1", shape, "--kappa2", "same", "--count-only"]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+PICTURE = '{"domain":{"outer":[1]},"codomain":{"outer":[1]},"pairs":%s}'
+TABLEAU = '{"outer":[1],"rows":%s}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rsk", "--array", '{"top":5,"bottom":[1]}'], "expected a list of integers, got 5"),
+        (["rsk", "--array", '{"top":[1],"bottom":null}'], "expected a list of integers, got None"),
+        (
+            ["lr-coeff", "--lambda", "5", "--mu", "[1]", "--nu", "[1]"],
+            "expected a list of integers, got 5",
+        ),
+        (
+            ["pictures", "--kappa1", '{"outer":[1],"inner":3}', "--kappa2", "same"],
+            "expected a list of integers, got 3",
+        ),
+        (
+            ["unrsk", "--pair", '{"p":%s,"q":%s}' % (TABLEAU % "5", TABLEAU % "[[1]]")],
+            "expected a list of rows, got 5",
+        ),
+        (
+            ["unrsk", "--pair", '{"p":%s,"q":%s}' % (TABLEAU % "[5]", TABLEAU % "[[1]]")],
+            "expected a list of integers, got 5",
+        ),
+        (["to-pair", "--picture", PICTURE % "[[[1,1],5]]"], "expected a [row, col] pair, got 5"),
+        (
+            ["to-pair", "--picture", PICTURE % "[[[1],[1,1]]]"],
+            "expected a [row, col] pair, got [1]",
+        ),
+        (
+            ["to-pair", "--picture", PICTURE % "[[[1,1],[1,1,1]]]"],
+            "expected a [row, col] pair, got [1, 1, 1]",
+        ),
+        (
+            ["to-pair", "--picture", PICTURE % "[[[1,1]]]"],
+            "expected a [cell, image] pair, got [[1, 1]]",
+        ),
+        (["to-pair", "--picture", PICTURE % "5"], "expected a list of [cell, image] pairs, got 5"),
+    ],
+)
+def test_malformed_lists_name_what_was_expected(argv, message, capsys):
+    assert cmd_run(argv) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

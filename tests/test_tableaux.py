@@ -8,6 +8,7 @@ from lrpictures import (
     Partition,
     SkewShape,
     SkewTableau,
+    enumerate_lr_crystal,
     enumerate_ssyt,
     highest_tableau,
     j_order_cells,
@@ -20,7 +21,7 @@ from lrpictures import (
     subpartitions,
     validate_semistandard,
 )
-from lrpictures.tableaux import _fill_bounds
+from lrpictures.rsk import _straight
 from cellwise import fill_bounds_by_cells, j_order_cells_by_rows, validate_semistandard_by_cells
 from conftest import skew_shapes
 
@@ -101,9 +102,40 @@ def test_fill_bounds_match_the_cell_index():
     for nu in partitions_in_box(12, 5, 5):
         for lam in subpartitions(nu):
             shape = SkewShape(nu, lam)
-            assert _fill_bounds(shape) == fill_bounds_by_cells(shape), shape
+            right, above = fill_bounds_by_cells(shape)
+            assert shape._fill_bounds == (tuple(right), tuple(above)), shape
             checked += 1
     assert checked == 3700
+
+
+def test_each_shape_keeps_one_fill_table():
+    for shape in {t.shape for t in small_family()}:
+        table = shape._fill_bounds
+        assert shape._fill_bounds is table
+        assert type(table) is tuple and all(type(bounds) is tuple for bounds in table)
+    # the crystal route fills the shared shape of mu, so each mu builds its table once
+    mu = Partition((2, 1))
+    (t,) = enumerate_lr_crystal(mu, Partition((1,)), Partition((2, 2)))
+    assert t.shape is SkewShape.from_json({"outer": [2, 1]})
+    assert enumerate_lr_crystal(mu, Partition((1,)), Partition((3, 1)))[0].shape is t.shape
+
+
+def test_library_built_tableaux_equal_the_checked_constructor():
+    checked = straight = 0
+    for t in small_family():
+        twins = [
+            SkewTableau(t.shape, [list(row) for row in t.rows]),
+            SkewTableau.from_reading(t.shape, list(t.reading())),
+        ]
+        if t.shape.is_straight:
+            twins.append(SkewTableau.straight(t.rows))
+            assert _straight(t.rows) == twins[-1] and _straight(t.rows).shape is twins[-1].shape
+            straight += 1
+        for twin in twins:
+            assert twin == t and hash(twin) == hash(t)
+        assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows)
+        checked += 1
+    assert (checked, straight) == (3844, 385)
 
 
 def test_enumerate_ssyt_is_j_reading_lexicographic():
@@ -182,6 +214,10 @@ def test_from_reading_rejects_a_wrong_length():
         SkewTableau.from_reading(HOOK, (1,))
     with pytest.raises(ValueError):
         SkewTableau.from_reading(HOOK, (1, 2, 3))
+    with pytest.raises(ValueError, match="entries must be positive"):
+        SkewTableau.from_reading(HOOK, (1, 0))
+    with pytest.raises(ValueError, match="expected an integer, got 1.0"):
+        SkewTableau.from_reading(HOOK, (1.0, 2))
 
 
 def test_from_json_accepts_integers_only():
