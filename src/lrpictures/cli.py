@@ -2,13 +2,15 @@
 
 Exit codes: 0 for success, 1 when a verification suite (or cross-check)
 reports a violation, 2 for usage or input errors.  Stdout carries exactly
-one JSON document; diagnostics go to stderr.  For a fixed argv and seed the
+one JSON document, or the help text; diagnostics go to stderr.  For a fixed argv and seed the
 stdout bytes are reproducible, so timing is reported on stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -32,6 +34,7 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["CommandReport", "cmd_run", "cmd_verify", "main"]
 
 _ENV_BOUND = "LRPK_MAX_CELLS"
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass
@@ -118,6 +121,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 _PARSER, _COMMANDS = _build_parser()
 
 
+def _option_table(parser: argparse.ArgumentParser):
+    """parser's option strings that name a one-value store or a store_true
+    action, each with its action; its defaults; and its required actions.
+    Help, and any other kind of action, is left to the whole parser."""
+    options = {
+        name: action
+        for name, action in parser._option_string_actions.items()
+        if type(action) is argparse._StoreTrueAction
+        or (type(action) is argparse._StoreAction and action.nargs is None
+            and action.choices is None)
+    }
+    defaults = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
+    required = frozenset(a for a in parser._actions if a.required)
+    return options, defaults, required
+
+
+_TABLES = {name: _option_table(parser) for name, parser in _COMMANDS.items()}
+
+
 def _read_shapes(args, stdin) -> tuple[SkewShape, SkewShape]:
     """--kappa1 and --kappa2, where kappa2 'same' reuses kappa1 as parsed."""
     kappa1 = SkewShape.from_json(_read_json(args.kappa1, stdin))
@@ -200,28 +222,49 @@ _HANDLERS = {
 }
 
 
-def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """The command argv names and its options.
-
-    The whole parser would only hand argv[1:] to the command's parser, so a
-    well-formed argv goes there directly.  Help and every usage error are
-    left to the whole parser, which prints them as it always has.
-    """
-    parser = _COMMANDS.get(argv[0]) if argv else None
-    if parser is not None:
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return argv[0], args
-    args = _PARSER.parse_args(argv)
-    return args.command, args
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """argv's options by one pass over its command's option table, or None
+    unless argv is canonical: a command, then its options each once, as
+    exact '--name value' pairs and flags, with every required option given.
+    A value is '-', '' or any string that does not start with '-'.  On a
+    canonical argv the whole parser returns the same namespace."""
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults, required = table
+    values, seen = dict(defaults), set()
+    tokens = iter(argv[1:])
+    for name in tokens:
+        action = options.get(name)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        raw = next(tokens, None)
+        if raw is None or (raw != "-" and raw.startswith("-")):
+            return None
+        try:
+            values[action.dest] = raw if action.type is None else action.type(raw)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+    return argparse.Namespace(command=argv[0], **values) if required <= seen else None
 
 
 def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
-    """Parse argv, run the subcommand, and return (exit_code, stdout text)."""
-    try:
-        command, args = _parse(argv)
-    except SystemExit as exc:
-        return (int(exc.code) if exc.code else 0), ""
+    """Parse argv, run the subcommand, and return (exit_code, stdout text).
+
+    A canonical argv takes the table pass; any other goes to the whole
+    parser, whose help comes back as the stdout text."""
+    args = _parse(argv)
+    if args is None:
+        printed = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(printed):
+                args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return (int(exc.code) if exc.code else 0), printed.getvalue()
     # Real stdin is read on the first '-' only, so every '-' sees one document.
     def stdin() -> str:
         nonlocal stdin_text
@@ -230,14 +273,14 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
         return stdin_text
 
     try:
-        doc, code = _HANDLERS[command](args, stdin)
+        doc, code = _HANDLERS[args.command](args, stdin)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2, ""
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
-    return code, json.dumps(doc, separators=(",", ":")) + "\n"
+    return code, _ENCODE(doc) + "\n"
 
 
 def main() -> None:

@@ -50,6 +50,11 @@ __all__ = [
     "lr_coefficient",
 ]
 
+# Every LR route fills or searches one cell of mu per recursion level, so mu
+# is refused past this many cells, well inside Python's default recursion
+# limit of 1000 even when the caller is already deep in its own stack.
+LR_MAX_CELLS = 500
+
 
 @dataclass(frozen=True)
 class CorrespondenceContext:
@@ -262,14 +267,21 @@ def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]
                 yield CrystalPair(t1, t2)
 
 
+def _check_lr_size(mu: Partition) -> None:
+    if mu.size > LR_MAX_CELLS:
+        raise ValueError(f"mu has {mu.size} cells, past the LR bound of {LR_MAX_CELLS} cells")
+
+
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     """The Littlewood-Richardson coefficient computed three independent ways.
 
     'crystal' fills shape mu so that its reading carries lam to nu,
     'pictures' counts pictures from straight mu to nu/lam, and
     'skew_tableaux' fills nu/lam with content mu and a lattice reading (the
-    LR rule).  No route has a cell bound.
+    LR rule).  Every route recurses once per cell of mu, so mu past
+    LR_MAX_CELLS cells is refused with ValueError before any route runs.
     """
+    _check_lr_size(mu)
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
     n = max(nu.rows, mu.rows + lam.rows, 1)
@@ -284,4 +296,5 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient of (lam, mu, nu), by the crystal
     route; lr_routes compares it with the other two."""
+    _check_lr_size(mu)
     return len(enumerate_lr_crystal(mu, lam, nu))

@@ -8,6 +8,7 @@ import pytest
 
 from lrpictures import enumerate_pictures
 from lrpictures.cli import cmd_run, cmd_verify
+from lrpictures.correspondence import LR_MAX_CELLS
 from lrpictures.verify import acceptance_contexts
 from schemas import (
     CRYSTAL_PAIR_SCHEMA,
@@ -289,7 +290,7 @@ def test_lr_coeff_past_twelve_cells():
 
 
 def test_cross_check_ignores_the_env_bound(monkeypatch):
-    # No route of lr-coeff has a cell bound, and LRPK_MAX_CELLS is not read.
+    # No route of lr-coeff reads LRPK_MAX_CELLS.
     argv = ["lr-coeff", "--lambda", "[1]", "--mu", "[7,6]", "--nu", "[8,6]", "--cross-check"]
     assert cmd_run(argv) == (0, '{"coefficient":1,"routes_agree":true}\n')
     monkeypatch.setenv("LRPK_MAX_CELLS", "0")
@@ -300,6 +301,21 @@ def test_cross_check_on_ten_cells():
     argv = ["lr-coeff", "--lambda", "[4,3,2,1]", "--mu", "[4,3,2,1]", "--nu", "[7,5,4,3,1]",
             "--cross-check"]
     assert cmd_run(argv) == (0, '{"coefficient":12,"routes_agree":true}\n')
+
+
+@pytest.mark.parametrize("flags", [[], ["--cross-check"]])
+def test_lr_coeff_refuses_mu_past_the_cell_bound(flags, capsys):
+    # Every route recurses once per cell of mu, so a long mu exits 2 with
+    # the bound named, not with a RecursionError traceback.
+    for m in (3000, LR_MAX_CELLS + 1):
+        argv = ["lr-coeff", "--lambda", "[]", "--mu", f"[{m}]", "--nu", f"[{m}]", *flags]
+        assert cmd_run(argv) == (2, "")
+        message = f"error: mu has {m} cells, past the LR bound of {LR_MAX_CELLS} cells\n"
+        assert capsys.readouterr().err == message
+    m = LR_MAX_CELLS
+    argv = ["lr-coeff", "--lambda", "[]", "--mu", f"[{m}]", "--nu", f"[{m}]", *flags]
+    code, out = cmd_run(argv)
+    assert code == 0 and json.loads(out)["coefficient"] == 1
 
 
 @pytest.mark.parametrize(
@@ -401,3 +417,12 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"coefficient": 1}
+
+
+def test_module_entry_point_writes_the_help_cmd_run_returns():
+    for argv in (["-h"], ["pictures", "--help"]):
+        out = subprocess.run(
+            [sys.executable, "-m", "lrpictures", *argv], capture_output=True, text=True
+        )
+        assert (out.returncode, out.stdout) == cmd_run(argv)
+        assert out.stdout.startswith("usage: lrpictures")

@@ -1,6 +1,7 @@
-"""Random argv and JSON through cmd_run, and the one-pass dispatch against
-the whole parser."""
+"""Random argv and JSON through cmd_run, and the table pass against the
+whole parser."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,14 @@ import json
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lrpictures import CorrespondenceContext, TwoRowedArray, Word, enumerate_pictures, full_s
+from lrpictures import (
+    CorrespondenceContext,
+    SkewShape,
+    TwoRowedArray,
+    Word,
+    enumerate_pictures,
+    full_s,
+)
 from lrpictures.cli import _PARSER, _parse, cmd_run
 from lrpictures.rsk import rsk_forward
 from lrpictures.verify import SUITE_NAMES
@@ -32,6 +40,7 @@ junk = st.recursive(
 ).map(dumps)
 
 shapes = skew_shapes(max_rows=3, max_part=3)
+HOOK = SkewShape.from_json({"outer": [2, 1], "inner": [1]})
 
 
 @st.composite
@@ -118,39 +127,50 @@ def argvs(draw):
     return argv
 
 
-def parsed(parse, argv):
-    """What parse(argv) returns as (command, options), or the exit code, with
-    what argparse printed."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            command, args = parse(argv)
-            result = (command, {k: v for k, v in vars(args).items() if k != "command"})
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-    return result, out.getvalue(), err.getvalue()
-
-
 def whole_parser(argv):
-    args = _PARSER.parse_args(argv)
-    return args.command, args
+    """The whole parser's namespace for argv, or its exit code, with the help
+    it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _PARSER.parse_args(argv), out.getvalue()
+        except SystemExit as exc:
+            return (int(exc.code) if exc.code else 0), out.getvalue()
 
 
-# Help, usage errors and the parses that lean on argparse's rules
-EDGE_ARGVS = [
+LR = ["--lambda", "[1]", "--mu", "[1]", "--nu", "[2]"]
+# Canonical argvs at the edges of the table pass, which must take them
+CANONICAL_EDGES = [
+    ["lr-coeff", "--lambda", "-", "--mu", "", "--nu", "[2]"],
+    ["pictures", "--kappa2", "same", "--kappa1", '{"outer":[1]}'],
+    ["verify", "--suite", "rsk-bijection", "--max-cells", "0", "--seed", "3"],
+]
+# and every other edge, which goes to the whole parser: help, usage errors
+# and the parses that lean on argparse's rules
+EDGE_ARGVS = CANONICAL_EDGES + [
     [],
     ["-h"],
     ["bogus"],
     ["lr-coeff", "-h"],
+    ["lr-coeff", *LR, "-h"],
     ["lr-coeff", "--lambda", "[1]", "--nu", "[2]"],
-    ["lr-coeff", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "extra"],
-    ["lr-coeff", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--zzz", "1"],
+    ["lr-coeff", *LR, "extra"],
+    ["lr-coeff", *LR, "--zzz", "1"],
     ["lr-coeff", "--lam", "[1]", "--mu", "[1]", "--nu", "[2]"],
     ["lr-coeff", "--lambda=[1]", "--mu", "[1]", "--nu", "[2]"],
-    ["lr-coeff", "--lambda", "[1]", "--lambda", "[]", "--mu", "[1]", "--nu", "[2]"],
-    ["verify", "--suite", "rsk-bijection", "--max-cells", "-1"],
+    ["lr-coeff", "--lambda", "[]", *LR],
+    ["lr-coeff", "--lambda", "-[1]", "--mu", "[1]", "--nu", "[2]"],
+    ["lr-coeff", "--lambda", "[1]", "--mu", "[1]", "--nu"],
+    ["pictures", "--kappa1", "[1]", "--kappa2", "same", "--count-only", "x"],
+    ["pictures", "--count-only", "--kappa1", "[1]", "--kappa2", "same", "--count-only"],
+    ["lr-coeff", *LR, "--"],
+    ["lr-coeff", "--", *LR],
+    ["verify", "--suite", "rsk-bijection", "--seed", "-1"],
+    ["verify", "--suite", "rsk-bijection", "--seed", "x"],
+    ["verify", "--suite", "rsk-bijection", "--instances", "-1"],
     ["verify", "--suite", "rsk-bijection", "--instances", "x"],
-    ["--zzz", "lr-coeff", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]"],
+    ["verify", "--suite", "rsk-bijection", "--max-cells", "-1"],
+    ["--zzz", "lr-coeff", *LR],
 ]
 
 
@@ -158,12 +178,19 @@ EDGE_ARGVS = [
 @given(argv=argvs(), stdin_text=junk | SHAPE)
 @example(argv=["rsk", "--array", '{"top":5,"bottom":[1]}'], stdin_text="")
 def test_cmd_run_fuzz(argv, stdin_text):
-    # the one-pass dispatch parses exactly as the whole parser does, and
-    # prints the same help and errors
-    assert parsed(_parse, argv) == parsed(whole_parser, argv)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    # the table pass parses exactly as the whole parser does
+    fast = _parse(argv)
+    whole, printed = whole_parser(argv)
+    if fast is not None:
+        assert fast == whole
+    leaked, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(leaked), contextlib.redirect_stderr(err):
         code, out = cmd_run(argv, stdin_text)
+    assert leaked.getvalue() == ""
+    if not isinstance(whole, argparse.Namespace):
+        # help, or a usage error with nothing on stdout
+        assert (code, out) == (whole, printed)
+        return
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code == 2:
         assert out == ""
@@ -173,5 +200,47 @@ def test_cmd_run_fuzz(argv, stdin_text):
 
 
 def test_edge_argvs_parse_as_the_whole_parser_does():
+    # the table pass takes exactly the canonical edges, with argparse's
+    # namespace; cmd_run answers every argv argparse exits on as it exits
     for argv in EDGE_ARGVS:
-        assert parsed(_parse, argv) == parsed(whole_parser, argv), argv
+        fast = _parse(argv)
+        whole, printed = whole_parser(argv)
+        assert (fast is not None) == (argv in CANONICAL_EDGES), argv
+        if fast is not None:
+            assert fast == whole, argv
+        if not isinstance(whole, argparse.Namespace):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cmd_run(argv) == (whole, printed), argv
+
+
+def test_help_comes_back_as_stdout(capsys):
+    for argv in (["-h"], ["lr-coeff", "-h"], ["verify", "--suite", "all", "--help"]):
+        code, out = cmd_run(argv)
+        assert code == 0 and out.startswith("usage: lrpictures"), argv
+        assert out == whole_parser(argv)[1]
+    assert capsys.readouterr().out == ""
+
+
+def test_well_formed_argvs_never_reach_argparse(monkeypatch):
+    f = next(iter(enumerate_pictures(HOOK, HOOK)))
+    w = TwoRowedArray(Word((1, 1, 2)), Word((2, 1, 1)))
+    hook = dumps(HOOK.to_json())
+    well_formed = [
+        ["pictures", "--kappa1", hook, "--kappa2", "same", "--count-only"],
+        ["to-pair", "--picture", dumps(f.to_json())],
+        ["to-picture", "--kappa1", hook, "--kappa2", hook, "--pair", dumps(crystal_pair(f))],
+        ["lr-coeff", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", "[3,2,1]", "--cross-check"],
+        ["rsk", "--array", dumps(w.to_json())],
+        ["unrsk", "--pair", dumps(tableau_pair(w))],
+        ["verify", "--suite", "rsk-bijection", "--seed", "1", "--instances", "3",
+         "--max-cells", "2"],
+    ]
+    assert {argv[0] for argv in well_formed} == set(OPTIONS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed argv reached argparse")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in well_formed:
+        code, out = cmd_run(argv)
+        assert code == 0 and json.loads(out), argv
