@@ -16,16 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .crystal import _lr_fillings, enumerate_lr_crystal, lr_membership
+from .crystal import LR_MAX_CELLS, _check_lr_size, _lr_fillings, _lr_member, enumerate_lr_crystal
 from .pictures import Picture, enumerate_pictures, validate_picture
-from .rsk import TwoRowedArray, _rsk_inverse, rsk_forward, validate_lex_array
+from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
 from .shapes import (
-    Cell,
     Partition,
     SkewShape,
     _interned_shape,
     _json_object,
-    add_sequence,
     j_order_cells,
     partitions_of,
 )
@@ -49,12 +47,6 @@ __all__ = [
     "lr_routes",
     "lr_coefficient",
 ]
-
-# Every LR route fills or searches one cell of mu per recursion level, so mu
-# is refused past this many cells, well inside Python's default recursion
-# limit of 1000 even when the caller is already deep in its own stack.
-LR_MAX_CELLS = 500
-
 
 @dataclass(frozen=True)
 class CorrespondenceContext:
@@ -138,21 +130,25 @@ def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
     """
     if s.shape != ctx.kappa1:
         raise ValueError("tableau shape differs from the context's first shape")
-    if not validate_semistandard(s):
-        return False
-    added = add_sequence(ctx.lambda2, s.reading())
-    return added.valid and added.result.to_partition() == ctx.nu2
+    return validate_semistandard(s) and _lr_member(s.reading(), ctx.lambda2, ctx.nu2, ctx.rank)
 
 
 def _in_product(ctx: CorrespondenceContext, pair: CrystalPair) -> bool:
-    return (
-        lr_membership(pair.second, ctx.lambda2, ctx.nu2, ctx.rank).member
-        and lr_membership(pair.first, ctx.lambda1, ctx.nu1, ctx.rank).member
-    )
+    """Is each tableau of the pair in its Littlewood-Richardson crystal?  A
+    tableau that is not semistandard is refused with ValueError, as
+    lr_membership refuses it."""
+    for t, lam, nu in ((pair.second, ctx.lambda2, ctx.nu2), (pair.first, ctx.lambda1, ctx.nu1)):
+        if not validate_semistandard(t):
+            raise ValueError("tableau is not semistandard")
+        if not _lr_member(t.reading(), lam, nu, ctx.rank):
+            return False
+    return True
 
 
 def _s3(w: TwoRowedArray) -> CrystalPair:
-    p, q = rsk_forward(w)
+    # Every caller's array is lexicographic: s2's by construction, s3's
+    # input by _w_pair's check.
+    p, q = _rsk_forward(w)
     return CrystalPair(first=q, second=p)
 
 
@@ -184,8 +180,8 @@ def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau
 
 
 def _s2(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> TwoRowedArray:
-    top = Word(tuple(c.row for c in j_order_cells(ctx.kappa1)))
-    return TwoRowedArray(top, Word(reading))
+    top = tuple(c.row for c in j_order_cells(ctx.kappa1))
+    return TwoRowedArray(Word._built(top), Word._built(reading))
 
 
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
@@ -225,12 +221,14 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
 
 def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
     # The cells of one entry form a horizontal strip, so the J order lists
-    # them right to left and a running count is each cell's p_index.
+    # them right to left and a running count is each cell's p_index.  The
+    # t-th letter k goes to (k, lambda2_k + t), taken from kappa2's cells.
+    index, cells = ctx.kappa2._j_index, ctx.kappa2._j_order
     seen: dict[int, int] = {}
     images = []
     for k in reading:
         seen[k] = seen.get(k, 0) + 1
-        images.append(Cell(k, ctx.lambda2.part(k) + seen[k]))
+        images.append(cells[index[k, ctx.lambda2.part(k) + seen[k]]])
     return Picture(ctx.kappa1, ctx.kappa2, tuple(images))
 
 
@@ -267,11 +265,6 @@ def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]
                 yield CrystalPair(t1, t2)
 
 
-def _check_lr_size(mu: Partition) -> None:
-    if mu.size > LR_MAX_CELLS:
-        raise ValueError(f"mu has {mu.size} cells, past the LR bound of {LR_MAX_CELLS} cells")
-
-
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     """The Littlewood-Richardson coefficient computed three independent ways.
 
@@ -295,6 +288,6 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient of (lam, mu, nu), by the crystal
-    route; lr_routes compares it with the other two."""
-    _check_lr_size(mu)
+    route; lr_routes compares it with the other two.  mu past LR_MAX_CELLS
+    cells is refused with ValueError."""
     return len(enumerate_lr_crystal(mu, lam, nu))

@@ -43,6 +43,12 @@ __all__ = [
 # Longest words equiv_check will close over by breadth-first search.
 DEFAULT_BFS_LENGTH = 8
 
+# Every LR route and the picture search fill or search one cell per
+# recursion level, so they refuse more than this many cells, well inside
+# Python's default recursion limit of 1000 even when the caller is already
+# deep in its own stack.
+LR_MAX_CELLS = 500
+
 # Memo bounds for long-running processes; `verify --suite all` uses about
 # 1,600 filling keys and 65 tableau lists.
 _FILLINGS_CACHE_SIZE = 4096
@@ -283,6 +289,29 @@ def lr_membership(
     return LrWitness(True, final, None)
 
 
+def _padded(p: Partition, n: int) -> list[int]:
+    """p's parts padded with zeros to at least n + 1 rows, one per letter."""
+    return list(p.parts) + [0] * (n + 1 - p.rows)
+
+
+def _lr_member(reading: tuple[int, ...], lam: Partition, nu: Partition, n: int) -> bool:
+    """Does adding one box at row a for each letter a of reading, in order,
+    carry lam to nu through partitions?
+
+    This is lr_membership(t, lam, nu, n).member for a semistandard t with
+    this J-order reading and entries at most n + 1, read in one pass; the
+    caller checks semistandardness.  A letter past n + 1, which
+    lr_membership refuses, fails.
+    """
+    parts, cap = _padded(lam, n), _padded(nu, n)
+    for a in reading:
+        r = a - 1
+        if r > n or parts[r] >= cap[r] or (r and parts[r - 1] <= parts[r]):
+            return False
+        parts[r] += 1
+    return parts == cap
+
+
 @lru_cache(maxsize=_SSYT_CACHE_SIZE)
 def cached_ssyt(shape: SkewShape, max_entry: int) -> tuple[SkewTableau, ...]:
     """Memoised exhaustive enumeration; shared by the counting routines."""
@@ -306,9 +335,7 @@ def _lr_fillings(
     """
     if lam.size + shape.size != nu.size or not nu.contains(lam):
         return ()
-    # Both padded to at least n + 1 rows, one per letter.
-    parts = list(lam.parts) + [0] * (n + 1 - lam.rows)
-    cap = list(nu.parts) + [0] * (n + 1 - nu.rows)
+    parts, cap = _padded(lam, n), _padded(nu, n)
     right, above = shape._fill_bounds
     size = shape.size
     values = [0] * size
@@ -339,10 +366,17 @@ def enumerate_lr_crystal(
     lexicographic in the J-order reading.
 
     The count is the Littlewood-Richardson coefficient of the triple, which
-    is stable in n once n reaches the row count of nu.
+    is stable in n once n reaches the row count of nu.  The filler recurses
+    once per cell, so mu past LR_MAX_CELLS cells is refused with ValueError.
     """
+    _check_lr_size(mu)
     if n is None:
         n = max(nu.rows, mu.rows + lam.rows, 1)
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
     return _lr_fillings(_interned_shape(mu.parts, ()), lam, nu, n)
+
+
+def _check_lr_size(mu: Partition) -> None:
+    if mu.size > LR_MAX_CELLS:
+        raise ValueError(f"mu has {mu.size} cells, past the LR bound of {LR_MAX_CELLS} cells")

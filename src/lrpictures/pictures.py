@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .crystal import LR_MAX_CELLS
 from .shapes import Cell, SkewShape, _json_object, _json_pair, j_order_cells, leq_j, leq_p
 
 __all__ = [
@@ -62,14 +63,30 @@ class Picture:
         if not isinstance(pairs, (list, tuple)):
             raise ValueError(f"expected a list of [cell, image] pairs, got {pairs!r}")
         given = {
-            Cell.from_json(s): Cell.from_json(i)
+            _coordinates(s): _coordinates(i)
             for s, i in (_json_pair(p, "[cell, image]") for p in pairs)
         }
         if len(given) != len(pairs):
             raise ValueError("pairs name a domain cell more than once")
-        if given.keys() != domain._j_index.keys():
+        sources = domain._j_index
+        if given.keys() != sources.keys():
             raise ValueError("pairs do not cover exactly the domain cells")
-        return cls(domain, codomain, tuple(given[c] for c in j_order_cells(domain)))
+        # Each image is the codomain's own Cell; one outside the codomain
+        # gets a Cell of its own, which validate_picture refuses.
+        index, cells = codomain._j_index, codomain._j_order
+        images = (given[x] for x in sources)
+        return cls(
+            domain, codomain, tuple(cells[index[y]] if y in index else Cell(*y) for y in images)
+        )
+
+
+def _coordinates(obj) -> tuple[int, int]:
+    """obj as a plain (row, col) pair, with the checks and messages of
+    Cell.from_json."""
+    row, col = _json_pair(obj, "[row, col]")
+    if type(row) is not int or type(col) is not int or row < 1 or col < 1:
+        Cell(row, col)  # raises the constructor's message
+    return row, col
 
 
 def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
@@ -93,7 +110,7 @@ def validate_picture(p: Picture) -> bool:
     a chain of right and down steps, and the J order is transitive.
     """
     index = p.codomain._j_index
-    r = [index.get(c) for c in p.images]
+    r = [index.get((c.row, c.col)) for c in p.images]
     if len(r) != len(index) or None in r or len(set(r)) != len(r):
         return False
     back = [0] * len(r)
@@ -122,8 +139,12 @@ def enumerate_pictures(
     therefore a picture and is yielded without re-validation.  The tests
     compare the output with a brute force filtered by validate_picture and
     with a search that checks every assigned pair.
+
+    Shapes past max_cells cells (default DEFAULT_PICTURE_CELLS) are refused
+    with ValueError.  The search recurses once per cell, so shapes past
+    LR_MAX_CELLS cells are refused whatever max_cells says.
     """
-    bound = DEFAULT_PICTURE_CELLS if max_cells is None else max_cells
+    bound = min(DEFAULT_PICTURE_CELLS if max_cells is None else max_cells, LR_MAX_CELLS)
     if kappa1.size != kappa2.size:
         raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
     if kappa1.size > bound:

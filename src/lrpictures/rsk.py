@@ -190,9 +190,14 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
     """
     if not validate_lex_array(w):
         raise ValueError("array is not in lexicographic order (of column type)")
+    return _rsk_forward(w)
+
+
+def _rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
+    """rsk_forward on an array the caller knows to be lexicographic."""
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for u, v in w.pairs():
+    for u, v in zip(w.top.letters, w.bottom.letters):
         r, c = _bump(cols, v)
         if r > len(q_rows):
             q_rows.append([])
@@ -218,19 +223,14 @@ def _rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
 
     Repeatedly reverse-bump P from the position of the right-most maximum
     entry of Q; emitted pairs are stacked back to front so the result is
-    again lexicographic.  In a semistandard Q that entry ends its column,
-    and it is the last column whose bottom entry is the maximum.
+    again lexicographic.  In a semistandard Q every cell holding the
+    maximum ends its column, and removing them leaves the next maximum's
+    cells at column ends; so the removal order is Q's (entry, column) pairs
+    sorted once, largest first.
     """
-    p_cols, q_cols = _to_columns(p), _to_columns(q)
-    pairs: list[tuple[int, int]] = []
-    while q_cols:
-        u = max(col[-1] for col in q_cols)
-        j = max(k for k, col in enumerate(q_cols) if col[-1] == u)
-        q_cols[j].pop()
-        if not q_cols[j]:
-            q_cols.pop()
-        pairs.append((u, _unbump(p_cols, j)))
-    pairs.reverse()
+    p_cols = _to_columns(p)
+    order = sorted(((u, j) for row in q.rows for j, u in enumerate(row)), reverse=True)
+    ejected = [_unbump(p_cols, j) for _, j in order]
     return TwoRowedArray(
-        Word(tuple(u for u, _ in pairs)), Word(tuple(v for _, v in pairs))
+        Word._built(tuple(u for u, _ in reversed(order))), Word._built(tuple(reversed(ejected)))
     )

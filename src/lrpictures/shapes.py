@@ -55,16 +55,17 @@ def _json_object(obj, *keys: str, optional: tuple[str, ...] = ()) -> dict:
     """obj itself when it is a JSON object with every key of keys, none beyond
     them, and only the optional ones left out; otherwise a ValueError naming
     the keys."""
+    if isinstance(obj, dict):
+        extra = obj.keys() - set(keys)
+        missing = [k for k in keys if k not in obj and k not in optional]
+        if not extra and not missing:
+            return obj
     expected = f"expected an object with keys {', '.join(keys)}"
     if not isinstance(obj, dict):
         raise ValueError(f"{expected}; got {obj!r}")
-    extra = obj.keys() - set(keys)
     if extra:
         raise ValueError(f"unexpected keys {', '.join(sorted(map(str, extra)))}; {expected}")
-    missing = [k for k in keys if k not in obj and k not in optional]
-    if missing:
-        raise ValueError(f"missing keys {', '.join(missing)}; {expected}")
-    return obj
+    raise ValueError(f"missing keys {', '.join(missing)}; {expected}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,10 @@ class SkewShape:
         )
 
     @cached_property
-    def _j_index(self) -> dict[Cell, int]:
-        return {c: k for k, c in enumerate(self._j_order)}
+    def _j_index(self) -> dict[tuple[int, int], int]:
+        """The J position of each cell, keyed by its plain (row, col) pair and
+        listed in J order.  Position k names the Cell _j_order[k]."""
+        return {(c.row, c.col): k for k, c in enumerate(self._j_order)}
 
     @cached_property
     def _neighbours(self) -> tuple[tuple[int, int], ...]:
@@ -216,8 +219,8 @@ class SkewShape:
         index = self._j_index
         return tuple(
             (k, index[d])
-            for k, c in enumerate(self._j_order)
-            for d in (Cell(c.row, c.col + 1), Cell(c.row + 1, c.col))
+            for (i, j), k in index.items()
+            for d in ((i, j + 1), (i + 1, j))
             if d in index
         )
 
@@ -249,13 +252,18 @@ class SkewShape:
         """The shared shape of obj's outer and inner lists; equal lists give
         the same object."""
         obj = _json_object(obj, "outer", "inner", optional=("inner",))
-        outer = _ints(obj["outer"])
-        try:
-            inner = _ints(obj.get("inner", ()))
-        except ValueError:
-            Partition(outer)  # a bad outer is reported first
-            raise
-        return _interned_shape(outer, inner)
+        return _parsed_shape(obj["outer"], obj.get("inner", ()))
+
+
+def _parsed_shape(outer, inner) -> SkewShape:
+    """The shared shape of a JSON outer and inner list, checked as plain ints."""
+    outer = _ints(outer)
+    try:
+        inner = _ints(inner)
+    except ValueError:
+        Partition(outer)  # a bad outer is reported first
+        raise
+    return _interned_shape(outer, inner)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)

@@ -5,7 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .shapes import Cell, Partition, SkewShape, _interned_shape, _ints, _json_object, j_order_cells
+from .shapes import (
+    Cell,
+    Partition,
+    SkewShape,
+    _interned_shape,
+    _ints,
+    _json_object,
+    _parsed_shape,
+    j_order_cells,
+)
 from .words import TensorWord, Word
 
 __all__ = [
@@ -44,7 +53,7 @@ class SkewTableau:
                 raise ValueError(
                     f"row {i} has {len(row)} entries, shape wants {self.shape.row_length(i)}"
                 )
-            if any(a < 1 for a in row):
+            if row and min(row) < 1:
                 raise ValueError(f"entries must be positive, got row {row}")
         object.__setattr__(self, "rows", rows)
 
@@ -93,8 +102,7 @@ class SkewTableau:
     @classmethod
     def from_json(cls, obj) -> "SkewTableau":
         obj = _json_object(obj, "outer", "inner", "rows", optional=("inner",))
-        shape = SkewShape.from_json({k: v for k, v in obj.items() if k != "rows"})
-        return cls(shape, obj["rows"])
+        return cls(_parsed_shape(obj["outer"], obj.get("inner", ())), obj["rows"])
 
 
 def _reading_rows(shape: SkewShape, letters: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -107,15 +115,15 @@ def _reading_rows(shape: SkewShape, letters: Sequence[int]) -> tuple[tuple[int, 
 
 
 def validate_semistandard(t: SkewTableau) -> bool:
-    """Rows weakly increase left to right, columns strictly increase top to bottom."""
-    rows, inner = t.rows, t.shape.inner
-    for i, row in enumerate(rows, start=1):
-        if any(a > b for a, b in zip(row, row[1:])):
-            return False
-        # Row i+1 starts inner(i) - inner(i+1) columns left of row i.
-        if i < len(rows) and any(
-            a >= b for a, b in zip(row, rows[i][inner.part(i) - inner.part(i + 1):])
-        ):
+    """Rows weakly increase left to right, columns strictly increase top to bottom.
+
+    Each letter of the J-order reading is compared with its right neighbour
+    and the letter above it, at the positions the shape's fill table keeps.
+    """
+    r = t.reading()
+    right, above = t.shape._fill_bounds
+    for a, j, i in zip(r, right, above):
+        if (j is not None and r[j] < a) or (i is not None and r[i] >= a):
             return False
     return True
 

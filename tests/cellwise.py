@@ -7,6 +7,9 @@ tableau by lr_membership instead of pruning a filling.  The picture search
 reference checks each candidate image against every assigned pair of Cells,
 and the picture reference compares every pair of cells both ways.
 add_one builds a shape one box at a time, for a second route to add_sequence.
+c1_by_new_cells and rsk_inverse_by_max_scan are the first forms of the c1
+and RSK-inverse kernels: a new Cell per image, and a max scan of Q's column
+ends per removed letter.
 """
 
 from collections import Counter
@@ -17,6 +20,8 @@ from lrpictures import (
     Composition,
     Picture,
     SkewShape,
+    TwoRowedArray,
+    Word,
     add_sequence,
     enumerate_ssyt,
     is_pj_standard,
@@ -27,6 +32,7 @@ from lrpictures import (
     me_reading,
     row_lengths,
 )
+from lrpictures.rsk import _to_columns, _unbump
 
 
 # Memoised: the in_s_set comparison asks about each filling once per context
@@ -150,3 +156,30 @@ def picture_by_all_pairs(p):
     return is_pj_standard(sources, p.images) and is_pj_standard(
         targets, [back[c] for c in targets]
     )
+
+
+def c1_by_new_cells(ctx, reading):
+    """The c1 kernel with each image a new Cell: the t-th letter k of the
+    reading goes to (k, lambda2_k + t)."""
+    seen = {}
+    images = []
+    for k in reading:
+        seen[k] = seen.get(k, 0) + 1
+        images.append(Cell(k, ctx.lambda2.part(k) + seen[k]))
+    return Picture(ctx.kappa1, ctx.kappa2, tuple(images))
+
+
+def rsk_inverse_by_max_scan(p, q):
+    """The RSK inverse that finds each removed letter by scanning Q's column
+    ends: the maximum, in the right-most column that ends with it."""
+    p_cols, q_cols = _to_columns(p), _to_columns(q)
+    pairs = []
+    while q_cols:
+        u = max(col[-1] for col in q_cols)
+        j = max(k for k, col in enumerate(q_cols) if col[-1] == u)
+        q_cols[j].pop()
+        if not q_cols[j]:
+            q_cols.pop()
+        pairs.append((u, _unbump(p_cols, j)))
+    pairs.reverse()
+    return TwoRowedArray(Word(tuple(u for u, _ in pairs)), Word(tuple(v for _, v in pairs)))

@@ -318,6 +318,17 @@ def test_lr_coeff_refuses_mu_past_the_cell_bound(flags, capsys):
     assert code == 0 and json.loads(out)["coefficient"] == 1
 
 
+def test_pictures_refuses_shapes_past_the_cell_bound(monkeypatch, capsys):
+    # The search recurses once per cell, so no LRPK_MAX_CELLS lets a shape
+    # past LR_MAX_CELLS cells through to a RecursionError traceback.
+    monkeypatch.setenv("LRPK_MAX_CELLS", "1200")
+    for m in (1200, LR_MAX_CELLS + 1):
+        argv = ["pictures", "--kappa1", f'{{"outer":[{m}]}}', "--kappa2", "same", "--count-only"]
+        assert cmd_run(argv) == (2, "")
+        message = f"error: {m} cells exceed the enumeration bound {LR_MAX_CELLS}\n"
+        assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

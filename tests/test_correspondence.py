@@ -33,15 +33,17 @@ from lrpictures import (
     lr_routes,
     p_index,
     partitions_in_box,
+    partitions_of,
     s1_picture_to_skewtab,
     s2_skewtab_to_array,
     s3_array_to_pair,
     subpartitions,
     validate_lex_array,
 )
-from lrpictures.crystal import _lr_fillings
+from lrpictures.correspondence import _c1
+from lrpictures.crystal import _lr_fillings, _lr_member, cached_ssyt, lr_membership
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
-from cellwise import in_s_set_with_content_check
+from cellwise import c1_by_new_cells, in_s_set_with_content_check
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -165,6 +167,40 @@ def test_c1_running_count_matches_p_index():
             assert c1_skewtab_to_picture(ctx, s).images == expected
 
 
+def test_c1_takes_the_codomain_cells():
+    # the kernel looks each image up among kappa2's own cells; its first
+    # form built a new Cell per image
+    pictures = 0
+    for ctx in acceptance_contexts(5):
+        own = {id(c) for c in j_order_cells(ctx.kappa2)}
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            reading = s1_picture_to_skewtab(ctx, f).reading()
+            g = _c1(ctx, reading)
+            assert g == c1_by_new_cells(ctx, reading) == f, (ctx, f)
+            assert {id(c) for c in g.images} == own
+            pictures += 1
+    assert pictures == 5162
+
+
+def test_lr_kernel_matches_lr_membership():
+    # every straight tableau with entries at most n + 1, read against each
+    # side (lambda, nu) of every context at the context's rank n
+    sides = {
+        (lam, nu, ctx.rank)
+        for ctx in acceptance_contexts(5)
+        for lam, nu in ((ctx.lambda1, ctx.nu1), (ctx.lambda2, ctx.nu2))
+    }
+    members = tableaux = 0
+    for lam, nu, n in sides:
+        for mu in partitions_of(nu.size - lam.size):
+            for t in cached_ssyt(SkewShape(mu), n + 1):
+                verdict = _lr_member(t.reading(), lam, nu, n)
+                assert verdict == lr_membership(t, lam, nu, n).member, (lam, nu, n, t)
+                members += verdict
+                tableaux += 1
+    assert 0 < members < tableaux
+
+
 def test_in_s_set_matches_the_content_checked_definition():
     # in_s_set dropped its content check as implied by the addition
     # condition.  Both definitions open with the same semistandard gate,
@@ -265,13 +301,18 @@ COUNTED = (
     "c2_array_to_skewtab",
     "c3_pair_to_array",
 )
+# Private kernels, by the module that defines them.
+COUNTED_KERNELS = {"_lr_member": "crystal", "_rsk_forward": "rsk"}
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of COUNTED through every binding in the lrpictures modules."""
+    """Counts calls of COUNTED and COUNTED_KERNELS through every binding in
+    the lrpictures modules."""
     counts = Counter()
     originals = {name: getattr(lrpictures, name) for name in COUNTED}
+    for name, module in COUNTED_KERNELS.items():
+        originals[name] = getattr(getattr(lrpictures, module), name)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -296,10 +337,11 @@ def test_full_maps_check_once(calls):
     f = next(enumerate_pictures(ctx.kappa1, ctx.kappa2))
     calls.clear()
     assert full_c(ctx, full_s(ctx, f)) == f
-    # full_c's LR memberships check both tableaux semistandard; the RSK
-    # inverse runs unchecked after them
+    # full_s checks the picture and inserts its array unchecked; full_c
+    # checks each tableau semistandard and reads it once through the LR
+    # kernel, then runs the RSK inverse unchecked
     assert calls == Counter(
-        validate_picture=1, lr_membership=2, validate_semistandard=2, rsk_forward=1
+        validate_picture=1, _lr_member=2, validate_semistandard=2, _rsk_forward=1
     )
 
 
@@ -308,12 +350,13 @@ def test_roundtrip_suite_checks_each_set_once(calls):
     n = report.checked["pictures"]
     assert report.ok and n == report.checked["pairs"] > 0
     # no backward stage map: the inverses run on the kernels, and each
-    # tableau is checked semistandard once (in_s_set, two LR memberships)
+    # tableau is checked semistandard once and read once by the LR kernel
+    # (the skew tableau in in_s_set, the pair in s3's W membership)
     assert calls == Counter(
         validate_picture=n,
         in_s_set=n,
-        rsk_forward=n,
-        lr_membership=2 * n,
+        _rsk_forward=n,
+        _lr_member=3 * n,
         validate_semistandard=3 * n,
     )
 

@@ -29,7 +29,7 @@ from lrpictures import (
     subpartitions,
     weight,
 )
-from lrpictures.crystal import _knuth_moves, _lr_fillings, cached_ssyt, neighbours
+from lrpictures.crystal import LR_MAX_CELLS, _knuth_moves, _lr_fillings, cached_ssyt, neighbours
 from cellwise import lr_crystal_by_filter
 
 
@@ -238,6 +238,15 @@ def test_enumerate_lr_crystal_examples():
     ] == [((1, 2),)]
     two = enumerate_lr_crystal(Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)), 3)
     assert sorted(t.rows for t in two) == [((1, 2), (3,)), ((1, 3), (2,))]
+
+
+def test_enumerate_lr_crystal_refuses_mu_past_the_cell_bound():
+    # the filler recurses once per cell of mu, so a long mu is refused with
+    # the bound named, not with a RecursionError
+    with pytest.raises(ValueError, match=f"mu has 3000 cells, past the LR bound of {LR_MAX_CELLS}"):
+        enumerate_lr_crystal(Partition((3000,)), Partition(), Partition((3000,)))
+    mu = Partition((LR_MAX_CELLS,))
+    assert len(enumerate_lr_crystal(mu, Partition(), mu)) == 1
 
 
 def test_enumerate_lr_crystal_size_mismatch_is_empty():

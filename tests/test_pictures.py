@@ -124,6 +124,20 @@ def test_picture_json_round_trip():
     doc = p.to_json()
     assert doc["domain"] == {"outer": [2, 1], "inner": [1]}
     assert len(doc["pairs"]) == 2
+    # every image read back is one of the codomain's own cells
+    pictures = 0
+    for ctx in acceptance_contexts(5):
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            g = Picture.from_json(f.to_json())
+            assert g == f, f
+            assert {id(c) for c in g.images} == {id(c) for c in j_order_cells(g.codomain)}
+            pictures += 1
+    assert pictures == 5162
+    # an image outside the codomain is read as a Cell of its own and refused
+    # by validate_picture
+    doc["pairs"][0][1] = [3, 3]
+    outside = Picture.from_json(doc)
+    assert outside.images[0] == Cell(3, 3) and not validate_picture(outside)
 
 
 def test_picture_json_refuses_a_repeated_source():

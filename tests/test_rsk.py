@@ -22,6 +22,8 @@ from lrpictures import (
     validate_lex_array,
     validate_semistandard,
 )
+from lrpictures.rsk import _rsk_inverse
+from cellwise import rsk_inverse_by_max_scan
 
 EMPTY = SkewTableau.straight(())
 
@@ -134,6 +136,20 @@ def test_round_trip_exhaustive_small():
         assert (p, q) not in seen
         seen.add((p, q))
     assert len(seen) == 165
+
+
+def test_sorted_removal_order_matches_the_max_scan():
+    # Every lexicographic array of up to six letters over 1..3: a multiset
+    # of (top, bottom) pairs, listed top ascending and bottom descending.
+    alphabet = sorted(itertools.product(range(1, 4), repeat=2), key=lambda uv: (uv[0], -uv[1]))
+    count = 0
+    for m in range(7):
+        for pairs in itertools.combinations_with_replacement(alphabet, m):
+            w = arr(tuple(u for u, _ in pairs), tuple(v for _, v in pairs))
+            p, q = rsk_forward(w)
+            assert _rsk_inverse(p, q) == rsk_inverse_by_max_scan(p, q) == w, w
+            count += 1
+    assert count == 5005
 
 
 def test_forward_contents():
