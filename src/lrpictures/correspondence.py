@@ -157,8 +157,8 @@ def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
     if len(w) != ctx.size or not validate_lex_array(w):
         return None
     for word, kappa in ((w.top, ctx.kappa1), (w.bottom, ctx.kappa2)):
-        rows = range(1, kappa.outer.rows + 1)
-        if sorted(word.letters) != [i for i in rows for _ in range(kappa.row_length(i))]:
+        rows = enumerate(kappa._row_lengths, start=1)
+        if sorted(word.letters) != [i for i, m in rows for _ in range(m)]:
             return None
     pair = _s3(w)
     return pair if _in_product(ctx, pair) else None

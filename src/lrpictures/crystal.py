@@ -57,22 +57,9 @@ _SSYT_CACHE_SIZE = 256
 
 @dataclass(frozen=True)
 class LrWitness:
-    """Outcome of a Littlewood-Richardson membership test.
-
-    Exactly one of final_shape (on success) and failure_index (the shortest
-    failing prefix, or the full length when only the target shape is wrong)
-    is present.
-    """
+    """Outcome of a Littlewood-Richardson membership test."""
 
     member: bool
-    final_shape: Partition | None = None
-    failure_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.member != (self.final_shape is not None) or self.member != (
-            self.failure_index is None
-        ):
-            raise ValueError("witness fields are inconsistent with membership")
 
 
 def _unmatched(letters: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
@@ -281,12 +268,7 @@ def lr_membership(
     n = _resolve_rank(t, lam, nu, n)
     reading = me_reading(t, rank=n)  # rejects non-semistandard fillings
     added = add_sequence(lam, reading.letters)
-    if not added.valid:
-        return LrWitness(False, None, added.first_failure)
-    final = added.result.to_partition()
-    if final != nu:
-        return LrWitness(False, None, len(reading.letters))
-    return LrWitness(True, final, None)
+    return LrWitness(added.valid and added.result.to_partition() == nu)
 
 
 def _padded(p: Partition, n: int) -> list[int]:

@@ -7,6 +7,7 @@ from typing import Iterator, Sequence
 
 from .crystal import LR_MAX_CELLS
 from .shapes import Cell, SkewShape, _json_object, _json_pair, j_order_cells, leq_j, leq_p
+from .tableaux import _semistandard
 
 __all__ = [
     "Picture",
@@ -105,9 +106,13 @@ def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
 def validate_picture(p: Picture) -> bool:
     """Bijective onto the codomain, PJ-standard in both directions.
 
-    Each image becomes its codomain J position.  The order conditions are
-    checked on neighbouring cells only: in a skew shape every a <=_p b is
-    a chain of right and down steps, and the J order is transitive.
+    Each image becomes its codomain J position.  The map is a picture
+    exactly when these positions, written into the domain cells, form a
+    standard filling (increasing along rows and down columns), and the
+    inverse positions form one of the codomain: in a skew shape every
+    a <=_p b is a chain of right and down steps, and the J order is
+    transitive.  On distinct values, weak and strict increase agree, so the
+    semistandard check of tableaux serves both fillings.
     """
     index = p.codomain._j_index
     r = [index.get((c.row, c.col)) for c in p.images]
@@ -116,9 +121,7 @@ def validate_picture(p: Picture) -> bool:
     back = [0] * len(r)
     for k, y in enumerate(r):
         back[y] = k
-    return all(r[k] < r[m] for k, m in p.domain._neighbours) and all(
-        back[k] < back[m] for k, m in p.codomain._neighbours
-    )
+    return _semistandard(r, p.domain) and _semistandard(back, p.codomain)
 
 
 def enumerate_pictures(
@@ -130,12 +133,16 @@ def enumerate_pictures(
     the codomain's J order, so output order is deterministic.  Codomain
     cells are numbered in J order, where leq_j is <= on the numbers.  The
     forward condition on the current source is an open interval of numbers:
-    above every image of an earlier source weakly north-west of it, below
-    every image of an earlier source weakly south-east of it.  The inverse
-    condition is a lookahead: an image is taken only when every other
-    codomain cell weakly north-west of it is already used.  This is exact,
-    because a cell still unused gets its source later, so J-after the
-    current source, which the inverse condition forbids.  Every leaf is
+    above the image of the cell above it, below the image of its right
+    neighbour, both earlier sources.  The images assigned so far respect
+    <=_p, and every earlier source weakly north-west (south-east) of the
+    current one lies in the rectangle through the cell above (the right
+    neighbour), so these two images are the extremes.  The inverse
+    condition is a lookahead: an image is taken only when the cell above it
+    and its left neighbour are used, so the used cells stay an order ideal
+    and every codomain cell weakly north-west of the image is used.  This
+    is exact, because a cell still unused gets its source later, so J-after
+    the current source, which the inverse condition forbids.  Every leaf is
     therefore a picture and is yielded without re-validation.  The tests
     compare the output with a brute force filtered by validate_picture and
     with a search that checks every assigned pair.
@@ -150,35 +157,26 @@ def enumerate_pictures(
     if kappa1.size > bound:
         raise ValueError(f"{kappa1.size} cells exceed the enumeration bound {bound}")
 
-    domain = j_order_cells(kappa1)
     codomain = j_order_cells(kappa2)
-    n = len(domain)
-    # Earlier sources weakly north-west (before) and south-east (after) of
-    # each source; the bits of the other codomain cells weakly north-west
-    # of each image.  leq_p is written out: on small shapes these tables
-    # cost more than the search.
-    before = [
-        [k for k in range(pos) if domain[k].row <= c.row and domain[k].col <= c.col]
-        for pos, c in enumerate(domain)
-    ]
-    after = [
-        [k for k in range(pos) if c.row <= domain[k].row and c.col <= domain[k].col]
-        for pos, c in enumerate(domain)
-    ]
-    above = [
-        sum(1 << t for t, x in enumerate(codomain) if x.row <= y.row and x.col <= y.col and t != u)
-        for u, y in enumerate(codomain)
-    ]
+    n = len(codomain)
+    right, up = kappa1._fill_bounds
+    # The bits of the cell above each codomain cell and of its left
+    # neighbour, the cell whose right neighbour it is.
+    right2, up2 = kappa2._fill_bounds
+    need = [0 if a is None else 1 << a for a in up2]
+    for v, u in enumerate(right2):
+        if u is not None:
+            need[u] |= 1 << v
     images: list[int] = []
 
     def rec(pos: int, used: int) -> Iterator[Picture]:
         if pos == n:
             yield Picture(kappa1, kappa2, tuple(codomain[y] for y in images))
             return
-        lo = max([images[k] for k in before[pos]], default=-1)
-        hi = min([images[k] for k in after[pos]], default=n)
+        lo = -1 if up[pos] is None else images[up[pos]]
+        hi = n if right[pos] is None else images[right[pos]]
         for y in range(lo + 1, hi):
-            if not used >> y & 1 and used & above[y] == above[y]:
+            if not used >> y & 1 and used & need[y] == need[y]:
                 images.append(y)
                 yield from rec(pos + 1, used | 1 << y)
                 images.pop()

@@ -19,7 +19,6 @@ __all__ = [
     "leq_p",
     "leq_j",
     "j_order_cells",
-    "row_lengths",
     "add_sequence",
     "partitions_of",
     "partitions_in_box",
@@ -188,9 +187,6 @@ class SkewShape:
     def is_straight(self) -> bool:
         return self.inner.rows == 0
 
-    def row_length(self, i: int) -> int:
-        return self.outer.part(i) - self.inner.part(i)
-
     def contains_cell(self, c: Cell) -> bool:
         return self.inner.part(c.row) < c.col <= self.outer.part(c.row)
 
@@ -214,15 +210,9 @@ class SkewShape:
         return {(c.row, c.col): k for k, c in enumerate(self._j_order)}
 
     @cached_property
-    def _neighbours(self) -> tuple[tuple[int, int], ...]:
-        """J positions (k, m) of each cell and its right or lower neighbour."""
-        index = self._j_index
-        return tuple(
-            (k, index[d])
-            for (i, j), k in index.items()
-            for d in ((i, j + 1), (i + 1, j))
-            if d in index
-        )
+    def _row_lengths(self) -> tuple[int, ...]:
+        """The length of each row of outer, top to bottom."""
+        return tuple(m - self.inner.part(i) for i, m in enumerate(self.outer.parts, start=1))
 
     @cached_property
     def _fill_bounds(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
@@ -283,37 +273,29 @@ def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:
     return shape._j_order
 
 
-def row_lengths(shape: SkewShape) -> Composition:
-    return Composition(tuple(shape.row_length(i) for i in range(1, shape.outer.rows + 1)))
-
-
 class AdditionResult(NamedTuple):
     result: Composition
     valid: bool
-    first_failure: int | None
 
 
 def add_sequence(base: Partition, word: Iterable[int]) -> AdditionResult:
     """Add boxes at the rows named by word, left to right.
 
-    valid is True iff every intermediate stays weakly decreasing; otherwise
-    first_failure is the 1-based length of the shortest failing prefix.  The
+    valid is True iff every intermediate stays weakly decreasing.  The
     boxes are added regardless, so the returned shape always has
     |base| + len(word) cells.
     """
     parts = list(base.parts)
     valid = True
-    first_failure: int | None = None
-    for k, i in enumerate(word, start=1):
+    for i in word:
         if i < 1:
             raise ValueError(f"row index must be positive, got {i}")
         while len(parts) < i:
             parts.append(0)
         parts[i - 1] += 1
-        if valid and i > 1 and parts[i - 2] < parts[i - 1]:
+        if i > 1 and parts[i - 2] < parts[i - 1]:
             valid = False
-            first_failure = k
-    return AdditionResult(Composition(tuple(parts)), valid, first_failure)
+    return AdditionResult(Composition(tuple(parts)), valid)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

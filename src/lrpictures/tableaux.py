@@ -45,14 +45,12 @@ class SkewTableau:
             rows = tuple(_ints(row) for row in self.rows)
         except TypeError:
             raise ValueError(f"expected a list of rows, got {self.rows!r}") from None
-        expected = self.shape.outer.rows
-        if len(rows) != expected:
-            raise ValueError(f"expected {expected} rows, got {len(rows)}")
-        for i, row in enumerate(rows, start=1):
-            if len(row) != self.shape.row_length(i):
-                raise ValueError(
-                    f"row {i} has {len(row)} entries, shape wants {self.shape.row_length(i)}"
-                )
+        lengths = self.shape._row_lengths
+        if len(rows) != len(lengths):
+            raise ValueError(f"expected {len(lengths)} rows, got {len(rows)}")
+        for i, (row, m) in enumerate(zip(rows, lengths), start=1):
+            if len(row) != m:
+                raise ValueError(f"row {i} has {len(row)} entries, shape wants {m}")
             if row and min(row) < 1:
                 raise ValueError(f"entries must be positive, got row {row}")
         object.__setattr__(self, "rows", rows)
@@ -108,20 +106,25 @@ class SkewTableau:
 def _reading_rows(shape: SkewShape, letters: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The rows of the filling of shape whose J-order reading is letters."""
     rows, end = [], 0
-    for i in range(1, shape.outer.rows + 1):
-        start, end = end, end + shape.row_length(i)
+    for m in shape._row_lengths:
+        start, end = end, end + m
         rows.append(tuple(letters[start:end][::-1]))
     return tuple(rows)
 
 
 def validate_semistandard(t: SkewTableau) -> bool:
-    """Rows weakly increase left to right, columns strictly increase top to bottom.
+    """Rows weakly increase left to right, columns strictly increase top to bottom."""
+    return _semistandard(t.reading(), t.shape)
 
-    Each letter of the J-order reading is compared with its right neighbour
-    and the letter above it, at the positions the shape's fill table keeps.
+
+def _semistandard(r: Sequence[int], shape: SkewShape) -> bool:
+    """Is r, written into shape along its J order, weakly increasing along
+    rows and strictly increasing down columns?
+
+    Each letter is compared with its right neighbour and the letter above
+    it, at the positions the shape's fill table keeps.
     """
-    r = t.reading()
-    right, above = t.shape._fill_bounds
+    right, above = shape._fill_bounds
     for a, j, i in zip(r, right, above):
         if (j is not None and r[j] < a) or (i is not None and r[i] >= a):
             return False

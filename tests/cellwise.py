@@ -30,7 +30,6 @@ from lrpictures import (
     leq_p,
     lr_membership,
     me_reading,
-    row_lengths,
 )
 from lrpictures.rsk import _to_columns, _unbump
 
@@ -58,9 +57,9 @@ def in_s_set_with_content_check(ctx, s):
     if not validate_semistandard_by_cells(s):
         return False
     counts = Counter(s.reading())
-    lengths = row_lengths(ctx.kappa2)
-    top = max([ctx.kappa2.outer.rows, *counts.keys()], default=0)
-    if any(counts.get(i, 0) != lengths.part(i) for i in range(1, top + 1)):
+    outer, inner = ctx.kappa2.outer, ctx.kappa2.inner
+    top = max([outer.rows, *counts.keys()], default=0)
+    if any(counts.get(i, 0) != outer.part(i) - inner.part(i) for i in range(1, top + 1)):
         return False
     added = add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters)
     return added.valid and added.result.to_partition() == ctx.nu2

@@ -204,17 +204,17 @@ def test_fast_equivalence_matches_bfs(letters, rng):
 
 def test_lr_membership_examples():
     w = lr_membership(SkewTableau.straight(((1, 2),)), Partition((1,)), Partition((2, 1)))
-    assert w.member and w.final_shape == Partition((2, 1))
+    assert w.member
     assert lr_membership(
         SkewTableau.straight(((1, 1),)), Partition(()), Partition((2,))
     ).member
     w = lr_membership(SkewTableau.straight(((2, 2),)), Partition(()), Partition((2,)))
-    assert not w.member and w.failure_index == 1 and w.final_shape is None
+    assert not w.member
 
 
 def test_lr_membership_wrong_final_shape():
     w = lr_membership(SkewTableau.straight(((1, 1),)), Partition(()), Partition((1, 1)))
-    assert not w.member and w.failure_index == 2
+    assert not w.member
 
 
 def test_lr_membership_rejects_bad_input():

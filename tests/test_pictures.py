@@ -257,3 +257,10 @@ def test_search_matches_pairwise_reference_on_disconnected_shapes():
         assert not _connected(a) and not _connected(b)
         total += _assert_same_as_pairwise_search(a, b)
     assert total == 6029
+
+
+def test_search_matches_pairwise_reference_on_staircases():
+    # Disconnected staircases: every fill-table entry is None, so neither
+    # the cell-above / right-neighbour bounds nor the lookahead applies
+    counts = [_assert_same_as_pairwise_search(staircase(n), staircase(n)) for n in range(1, 9)]
+    assert counts == [1, 2, 6, 24, 120, 720, 5040, 40320]

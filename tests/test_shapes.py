@@ -14,11 +14,10 @@ from lrpictures import (
     leq_j,
     leq_p,
     partitions_in_box,
-    row_lengths,
     subpartitions,
 )
 from lrpictures.shapes import _SHAPE_CACHE_SIZE, _interned_shape
-from lrpictures.tableaux import SkewTableau
+from lrpictures.tableaux import SkewTableau, _semistandard
 from cellwise import add_one
 from conftest import cells, partitions, skew_shapes
 
@@ -108,7 +107,7 @@ def test_j_order_cells_sorted_and_complete(shape):
     [((2, 1), (1,), (1, 1)), ((3, 2), (1, 1), (2, 1)), ((2, 2), (2, 2), (0, 0))],
 )
 def test_row_lengths_examples(outer, inner, expected):
-    assert row_lengths(SkewShape(Partition(outer), Partition(inner))).parts == expected
+    assert SkewShape(Partition(outer), Partition(inner))._row_lengths == expected
 
 
 def test_skew_shape_rejects_non_nested():
@@ -133,13 +132,13 @@ def test_add_sequence_worked_example():
         steps.append(running.parts)
     assert steps == [(2, 2, 1), (3, 2, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1)]
     result = add_sequence(Partition((2, 2)), (3, 1, 2, 1, 2))
-    assert result.valid and result.first_failure is None
+    assert result.valid
     assert result.result.parts == (4, 4, 1)
 
 
 def test_add_sequence_invalid_cases():
     result = add_sequence(Partition((2, 2)), (2,))
-    assert not result.valid and result.first_failure == 1
+    assert not result.valid
     assert result.result.parts == (2, 3)
     result = add_sequence(Partition(()), (1, 2, 3))
     assert result.valid and result.result.parts == (1, 1, 1)
@@ -148,7 +147,7 @@ def test_add_sequence_invalid_cases():
 def test_add_sequence_reports_first_failure_only():
     # the remark word: invalid at step 1 even though the total is a partition
     result = add_sequence(Partition((2, 2)), (2, 2, 1, 3, 3))
-    assert not result.valid and result.first_failure == 1
+    assert not result.valid
     assert result.result.parts == (3, 4, 2)
 
 
@@ -156,7 +155,6 @@ def test_add_sequence_reports_first_failure_only():
 def test_add_sequence_size_invariant(base, word):
     result = add_sequence(base, word)
     assert result.result.size == base.size + len(word)
-    assert result.valid == (result.first_failure is None)
 
 
 @given(partitions(), st.lists(st.integers(1, 6), min_size=1, max_size=10))
@@ -215,12 +213,16 @@ def test_shape_cache_is_bounded():
     assert _interned_shape.cache_info().currsize == _SHAPE_CACHE_SIZE
 
 
-def test_neighbour_pairs_are_the_right_and_lower_steps():
+def test_standard_fillings_increase_along_the_right_and_lower_steps():
+    # the picture check writes distinct J positions into a shape; a filling
+    # passes exactly when it increases along each right and lower step
     shape = SkewShape(Partition((3, 2)), Partition((1,)))
     cells = j_order_cells(shape)  # (1,3) (1,2) (2,2) (2,1)
-    pairs = {(cells[k], cells[m]) for k, m in shape._neighbours}
-    assert pairs == {
-        (Cell(1, 2), Cell(1, 3)),
-        (Cell(1, 2), Cell(2, 2)),
-        (Cell(2, 1), Cell(2, 2)),
-    }
+    steps = [(Cell(1, 2), Cell(1, 3)), (Cell(1, 2), Cell(2, 2)), (Cell(2, 1), Cell(2, 2))]
+    standard = 0
+    for r in itertools.permutations(range(4)):
+        value = dict(zip(cells, r))
+        expected = all(value[a] < value[b] for a, b in steps)
+        assert _semistandard(r, shape) == expected, r
+        standard += expected
+    assert standard == 5
