@@ -15,6 +15,12 @@ quartiles.  A gain stands when the change wins at least nine in ten pairs
 and its median beats the parent's by more than that distance.  Without
 --claim the pairs go under "runs", for workloads that must only not
 regress.
+
+After every invocation, each workload's pairs, claimed or not, are checked
+for regression: for every end-to-end metric of BENCHMARK.json, one line
+gives the parent and change medians, the relative change and whether the
+change is worse by more than the metric's bound.  The same rows are stored
+under "no_regression".
 """
 
 from __future__ import annotations
@@ -91,6 +97,39 @@ def claim_line(s: dict) -> str:
     )
 
 
+def no_regression(pairs: list[dict], end_to_end: list[dict]) -> list[dict]:
+    """Per workload and end-to-end metric: both medians, the relative change
+    and whether the change is worse by more than the metric's bound."""
+    rows = []
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        mine = [p for p in pairs if p["workload"] == workload]
+        for m in end_to_end:
+            if any(m["name"] not in p[side]["metrics"] for p in mine for side in SIDES):
+                continue
+            medians = {side: statistics.median(p[side]["metrics"][m["name"]]["value"] for p in mine)
+                       for side in SIDES}
+            change = medians["change"] / medians["parent"] - 1
+            worse = change if m["better"] == "lower" else -change
+            rows.append({
+                "workload": workload,
+                "metric": m["name"],
+                "parent_median": medians["parent"],
+                "change_median": medians["change"],
+                "change": round(change, 4),
+                "bound": m["bound"],
+                "worse_beyond_bound": worse > m["bound"],
+            })
+    return rows
+
+
+def regression_line(r: dict) -> str:
+    verdict = "WORSE beyond its bound" if r["worse_beyond_bound"] else "within its bound"
+    return (
+        f"{r['workload']} {r['metric']}: median {_number(r['parent_median'])} -> "
+        f"{_number(r['change_median'])} ({r['change']:+.1%}), bound {r['bound']:.0%}; {verdict}"
+    )
+
+
 def write_bench(path: Path, doc: dict) -> None:
     """doc as JSON with one run per line, the layout of the earlier BENCH files."""
     lines = []
@@ -144,8 +183,12 @@ def main(argv: list[str] | None = None) -> int:
         claimed = [p for p in doc["pairs"] if p["workload"] == args.workload]
         summary = summarize(claimed, CLAIMED_METRIC, better[CLAIMED_METRIC])
         doc["claim"] = claim_line(summary)
-        write_bench(path, doc)
         print(doc["claim"])
+    doc["no_regression"] = no_regression(doc.get("pairs", []) + doc.get("runs", []),
+                                         bench["end_to_end"])
+    write_bench(path, doc)
+    for row in doc["no_regression"]:
+        print(regression_line(row))
     return 0
 
 

@@ -16,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .crystal import LR_MAX_CELLS, _check_lr_size, _lr_fillings, _lr_member, enumerate_lr_crystal
+from .crystal import (
+    LR_MAX_CELLS,
+    _check_lr_size,
+    _lr_fillings,
+    _lr_member,
+    _padded,
+    enumerate_lr_crystal,
+)
 from .pictures import Picture, enumerate_pictures, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
 from .shapes import (
@@ -224,11 +231,11 @@ def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
     # them right to left and a running count is each cell's p_index.  The
     # t-th letter k goes to (k, lambda2_k + t), taken from kappa2's cells.
     index, cells = ctx.kappa2._j_index, ctx.kappa2._j_order
-    seen: dict[int, int] = {}
+    col = [0] + _padded(ctx.lambda2, ctx.rank)
     images = []
     for k in reading:
-        seen[k] = seen.get(k, 0) + 1
-        images.append(cells[index[k, ctx.lambda2.part(k) + seen[k]]])
+        col[k] += 1
+        images.append(cells[index[k, col[k]]])
     return Picture(ctx.kappa1, ctx.kappa2, tuple(images))
 
 

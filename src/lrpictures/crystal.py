@@ -18,8 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
 from .shapes import Partition, SkewShape, _interned_shape, add_sequence
-from .tableaux import SkewTableau, _reading_rows, enumerate_ssyt, me_reading
-from .rsk import column_insert_sequence
+from .tableaux import SkewTableau, _fillings, enumerate_ssyt, me_reading
 from .words import TensorWord, Word
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "combinatorial_r",
     "neighbours",
     "equiv_check",
-    "equiv_check_fast",
     "tensor_concat",
     "lr_membership",
     "enumerate_lr_crystal",
@@ -199,9 +197,8 @@ def equiv_check(
 
     mode 'knuth' closes a word under the fundamental Knuth transformations;
     mode 'crystal' closes a tensor word under R at every window.  The two
-    notions correspond under letter reversal.  Words
-    longer than max_len (default DEFAULT_BFS_LENGTH) are refused; use
-    equiv_check_fast for those.
+    notions correspond under letter reversal.  Words longer than max_len
+    (default DEFAULT_BFS_LENGTH) are refused.
     """
     bound = DEFAULT_BFS_LENGTH if max_len is None else max_len
     a, b = _letters_of(x), _letters_of(y)
@@ -225,22 +222,6 @@ def equiv_check(
                 seen.add(m)
                 queue.append(m)
     return False
-
-
-def equiv_check_fast(x, y, mode: Literal["knuth", "crystal"] = "knuth") -> bool:
-    """Unbounded equivalence test via equality of column-insertion tableaux.
-
-    A word is inserted right to left, a tensor word left to right; two
-    sequences are equivalent exactly when the insertions agree.
-    """
-    a, b = _letters_of(x), _letters_of(y)
-    if len(a) != len(b):
-        raise ValueError(f"words have different lengths: {len(a)} vs {len(b)}")
-    if mode == "knuth":
-        a, b = tuple(reversed(a)), tuple(reversed(b))
-    elif mode != "crystal":
-        raise ValueError(f"mode must be 'knuth' or 'crystal', got {mode!r}")
-    return column_insert_sequence(a)[0] == column_insert_sequence(b)[0]
 
 
 def tensor_concat(a: TensorWord, b: TensorWord) -> TensorWord:
@@ -307,38 +288,15 @@ def _lr_fillings(
     """Semistandard fillings of shape, entries at most n + 1, whose J-order
     reading adds boxes to lam through partitions and ends at nu.
 
-    The shape is filled along the J order, values ascending, and a letter is
-    refused when its box would break the partition or leave nu.  Neither
-    failure recovers later, and a filling that stays inside nu ends at nu
-    since |lam| + |shape| = |nu|.  So the output is enumerate_ssyt(shape,
-    n + 1) filtered by the addition condition, in the same order.  On a
-    straight shape mu it is the LR crystal; on nu/lam from the empty
-    partition to mu it is the LR rule (content mu, lattice reading).
+    A filling that stays inside nu ends at nu since |lam| + |shape| = |nu|,
+    so this is enumerate_ssyt(shape, n + 1) filtered by the addition
+    condition, in the same order.  On a straight shape mu it is the LR
+    crystal; on nu/lam from the empty partition to mu it is the LR rule
+    (content mu, lattice reading).
     """
     if lam.size + shape.size != nu.size or not nu.contains(lam):
         return ()
-    parts, cap = _padded(lam, n), _padded(nu, n)
-    right, above = shape._fill_bounds
-    size = shape.size
-    values = [0] * size
-    out: list[SkewTableau] = []
-
-    def fill(pos: int) -> None:
-        if pos == size:
-            out.append(SkewTableau._built(shape, _reading_rows(shape, values)))
-            return
-        lo = 1 if above[pos] is None else values[above[pos]] + 1
-        hi = n + 1 if right[pos] is None else values[right[pos]]
-        for v in range(lo, hi + 1):
-            r = v - 1
-            if parts[r] < cap[r] and (r == 0 or parts[r - 1] > parts[r]):
-                values[pos] = v
-                parts[r] += 1
-                fill(pos + 1)
-                parts[r] -= 1
-
-    fill(0)
-    return tuple(out)
+    return tuple(_fillings(shape, n + 1, _padded(lam, n), _padded(nu, n)))
 
 
 def enumerate_lr_crystal(

@@ -35,16 +35,6 @@ class Picture:
                 f"{len(self.images)} images for a domain of {self.domain.size} cells"
             )
 
-    def inverse(self) -> "Picture":
-        back = dict(zip(self.images, j_order_cells(self.domain)))
-        if len(back) != len(self.images):
-            raise ValueError("map is not injective; no inverse")
-        return Picture(
-            self.codomain,
-            self.domain,
-            tuple(back[c] for c in j_order_cells(self.codomain)),
-        )
-
     def to_json(self) -> dict:
         return {
             "domain": self.domain.to_json(),

@@ -178,6 +178,38 @@ def p_index(t: SkewTableau, c: Cell) -> int:
     return level_set(t, t.entry(c)).index(c) + 1
 
 
+def _fillings(
+    shape: SkewShape, top: int, parts: list[int], cap: list[int]
+) -> Iterator[SkewTableau]:
+    """Semistandard fillings of shape, entries at most top, whose J-order
+    reading adds boxes to the partition parts without leaving cap.
+
+    Cells are filled along the J order, values ascending, so the output is
+    lexicographic in the reading.  A letter v is refused when its box at row
+    v would leave cap or break the partition.  parts, of at least top rows,
+    is updated in place and restored.
+    """
+    right, above = shape._fill_bounds
+    size = shape.size
+    values = [0] * size
+
+    def fill(pos: int) -> Iterator[SkewTableau]:
+        if pos == size:
+            yield SkewTableau._built(shape, _reading_rows(shape, values))
+            return
+        lo = 1 if above[pos] is None else values[above[pos]] + 1
+        hi = top if right[pos] is None else values[right[pos]]
+        for v in range(lo, hi + 1):
+            r = v - 1
+            if parts[r] < cap[r] and (r == 0 or parts[r - 1] > parts[r]):
+                values[pos] = v
+                parts[r] += 1
+                yield from fill(pos + 1)
+                parts[r] -= 1
+
+    return fill(0)
+
+
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     """All semistandard fillings with entries in 1..max_entry.
 
@@ -188,18 +220,9 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
         raise ValueError(
             f"shape has {shape.size} cells, enumeration bound is {DEFAULT_ENUMERATION_CELLS}"
         )
-    right, above = shape._fill_bounds
-    size = shape.size
-    values = [0] * size
-
-    def rec(pos: int) -> Iterator[SkewTableau]:
-        if pos == size:
-            yield SkewTableau._built(shape, _reading_rows(shape, values))
-            return
-        lo = 1 if above[pos] is None else values[above[pos]] + 1
-        hi = max_entry if right[pos] is None else values[right[pos]]
-        for v in range(lo, hi + 1):
-            values[pos] = v
-            yield from rec(pos + 1)
-
-    yield from rec(0)
+    # Rows g apart, each with room for g more boxes: a row gains at most
+    # |shape| < g boxes, so no row catches up with the one above it and no
+    # cap is reached, and the LR filler refuses no letter.
+    g = shape.size + 1
+    parts = [(max_entry - r) * g for r in range(max_entry)]
+    yield from _fillings(shape, max_entry, parts, [p + g for p in parts])

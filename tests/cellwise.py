@@ -9,7 +9,9 @@ and the picture reference compares every pair of cells both ways.
 add_one builds a shape one box at a time, for a second route to add_sequence.
 c1_by_new_cells and rsk_inverse_by_max_scan are the first forms of the c1
 and RSK-inverse kernels: a new Cell per image, and a max scan of Q's column
-ends per removed letter.
+ends per removed letter.  equiv_by_insertion decides Knuth and crystal
+equivalence by column insertion, the reference for the BFS closure, and
+inverse_picture turns a picture's cell map around.
 """
 
 from collections import Counter
@@ -23,6 +25,7 @@ from lrpictures import (
     TwoRowedArray,
     Word,
     add_sequence,
+    column_insert_sequence,
     enumerate_ssyt,
     is_pj_standard,
     j_order_cells,
@@ -182,3 +185,20 @@ def rsk_inverse_by_max_scan(p, q):
         pairs.append((u, _unbump(p_cols, j)))
     pairs.reverse()
     return TwoRowedArray(Word(tuple(u for u, _ in pairs)), Word(tuple(v for _, v in pairs)))
+
+
+def equiv_by_insertion(x, y, mode):
+    """Equivalence of two words or tensor words by equality of their
+    column-insertion tableaux: a word is inserted right to left, a tensor
+    word left to right."""
+    a, b = x.letters, y.letters
+    if mode == "knuth":
+        a, b = a[::-1], b[::-1]
+    return column_insert_sequence(a)[0] == column_insert_sequence(b)[0]
+
+
+def inverse_picture(p):
+    """The picture from p's codomain to its domain that undoes p's cell map."""
+    back = dict(zip(p.images, j_order_cells(p.domain)))
+    assert len(back) == len(p.images), "map is not injective"
+    return Picture(p.codomain, p.domain, tuple(back[c] for c in j_order_cells(p.codomain)))

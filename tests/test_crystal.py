@@ -16,7 +16,6 @@ from lrpictures import (
     enumerate_pictures,
     epsilon,
     equiv_check,
-    equiv_check_fast,
     is_highest_weight,
     lr_coefficient,
     lr_membership,
@@ -30,7 +29,7 @@ from lrpictures import (
     weight,
 )
 from lrpictures.crystal import LR_MAX_CELLS, _knuth_moves, _lr_fillings, cached_ssyt, neighbours
-from cellwise import lr_crystal_by_filter
+from cellwise import equiv_by_insertion, lr_crystal_by_filter
 
 
 def all_tensor_words(rank, length):
@@ -197,9 +196,9 @@ def test_fast_equivalence_matches_bfs(letters, rng):
     shuffled = list(letters)
     rng.shuffle(shuffled)
     a, b = Word(letters), Word(tuple(shuffled))
-    assert equiv_check(a, b, "knuth") == equiv_check_fast(a, b, "knuth")
+    assert equiv_check(a, b, "knuth") == equiv_by_insertion(a, b, "knuth")
     ta, tb = TensorWord(3, letters), TensorWord(3, tuple(shuffled))
-    assert equiv_check(ta, tb, "crystal") == equiv_check_fast(ta, tb, "crystal")
+    assert equiv_check(ta, tb, "crystal") == equiv_by_insertion(ta, tb, "crystal")
 
 
 def test_lr_membership_examples():

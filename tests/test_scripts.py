@@ -80,6 +80,40 @@ def test_bench_pairs_summarizes_canned_pairs(tmp_path):
     assert len(path.read_text().splitlines()) == 7  # one line per pair
 
 
+def test_bench_pairs_reports_no_regression():
+    bench = load_script("bench_pairs")
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def result(ops_per_s, rss):
+        return {"metrics": {"ops_per_s": {"value": ops_per_s}, "peak_rss_mb": {"value": rss}}}
+
+    def pair(workload, seed, parent, change):
+        return {"workload": workload, "seed": seed, "parent": result(*parent),
+                "change": result(*change)}
+
+    pairs = [
+        pair("lr_coeff", 1, (20000, 20.0), (19000, 20.5)),
+        pair("lr_coeff", 2, (22000, 20.0), (21000, 20.5)),
+        pair("lr_coeff", 3, (21000, 20.0), (20000, 20.5)),
+        # peak_rss_mb +25% breaks its bound of 20%; ops_per_s -25% is on its bound
+        pair("pictures", 4, (280, 24.0), (210, 30.0)),
+    ]
+    rows = bench.no_regression(pairs, end_to_end)
+    assert [(r["workload"], r["metric"]) for r in rows] == [
+        ("lr_coeff", "ops_per_s"), ("lr_coeff", "peak_rss_mb"),
+        ("pictures", "ops_per_s"), ("pictures", "peak_rss_mb"),
+    ]
+    assert (rows[0]["parent_median"], rows[0]["change_median"]) == (21000, 20000)
+    assert [r["worse_beyond_bound"] for r in rows] == [False, False, False, True]
+    assert (rows[3]["change"], rows[3]["bound"]) == (0.25, 0.2)
+    assert bench.regression_line(rows[0]) == (
+        "lr_coeff ops_per_s: median 21,000 -> 20,000 (-4.8%), bound 25%; within its bound"
+    )
+    assert bench.regression_line(rows[3]) == (
+        "pictures peak_rss_mb: median 24 -> 30 (+25.0%), bound 20%; WORSE beyond its bound"
+    )
+
+
 def test_bench_pairs_reads_a_seed_range():
     bench = load_script("bench_pairs")
     assert bench.seed_range("31-40") == range(31, 41)

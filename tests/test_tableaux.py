@@ -186,19 +186,24 @@ def test_json_round_trip():
 
 def test_row_based_semistandard_check_matches_cellwise():
     # Every filling with entries <= 3, semistandard or not, of every skew
-    # shape of at most 5 cells in the 3x3 box.
+    # shape of at most 5 cells in the 3x3 box.  The accepted ones, in
+    # product order, are enumerate_ssyt's output in its order.
     checked = accepted = 0
     for nu in partitions_in_box(9, 3, 3):
         for lam in subpartitions(nu):
             shape = SkewShape(nu, lam)
             if shape.size > 5:
                 continue
+            found = []
             for letters in product(range(1, 4), repeat=shape.size):
                 t = SkewTableau.from_reading(shape, letters)
                 verdict = validate_semistandard(t)
                 assert verdict == validate_semistandard_by_cells(t), t
                 checked += 1
                 accepted += verdict
+                if verdict:
+                    found.append(t)
+            assert found == list(enumerate_ssyt(shape, 3)), shape
     assert 0 < accepted < checked
 
 
