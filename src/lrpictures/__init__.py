@@ -1,132 +1,44 @@
 """Pictures between skew Young diagrams, Littlewood-Richardson crystals, and
-the column-bumping RSK correspondence that ties them together."""
+the column-bumping RSK correspondence that ties them together.
 
-from .shapes import (
-    AdditionResult,
-    Cell,
-    Composition,
-    Partition,
-    SkewShape,
-    add_sequence,
-    j_order_cells,
-    leq_j,
-    leq_p,
-    partitions_in_box,
-    partitions_of,
-    subpartitions,
-)
-from .words import TensorWord, Word
-from .tableaux import (
-    SkewTableau,
-    enumerate_ssyt,
-    highest_tableau,
-    level_set,
-    me_reading,
-    p_index,
-    skew_word,
-    validate_semistandard,
-)
-from .rsk import (
-    BumpOutcome,
-    TwoRowedArray,
-    column_insert,
-    column_insert_sequence,
-    reverse_column_insert,
-    rsk_forward,
-    rsk_inverse,
-    validate_lex_array,
-)
-from .crystal import (
-    LrWitness,
-    apply_crystal_op,
-    combinatorial_r,
-    enumerate_lr_crystal,
-    epsilon,
-    equiv_check,
-    is_highest_weight,
-    lr_membership,
-    phi,
-    tensor_concat,
-    weight,
-)
-from .pictures import Picture, enumerate_pictures, is_pj_standard, validate_picture
+The package exports the value types of the JSON formats, the operations
+behind the command-line commands, and the partition generators; every other
+name is imported from its own module.
+"""
+
+from .shapes import Cell, Partition, SkewShape, partitions_in_box, partitions_of, subpartitions
+from .tableaux import SkewTableau
+from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
+from .pictures import Picture, enumerate_pictures
 from .correspondence import (
     CorrespondenceContext,
     CrystalPair,
-    c1_skewtab_to_picture,
-    c2_array_to_skewtab,
-    c3_pair_to_array,
-    enumerate_crystal_pairs,
     full_c,
     full_s,
-    in_s_set,
-    in_w_set,
     lr_coefficient,
     lr_routes,
-    s1_picture_to_skewtab,
-    s2_skewtab_to_array,
-    s3_array_to_pair,
 )
 
 __all__ = [
-    "AdditionResult",
-    "BumpOutcome",
+    # JSON value types
     "Cell",
-    "Composition",
-    "CorrespondenceContext",
     "CrystalPair",
-    "LrWitness",
     "Partition",
     "Picture",
     "SkewShape",
     "SkewTableau",
-    "TensorWord",
     "TwoRowedArray",
-    "Word",
-    "add_sequence",
-    "apply_crystal_op",
-    "c1_skewtab_to_picture",
-    "c2_array_to_skewtab",
-    "c3_pair_to_array",
-    "column_insert",
-    "column_insert_sequence",
-    "combinatorial_r",
-    "enumerate_crystal_pairs",
-    "enumerate_lr_crystal",
+    # command-line operations
+    "CorrespondenceContext",
     "enumerate_pictures",
-    "enumerate_ssyt",
-    "epsilon",
-    "equiv_check",
     "full_c",
     "full_s",
-    "highest_tableau",
-    "in_s_set",
-    "in_w_set",
-    "is_highest_weight",
-    "is_pj_standard",
-    "j_order_cells",
-    "leq_j",
-    "leq_p",
-    "level_set",
     "lr_coefficient",
-    "lr_membership",
     "lr_routes",
-    "me_reading",
-    "p_index",
-    "partitions_in_box",
-    "partitions_of",
-    "phi",
-    "reverse_column_insert",
     "rsk_forward",
     "rsk_inverse",
-    "s1_picture_to_skewtab",
-    "s2_skewtab_to_array",
-    "s3_array_to_pair",
-    "skew_word",
+    # partition generators
+    "partitions_in_box",
+    "partitions_of",
     "subpartitions",
-    "tensor_concat",
-    "validate_lex_array",
-    "validate_picture",
-    "validate_semistandard",
-    "weight",
 ]

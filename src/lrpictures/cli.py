@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .correspondence import (
     CorrespondenceContext,
@@ -31,37 +30,31 @@ from .shapes import Partition, SkewShape, _json_object
 from .tableaux import SkewTableau
 from .verify import SUITE_NAMES, run_suite
 
-__all__ = ["CommandReport", "cmd_run", "cmd_verify", "main"]
+__all__ = ["cmd_run", "main"]
 
 _ENV_BOUND = "LRPK_MAX_CELLS"
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
-@dataclass
-class CommandReport:
-    """Outcome of a verification run; elapsed_ms never reaches stdout."""
-
-    status: str
-    payload: dict
-    elapsed_ms: int
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "payload": self.payload}
-
-
 def _read_json(raw: str, stdin):
-    """Parse raw, or the stdin document when raw is '-'; stdin() returns it."""
-    return json.loads(stdin() if raw == "-" else raw)
+    """Parse raw, or the stdin document when raw is '-'; stdin() returns it.
+    A document nested past the recursion limit is malformed input."""
+    text = stdin() if raw == "-" else raw
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def _bound_override() -> int | None:
     raw = os.environ.get(_ENV_BOUND)
     if raw is None:
         return None
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_BOUND} must be an integer, got {raw!r}") from exc
+    # ASCII digits only: int() would also take '9_0', ' 9', '+9' and non-ASCII digits.
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{_ENV_BOUND} must be an integer, got {raw!r}")
+    bound = int(raw)
     if bound < 0:
         raise ValueError(f"{_ENV_BOUND} must not be negative, got {raw!r}")
     return bound
@@ -150,10 +143,11 @@ def _read_shapes(args, stdin) -> tuple[SkewShape, SkewShape]:
 
 def _run_pictures(args, stdin):
     kappa1, kappa2 = _read_shapes(args, stdin)
-    found = list(enumerate_pictures(kappa1, kappa2, max_cells=_bound_override()))
+    found = enumerate_pictures(kappa1, kappa2, max_cells=_bound_override())
     if args.count_only:
-        return {"count": len(found)}, 0
-    return {"count": len(found), "pictures": [f.to_json() for f in found]}, 0
+        return {"count": sum(1 for _ in found)}, 0
+    pictures = [f.to_json() for f in found]
+    return {"count": len(pictures), "pictures": pictures}, 0
 
 
 def _run_to_pair(args, stdin):
@@ -193,22 +187,18 @@ def _run_unrsk(args, stdin):
     return rsk_inverse(p, q).to_json(), 0
 
 
-def cmd_verify(suite: str, seed: int = 0, instances: int = 10000, max_cells: int = 5) -> CommandReport:
-    """Run a named suite and wrap the reports."""
-    start = time.monotonic()
-    reports = run_suite(suite, seed=seed, instances=instances, max_cells=max_cells)
-    elapsed = int((time.monotonic() - start) * 1000)
-    ok = all(r.ok for r in reports)
-    payload = {"reports": [r.to_json() for r in reports]}
-    return CommandReport("ok" if ok else "violation", payload, elapsed)
-
-
 def _run_verify(args, stdin):
-    report = cmd_verify(
+    start = time.monotonic()
+    reports = run_suite(
         args.suite, seed=args.seed, instances=args.instances, max_cells=args.max_cells
     )
-    print(f"elapsed_ms={report.elapsed_ms}", file=sys.stderr)
-    return report.to_json(), 0 if report.status == "ok" else 1
+    print(f"elapsed_ms={int((time.monotonic() - start) * 1000)}", file=sys.stderr)
+    ok = all(r.ok for r in reports)
+    doc = {
+        "status": "ok" if ok else "violation",
+        "payload": {"reports": [r.to_json() for r in reports]},
+    }
+    return doc, 0 if ok else 1
 
 
 _HANDLERS = {

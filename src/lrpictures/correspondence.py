@@ -115,10 +115,6 @@ class CrystalPair:
         if self.first.shape != self.second.shape:
             raise ValueError("tableaux must share one shape")
 
-    @property
-    def mu(self) -> Partition:
-        return self.first.shape.outer
-
     def to_json(self) -> dict:
         return {"first": self.first.to_json(), "second": self.second.to_json()}
 
@@ -206,17 +202,13 @@ def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPai
     return pair
 
 
-def _c3(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
+def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
+    """Reverse-bump the second tableau using the first as recording tableau."""
     # CrystalPair makes both tableaux straight and same-shaped and the LR
     # memberships check them semistandard: all that rsk_inverse checks.
     if not _in_product(ctx, pair):
         raise ValueError("pair is not in the crystal product of this context")
     return _rsk_inverse(pair.second, pair.first)
-
-
-def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
-    """Reverse-bump the second tableau using the first as recording tableau."""
-    return _c3(ctx, pair)
 
 
 def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTableau:
@@ -255,7 +247,7 @@ def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
     """Crystal pair to picture, the inverse of full_s: c1(c2(c3(pair))),
     checking only the pair.  The J-order reading of c2's tableau is the
     array's bottom row."""
-    return _c1(ctx, _c3(ctx, pair).bottom.letters)
+    return _c1(ctx, c3_pair_to_array(ctx, pair).bottom.letters)
 
 
 def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:

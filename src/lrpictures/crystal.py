@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, _interned_shape, add_sequence
+from .shapes import Partition, SkewShape, _interned_shape, _ints, add_sequence
 from .tableaux import SkewTableau, _fillings, enumerate_ssyt, me_reading
 from .words import TensorWord, Word
 
@@ -184,28 +184,22 @@ def neighbours(
 def _letters_of(x) -> tuple[int, ...]:
     if isinstance(x, (Word, TensorWord)):
         return x.letters
-    return tuple(int(a) for a in x)
+    return _ints(x)
 
 
-def equiv_check(
-    x,
-    y,
-    mode: Literal["knuth", "crystal"] = "knuth",
-    max_len: int | None = None,
-) -> bool:
+def equiv_check(x, y, mode: Literal["knuth", "crystal"] = "knuth") -> bool:
     """Exact equivalence by breadth-first closure.
 
     mode 'knuth' closes a word under the fundamental Knuth transformations;
     mode 'crystal' closes a tensor word under R at every window.  The two
-    notions correspond under letter reversal.  Words longer than max_len
-    (default DEFAULT_BFS_LENGTH) are refused.
+    notions correspond under letter reversal.  Words longer than
+    DEFAULT_BFS_LENGTH are refused.
     """
-    bound = DEFAULT_BFS_LENGTH if max_len is None else max_len
     a, b = _letters_of(x), _letters_of(y)
     if len(a) != len(b):
         raise ValueError(f"words have different lengths: {len(a)} vs {len(b)}")
-    if len(a) > bound:
-        raise ValueError(f"length {len(a)} exceeds the BFS bound {bound}")
+    if len(a) > DEFAULT_BFS_LENGTH:
+        raise ValueError(f"length {len(a)} exceeds the BFS bound {DEFAULT_BFS_LENGTH}")
     if sorted(a) != sorted(b):
         return False  # both move families permute letters
     step = neighbours(mode)

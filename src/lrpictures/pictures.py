@@ -59,21 +59,24 @@ class Picture:
         }
         if len(given) != len(pairs):
             raise ValueError("pairs name a domain cell more than once")
-        sources = domain._j_index
-        if given.keys() != sources.keys():
+        # Both sizes are checked before a shape builds its tables, so the
+        # tables are no larger than the pairs given.
+        if len(given) != domain.size or given.keys() != domain._j_index.keys():
             raise ValueError("pairs do not cover exactly the domain cells")
+        if codomain.size != domain.size:
+            raise ValueError(f"sizes differ: {domain.size} vs {codomain.size}")
         # Each image is the codomain's own Cell; one outside the codomain
         # gets a Cell of its own, which validate_picture refuses.
         index, cells = codomain._j_index, codomain._j_order
-        images = (given[x] for x in sources)
+        images = (given[x] for x in domain._j_index)
         return cls(
             domain, codomain, tuple(cells[index[y]] if y in index else Cell(*y) for y in images)
         )
 
 
 def _coordinates(obj) -> tuple[int, int]:
-    """obj as a plain (row, col) pair, with the checks and messages of
-    Cell.from_json."""
+    """obj as a plain (row, col) pair, with the checks and messages of the
+    Cell constructor."""
     row, col = _json_pair(obj, "[row, col]")
     if type(row) is not int or type(col) is not int or row < 1 or col < 1:
         Cell(row, col)  # raises the constructor's message

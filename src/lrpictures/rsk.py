@@ -45,9 +45,6 @@ class TwoRowedArray:
     def __len__(self) -> int:
         return len(self.top)
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.top.letters, self.bottom.letters))
-
     def to_json(self) -> dict:
         return {"top": self.top.to_json(), "bottom": self.bottom.to_json()}
 

@@ -83,10 +83,6 @@ class Cell:
     def to_json(self) -> list[int]:
         return [self.row, self.col]
 
-    @classmethod
-    def from_json(cls, obj) -> "Cell":
-        return cls(*_json_pair(obj, "[row, col]"))
-
 
 def leq_p(a: Cell, b: Cell) -> bool:
     """Componentwise partial order: a weakly above and weakly left of b."""

@@ -23,7 +23,6 @@ __all__ = [
     "me_reading",
     "skew_word",
     "highest_tableau",
-    "level_set",
     "p_index",
     "enumerate_ssyt",
     "DEFAULT_ENUMERATION_CELLS",
@@ -160,22 +159,15 @@ def highest_tableau(lam: Partition) -> SkewTableau:
     )
 
 
-def level_set(t: SkewTableau, k: int) -> tuple[Cell, ...]:
-    """Cells holding entry k, rightmost first.
-
-    In a semistandard tableau no two such cells share a column, so the
-    column-descending order is well defined and agrees with the J order.
-    """
-    cells = [c for c, a in zip(j_order_cells(t.shape), t.reading()) if a == k]
-    cells.sort(key=lambda c: -c.col)
-    return tuple(cells)
-
-
 def p_index(t: SkewTableau, c: Cell) -> int:
-    """1-based rank of c among the cells of the same entry, counted from the right."""
-    if not t.shape.contains_cell(c):
-        raise ValueError(f"cell ({c.row}, {c.col}) outside the shape")
-    return level_set(t, t.entry(c)).index(c) + 1
+    """1-based rank of c among the cells of the same entry, counted from the
+    right; cells of one column, which a semistandard t never has, count
+    from the top."""
+    k = t.entry(c)  # refuses a cell outside the shape
+    return 1 + sum(
+        a == k and (d.col, -d.row) > (c.col, -c.row)
+        for d, a in zip(j_order_cells(t.shape), t.reading())
+    )
 
 
 def _fillings(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import _ints, _json_object
+from .shapes import _ints
 
 __all__ = ["Word", "TensorWord"]
 
@@ -65,11 +65,3 @@ class TensorWord:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "letters": list(self.letters)}
-
-    @classmethod
-    def from_json(cls, obj) -> "TensorWord":
-        obj = _json_object(obj, "rank", "letters")
-        return cls(obj["rank"], obj["letters"])

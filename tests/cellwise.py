@@ -17,24 +17,13 @@ inverse_picture turns a picture's cell map around.
 from collections import Counter
 from functools import lru_cache
 
-from lrpictures import (
-    Cell,
-    Composition,
-    Picture,
-    SkewShape,
-    TwoRowedArray,
-    Word,
-    add_sequence,
-    column_insert_sequence,
-    enumerate_ssyt,
-    is_pj_standard,
-    j_order_cells,
-    leq_j,
-    leq_p,
-    lr_membership,
-    me_reading,
-)
-from lrpictures.rsk import _to_columns, _unbump
+from lrpictures import Cell, Picture, SkewShape, TwoRowedArray
+from lrpictures.crystal import lr_membership
+from lrpictures.pictures import is_pj_standard
+from lrpictures.rsk import _to_columns, _unbump, column_insert_sequence
+from lrpictures.shapes import Composition, add_sequence, j_order_cells, leq_j, leq_p
+from lrpictures.tableaux import enumerate_ssyt, me_reading
+from lrpictures.words import Word
 
 
 # Memoised: the in_s_set comparison asks about each filling once per context

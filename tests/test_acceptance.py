@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from lrpictures import enumerate_crystal_pairs, enumerate_pictures
+from lrpictures import enumerate_pictures
+from lrpictures.correspondence import enumerate_crystal_pairs
 from lrpictures.verify import (
     acceptance_contexts,
     check_cardinality_identity,

@@ -4,19 +4,17 @@ import pytest
 
 from lrpictures import (
     Cell,
-    Composition,
     CorrespondenceContext,
     CrystalPair,
     Partition,
     Picture,
     SkewShape,
     SkewTableau,
-    TensorWord,
     TwoRowedArray,
-    Word,
-    column_insert,
-    column_insert_sequence,
 )
+from lrpictures.rsk import column_insert, column_insert_sequence
+from lrpictures.shapes import Composition
+from lrpictures.words import TensorWord, Word
 
 BUILDERS = {
     "cell-row": lambda x: Cell(x, 2),
@@ -50,7 +48,6 @@ def test_constructors_keep_integer_input():
 READERS = [
     (SkewShape, "outer"),
     (SkewTableau, "rows"),
-    (TensorWord, "letters"),
     (TwoRowedArray, "top"),
     (CrystalPair, "first"),
     (Picture, "pairs"),
@@ -70,7 +67,6 @@ TABLEAU = {"outer": [2], "inner": [], "rows": [[1, 2]]}
 DOCUMENTS = [
     (SkewShape, SHAPE),
     (SkewTableau, TABLEAU),
-    (TensorWord, {"rank": 2, "letters": [1, 3]}),
     (TwoRowedArray, {"top": [1, 1], "bottom": [2, 1]}),
     (CrystalPair, {"first": TABLEAU, "second": TABLEAU}),
     (
@@ -89,7 +85,7 @@ def test_from_json_refuses_an_extra_key(cls, doc):
 
 
 # The documents that hold a nested object
-@pytest.mark.parametrize("cls, doc", DOCUMENTS[4:], ids=[c.__name__ for c, _ in DOCUMENTS[4:]])
+@pytest.mark.parametrize("cls, doc", DOCUMENTS[3:], ids=[c.__name__ for c, _ in DOCUMENTS[3:]])
 def test_from_json_refuses_an_extra_key_one_level_down(cls, doc):
     key, inner = next((k, v) for k, v in doc.items() if isinstance(v, dict))
     with pytest.raises(ValueError, match="zzz"):

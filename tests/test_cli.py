@@ -1,13 +1,15 @@
 import json
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from lrpictures import enumerate_pictures
-from lrpictures.cli import cmd_run, cmd_verify
+from lrpictures import SkewShape, enumerate_pictures
+from lrpictures.cli import cmd_run
 from lrpictures.correspondence import LR_MAX_CELLS
 from lrpictures.verify import acceptance_contexts
 from schemas import (
@@ -127,6 +129,13 @@ def test_verify_unknown_suite_exits_2():
 def test_bad_json_exits_2():
     code, out = cmd_run(["lr-coeff", "--lambda", "[2,", "--mu", "[1]", "--nu", "[3]"])
     assert code == 2 and out == ""
+
+
+def test_deeply_nested_json_exits_2(capsys):
+    # json.loads raises RecursionError here, not JSONDecodeError
+    argv = ["lr-coeff", "--lambda", "-", "--mu", "[1]", "--nu", "[1]"]
+    assert cmd_run(argv, stdin_text="[" * 5000) == (2, "")
+    assert capsys.readouterr().err.startswith("error: malformed JSON input: ")
 
 
 def test_bad_value_exits_2():
@@ -280,6 +289,15 @@ def test_negative_env_bound_exits_2(monkeypatch, capsys):
     assert "LRPK_MAX_CELLS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["9_0", " 9", "9 ", "+9", "\u0669"])
+def test_env_bound_takes_ascii_digits_only(raw, monkeypatch, capsys):
+    # int() reads each of these as 9 or 90; nine cells would then list
+    nine = '{"outer":[5,4]}'
+    monkeypatch.setenv("LRPK_MAX_CELLS", raw)
+    assert cmd_run(["pictures", "--kappa1", nine, "--kappa2", "same", "--count-only"]) == (2, "")
+    assert capsys.readouterr().err == f"error: LRPK_MAX_CELLS must be an integer, got {raw!r}\n"
+
+
 def test_lr_coeff_past_twelve_cells():
     # The 13-cell shape is filled directly; swapped, all three routes run
     # on the 6-cell one.
@@ -402,10 +420,42 @@ def test_determinism():
     assert cmd_run(argv) == cmd_run(argv)
 
 
-def test_cmd_verify_reports_elapsed_internally():
-    report = cmd_verify("rsk-bijection")
-    assert report.status == "ok" and report.elapsed_ms >= 0
-    assert "elapsed_ms" not in report.to_json()
+def test_cmd_verify_reports_elapsed_internally(capsys):
+    code, out = cmd_run(["verify", "--suite", "rsk-bijection"])
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "ok" and "elapsed_ms" not in out
+    assert set(doc) == {"status", "payload"} and set(doc["payload"]) == {"reports"}
+    assert re.fullmatch(r"elapsed_ms=\d+\n", capsys.readouterr().err)
+
+
+def test_count_only_does_not_hold_the_pictures():
+    # eight cells, no two comparable: all 8! bijections are pictures
+    stair = '{"outer":[8,7,6,5,4,3,2,1],"inner":[7,6,5,4,3,2,1]}'
+    tracemalloc.start()
+    try:
+        result = cmd_run(["pictures", "--kappa1", stair, "--kappa2", "same", "--count-only"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, '{"count":40320}\n')
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "domain, codomain, message",
+    [
+        ([100000], [1], "pairs do not cover exactly the domain cells"),
+        ([1], [99999, 1], "sizes differ: 1 vs 100000"),
+    ],
+)
+def test_to_pair_checks_sizes_before_building_tables(domain, codomain, message, capsys):
+    pairs = [[[1, 1], [1, 1]]]
+    doc = {"domain": {"outer": domain}, "codomain": {"outer": codomain}, "pairs": pairs}
+    assert cmd_run(["to-pair", "--picture", json.dumps(doc)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    big = SkewShape.from_json({"outer": max(domain, codomain, key=sum)})
+    assert big.size == 100000
+    assert "_j_order" not in big.__dict__ and "_j_index" not in big.__dict__
 
 
 def test_env_bound_override(monkeypatch):

@@ -9,14 +9,8 @@ import json
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lrpictures import (
-    CorrespondenceContext,
-    SkewShape,
-    TwoRowedArray,
-    Word,
-    enumerate_pictures,
-    full_s,
-)
+from lrpictures import CorrespondenceContext, SkewShape, TwoRowedArray, enumerate_pictures, full_s
+from lrpictures.words import Word
 from lrpictures.cli import _PARSER, _parse, cmd_run
 from lrpictures.rsk import rsk_forward
 from lrpictures.verify import SUITE_NAMES

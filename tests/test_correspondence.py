@@ -1,10 +1,10 @@
+import importlib
 import sys
 from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
 
-import lrpictures
 from lrpictures import (
     Cell,
     CorrespondenceContext,
@@ -13,35 +13,39 @@ from lrpictures import (
     Picture,
     SkewShape,
     SkewTableau,
-    TensorWord,
     TwoRowedArray,
-    Word,
+    enumerate_pictures,
+    full_c,
+    full_s,
+    lr_coefficient,
+    lr_routes,
+    partitions_in_box,
+    partitions_of,
+    subpartitions,
+)
+from lrpictures.correspondence import (
+    _c1,
     c1_skewtab_to_picture,
     c2_array_to_skewtab,
     c3_pair_to_array,
-    column_insert_sequence,
-    combinatorial_r,
     enumerate_crystal_pairs,
-    enumerate_pictures,
-    enumerate_ssyt,
-    full_c,
-    full_s,
     in_s_set,
     in_w_set,
-    j_order_cells,
-    lr_coefficient,
-    lr_routes,
-    p_index,
-    partitions_in_box,
-    partitions_of,
     s1_picture_to_skewtab,
     s2_skewtab_to_array,
     s3_array_to_pair,
-    subpartitions,
-    validate_lex_array,
 )
-from lrpictures.correspondence import _c1
-from lrpictures.crystal import _lr_fillings, _lr_member, cached_ssyt, lr_membership
+from lrpictures.crystal import (
+    _lr_fillings,
+    _lr_member,
+    cached_ssyt,
+    combinatorial_r,
+    lr_membership,
+)
+from lrpictures.rsk import column_insert_sequence, validate_lex_array
+from lrpictures.shapes import j_order_cells
+from lrpictures.tableaux import enumerate_ssyt, p_index
+from lrpictures.words import TensorWord, Word
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
 from cellwise import c1_by_new_cells, in_s_set_with_content_check
 
@@ -108,7 +112,7 @@ def test_s2_examples():
 def test_s3_examples():
     pair = s3_array_to_pair(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((1, 2))))
     assert pair.first.rows == ((1,), (2,)) and pair.second.rows == ((1,), (2,))
-    assert pair.mu == Partition((1, 1))
+    assert pair.first.shape == pair.second.shape == SkewShape(Partition((1, 1)))
     pair = s3_array_to_pair(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((2, 1))))
     assert pair.first.rows == ((1, 2),) and pair.second.rows == ((1, 2),)
     pair = s3_array_to_pair(ROW_CTX, TwoRowedArray(Word((1, 1)), Word((1, 1))))
@@ -288,31 +292,33 @@ def test_full_maps_equal_the_composed_stages():
     assert population == 3044
 
 
-COUNTED = (
-    "validate_picture",
-    "validate_semistandard",
-    "lr_membership",
-    "rsk_forward",
-    "in_s_set",
-    "in_w_set",
-    "reverse_column_insert",
-    "rsk_inverse",
-    "c1_skewtab_to_picture",
-    "c2_array_to_skewtab",
-    "c3_pair_to_array",
-)
-# Private kernels, by the module that defines them.
-COUNTED_KERNELS = {"_lr_member": "crystal", "_rsk_forward": "rsk"}
+# Counted functions, public and private, by the module that defines them.
+COUNTED = {
+    "validate_picture": "pictures",
+    "validate_semistandard": "tableaux",
+    "lr_membership": "crystal",
+    "_lr_member": "crystal",
+    "rsk_forward": "rsk",
+    "_rsk_forward": "rsk",
+    "reverse_column_insert": "rsk",
+    "rsk_inverse": "rsk",
+    "in_s_set": "correspondence",
+    "in_w_set": "correspondence",
+    "c1_skewtab_to_picture": "correspondence",
+    "c2_array_to_skewtab": "correspondence",
+    "c3_pair_to_array": "correspondence",
+}
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of COUNTED and COUNTED_KERNELS through every binding in
-    the lrpictures modules."""
+    """Counts calls of COUNTED through every binding in the lrpictures
+    modules."""
     counts = Counter()
-    originals = {name: getattr(lrpictures, name) for name in COUNTED}
-    for name, module in COUNTED_KERNELS.items():
-        originals[name] = getattr(getattr(lrpictures, module), name)
+    originals = {
+        name: getattr(importlib.import_module(f"lrpictures.{module}"), name)
+        for name, module in COUNTED.items()
+    }
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -338,10 +344,14 @@ def test_full_maps_check_once(calls):
     calls.clear()
     assert full_c(ctx, full_s(ctx, f)) == f
     # full_s checks the picture and inserts its array unchecked; full_c
-    # checks each tableau semistandard and reads it once through the LR
-    # kernel, then runs the RSK inverse unchecked
+    # checks through c3, which checks each tableau semistandard and reads
+    # it once through the LR kernel, then runs the RSK inverse unchecked
     assert calls == Counter(
-        validate_picture=1, _lr_member=2, validate_semistandard=2, _rsk_forward=1
+        validate_picture=1,
+        _lr_member=2,
+        validate_semistandard=2,
+        _rsk_forward=1,
+        c3_pair_to_array=1,
     )
 
 

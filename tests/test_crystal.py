@@ -8,27 +8,31 @@ from lrpictures import (
     Partition,
     SkewShape,
     SkewTableau,
-    TensorWord,
-    Word,
+    enumerate_pictures,
+    lr_coefficient,
+    lr_routes,
+    partitions_in_box,
+    partitions_of,
+    subpartitions,
+)
+from lrpictures.crystal import (
+    LR_MAX_CELLS,
+    _knuth_moves,
+    _lr_fillings,
     apply_crystal_op,
+    cached_ssyt,
     combinatorial_r,
     enumerate_lr_crystal,
-    enumerate_pictures,
     epsilon,
     equiv_check,
     is_highest_weight,
-    lr_coefficient,
     lr_membership,
-    lr_routes,
-    me_reading,
-    partitions_in_box,
-    partitions_of,
+    neighbours,
     phi,
-    skew_word,
-    subpartitions,
     weight,
 )
-from lrpictures.crystal import LR_MAX_CELLS, _knuth_moves, _lr_fillings, cached_ssyt, neighbours
+from lrpictures.tableaux import me_reading, skew_word
+from lrpictures.words import TensorWord, Word
 from cellwise import equiv_by_insertion, lr_crystal_by_filter
 
 
@@ -166,9 +170,18 @@ def test_equiv_check_examples():
 def test_equiv_check_bounds_and_errors():
     with pytest.raises(ValueError):
         equiv_check(Word((1,) * 9), Word((1,) * 9), "knuth")
-    assert equiv_check(Word((1,) * 9), Word((1,) * 9), "knuth", max_len=9)
+    assert equiv_check(Word((1,) * 8), Word((1,) * 8), "knuth")
     with pytest.raises(ValueError):
         equiv_check(Word((1,)), Word((1, 1)), "knuth")
+
+
+@pytest.mark.parametrize("bad", [[1.9, 2], [True, 2], ["1", "2"]])
+def test_equiv_check_refuses_non_integer_letters(bad):
+    # int() would read each of these as the word 1 2
+    with pytest.raises(ValueError, match="expected an integer"):
+        equiv_check(bad, [1, 2])
+    with pytest.raises(ValueError, match="expected an integer"):
+        equiv_check([1, 2], bad, "crystal")
 
 
 def test_reversal_matches_knuth_and_crystal():

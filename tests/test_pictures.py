@@ -9,12 +9,11 @@ from lrpictures import (
     Picture,
     SkewShape,
     enumerate_pictures,
-    is_pj_standard,
-    j_order_cells,
     partitions_in_box,
     subpartitions,
-    validate_picture,
 )
+from lrpictures.pictures import is_pj_standard, validate_picture
+from lrpictures.shapes import j_order_cells
 from lrpictures.verify import acceptance_contexts
 from cellwise import inverse_picture, picture_by_all_pairs, pictures_by_pairwise_search
 

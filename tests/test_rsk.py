@@ -11,18 +11,19 @@ from lrpictures import (
     SkewShape,
     SkewTableau,
     TwoRowedArray,
-    Word,
-    column_insert,
-    column_insert_sequence,
-    equiv_check,
-    reverse_column_insert,
     rsk_forward,
     rsk_inverse,
-    skew_word,
-    validate_lex_array,
-    validate_semistandard,
 )
-from lrpictures.rsk import _rsk_inverse
+from lrpictures.crystal import equiv_check
+from lrpictures.rsk import (
+    _rsk_inverse,
+    column_insert,
+    column_insert_sequence,
+    reverse_column_insert,
+    validate_lex_array,
+)
+from lrpictures.tableaux import skew_word, validate_semistandard
+from lrpictures.words import Word
 from cellwise import rsk_inverse_by_max_scan
 
 EMPTY = SkewTableau.straight(())
@@ -183,7 +184,8 @@ def test_column_bumping_lemma_random():
 
 
 def test_insertion_respects_knuth_class():
-    from lrpictures import enumerate_ssyt, partitions_of
+    from lrpictures import partitions_of
+    from lrpictures.tableaux import enumerate_ssyt
 
     # growing a tableau by one letter keeps the word in its plactic class
     for size in range(5):

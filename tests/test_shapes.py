@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrpictures import (
-    Cell,
-    Partition,
-    SkewShape,
+from lrpictures import Cell, Partition, SkewShape, partitions_in_box, subpartitions
+from lrpictures.pictures import _coordinates
+from lrpictures.shapes import (
+    _SHAPE_CACHE_SIZE,
+    _interned_shape,
     add_sequence,
     j_order_cells,
     leq_j,
     leq_p,
-    partitions_in_box,
-    subpartitions,
 )
-from lrpictures.shapes import _SHAPE_CACHE_SIZE, _interned_shape
 from lrpictures.tableaux import SkewTableau, _semistandard
 from cellwise import add_one
 from conftest import cells, partitions, skew_shapes
@@ -182,7 +180,7 @@ def test_json_round_trips():
     p = Partition((3, 1))
     assert Partition.from_json(p.to_json()) == p
     c = Cell(2, 5)
-    assert Cell.from_json(c.to_json()) == c
+    assert _coordinates(c.to_json()) == (c.row, c.col)
     s = SkewShape(Partition((3, 1)), Partition((1,)))
     assert SkewShape.from_json(s.to_json()) == s
 
@@ -192,7 +190,7 @@ def test_from_json_accepts_integers_only(x):
     with pytest.raises(ValueError):
         Partition.from_json([x, 1])
     with pytest.raises(ValueError):
-        Cell.from_json([1, x])
+        _coordinates([1, x])
     with pytest.raises(ValueError):
         SkewShape.from_json({"outer": [3, x], "inner": [1]})
 

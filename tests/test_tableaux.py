@@ -3,22 +3,15 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from lrpictures import (
-    Cell,
-    Partition,
-    SkewShape,
-    SkewTableau,
-    enumerate_lr_crystal,
+from lrpictures import Cell, Partition, SkewShape, SkewTableau, partitions_in_box, subpartitions
+from lrpictures.crystal import enumerate_lr_crystal
+from lrpictures.shapes import j_order_cells
+from lrpictures.tableaux import (
     enumerate_ssyt,
     highest_tableau,
-    j_order_cells,
-    leq_j,
-    level_set,
     me_reading,
     p_index,
-    partitions_in_box,
     skew_word,
-    subpartitions,
     validate_semistandard,
 )
 from lrpictures.rsk import _straight
@@ -83,6 +76,9 @@ def test_p_index_examples():
     assert p_index(y, Cell(1, 1)) == 2
     with pytest.raises(ValueError):
         p_index(y, Cell(3, 3))
+    # not semistandard: equal entries in one column count from the top
+    z = SkewTableau.straight(((1, 1), (1,)))
+    assert [p_index(z, c) for c in (Cell(1, 2), Cell(1, 1), Cell(2, 1))] == [1, 2, 3]
 
 
 def test_enumerate_ssyt_examples():
@@ -152,10 +148,10 @@ def test_enumerated_family_properties():
         assert validate_semistandard(t)
         seen_letters = set(t.reading())
         for k in seen_letters:
-            cells = level_set(t, k)
-            # one cell per column, ordered compatibly with the J order
-            assert len({c.col for c in cells}) == len(cells)
-            assert all(leq_j(cells[i], cells[i + 1]) for i in range(len(cells) - 1))
+            cells = [c for c, a in zip(j_order_cells(t.shape), t.reading()) if a == k]
+            # a horizontal strip: one cell per column, so the J order lists
+            # the cells right to left, and p_index counts them in that order
+            assert all(cells[i].col > cells[i + 1].col for i in range(len(cells) - 1))
             for idx, c in enumerate(cells, start=1):
                 assert p_index(t, c) == idx
         reading = me_reading(t)

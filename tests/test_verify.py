@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import pytest
 
 import lrpictures.verify
-from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray, Word
+from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray
+from lrpictures.words import Word
 from lrpictures.cli import cmd_run
 from lrpictures.verify import (
     SUITE_NAMES,
