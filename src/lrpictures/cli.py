@@ -46,25 +46,37 @@ def _read_json(raw: str, stdin):
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
+def _ascii_int(raw: str) -> int | None:
+    """raw as an int when it is ASCII digits after an optional '-', else None;
+    int() would also take '9_0', ' 9', '+9' and non-ASCII digits."""
+    digits = raw[1:] if raw.startswith("-") else raw
+    return int(raw) if digits.isascii() and digits.isdigit() else None
+
+
 def _bound_override() -> int | None:
     raw = os.environ.get(_ENV_BOUND)
     if raw is None:
         return None
-    # ASCII digits only: int() would also take '9_0', ' 9', '+9' and non-ASCII digits.
-    digits = raw[1:] if raw.startswith("-") else raw
-    if not (digits.isascii() and digits.isdigit()):
+    bound = _ascii_int(raw)
+    if bound is None:
         raise ValueError(f"{_ENV_BOUND} must be an integer, got {raw!r}")
-    bound = int(raw)
     if bound < 0:
         raise ValueError(f"{_ENV_BOUND} must not be negative, got {raw!r}")
     return bound
 
 
-def _non_negative(raw: str) -> int:
+def _integer(raw: str) -> int:
     try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        value = _ascii_int(raw)
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    return value
+
+
+def _non_negative(raw: str) -> int:
+    value = _integer(raw)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
@@ -105,7 +117,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)} or all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--instances", type=_non_negative, default=10000)
     p.add_argument("--max-cells", type=_non_negative, default=5)
     return parser, sub.choices

@@ -270,8 +270,9 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     'crystal' fills shape mu so that its reading carries lam to nu,
     'pictures' counts pictures from straight mu to nu/lam, and
     'skew_tableaux' fills nu/lam with content mu and a lattice reading (the
-    LR rule).  Every route recurses once per cell of mu, so mu past
-    LR_MAX_CELLS cells is refused with ValueError before any route runs.
+    LR rule).  The pictures route recurses once per cell of mu, so mu past
+    LR_MAX_CELLS cells is refused with ValueError before any route runs,
+    and the other two refuse the same mu.
     """
     _check_lr_size(mu)
     if lam.size + mu.size != nu.size or not nu.contains(lam):

@@ -41,10 +41,10 @@ __all__ = [
 # Longest words equiv_check will close over by breadth-first search.
 DEFAULT_BFS_LENGTH = 8
 
-# Every LR route and the picture search fill or search one cell per
-# recursion level, so they refuse more than this many cells, well inside
-# Python's default recursion limit of 1000 even when the caller is already
-# deep in its own stack.
+# The picture search recurses once per cell, so it refuses more than this
+# many cells, well inside Python's default recursion limit of 1000 even when
+# the caller is already deep in its own stack.  The J-order filler does not
+# recurse; the LR routes keep the bound so that all three refuse the same mu.
 LR_MAX_CELLS = 500
 
 # Memo bounds for long-running processes; `verify --suite all` uses about
@@ -300,8 +300,8 @@ def enumerate_lr_crystal(
     lexicographic in the J-order reading.
 
     The count is the Littlewood-Richardson coefficient of the triple, which
-    is stable in n once n reaches the row count of nu.  The filler recurses
-    once per cell, so mu past LR_MAX_CELLS cells is refused with ValueError.
+    is stable in n once n reaches the row count of nu.  mu past LR_MAX_CELLS
+    cells is refused with ValueError, as every route of lr_routes refuses it.
     """
     _check_lr_size(mu)
     if n is None:

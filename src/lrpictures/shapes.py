@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import ge, lt
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -102,9 +103,9 @@ class Partition:
 
     def __post_init__(self) -> None:
         parts = _ints(self.parts)
-        if any(p < 0 for p in parts):
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -123,7 +124,8 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i) for i in range(1, other.rows + 1))
+        # Parts are positive, so a longer other has a row that self lacks.
+        return len(other.parts) <= len(self.parts) and all(map(ge, self.parts, other.parts))
 
     def to_json(self) -> list[int]:
         return list(self.parts)
@@ -175,7 +177,9 @@ class SkewShape:
         if not self.outer.contains(self.inner):
             raise ValueError(f"inner {self.inner.parts} not contained in outer {self.outer.parts}")
 
-    @property
+    # The size and the tables below are kept in the instance __dict__,
+    # outside the dataclass fields, so equality and hashing ignore them.
+    @cached_property
     def size(self) -> int:
         return self.outer.size - self.inner.size
 
@@ -189,8 +193,6 @@ class SkewShape:
     def cell_set(self) -> frozenset[Cell]:
         return frozenset(j_order_cells(self))
 
-    # The tables below are kept in the instance __dict__, outside the
-    # dataclass fields, so equality and hashing ignore them.
     @cached_property
     def _j_order(self) -> tuple[Cell, ...]:
         return tuple(

@@ -179,27 +179,47 @@ def _fillings(
     Cells are filled along the J order, values ascending, so the output is
     lexicographic in the reading.  A letter v is refused when its box at row
     v would leave cap or break the partition.  parts, of at least top rows,
-    is updated in place and restored.
-    """
-    right, above = shape._fill_bounds
-    size = shape.size
-    values = [0] * size
+    is updated in place and restored once the fillings run out.
 
-    def fill(pos: int) -> Iterator[SkewTableau]:
-        if pos == size:
-            yield SkewTableau._built(shape, _reading_rows(shape, values))
-            return
-        lo = 1 if above[pos] is None else values[above[pos]] + 1
-        hi = top if right[pos] is None else values[right[pos]]
-        for v in range(lo, hi + 1):
+    The search is one backtrack in this frame: values holds the letter
+    placed at each position, and stepping back to a position takes its box
+    out of parts and resumes at the next letter, so no cell costs a frame.
+    """
+    size = shape.size
+    if not size:
+        yield SkewTableau._built(shape, _reading_rows(shape, ()))
+        return
+    right, above = shape._fill_bounds
+    last = size - 1
+    values = [0] * size
+    pos, v, hi = 0, 1, top
+    while True:
+        while v <= hi:
             r = v - 1
             if parts[r] < cap[r] and (r == 0 or parts[r - 1] > parts[r]):
-                values[pos] = v
-                parts[r] += 1
-                yield from fill(pos + 1)
-                parts[r] -= 1
-
-    return fill(0)
+                break
+            v += 1
+        else:
+            # No letter is left at pos: take back the one before it.
+            if not pos:
+                return
+            pos -= 1
+            v = values[pos]
+            parts[v - 1] -= 1
+            j = right[pos]
+            hi = top if j is None else values[j]
+            v += 1
+            continue
+        values[pos] = v
+        if pos == last:
+            yield SkewTableau._built(shape, _reading_rows(shape, values))
+            v += 1
+            continue
+        parts[v - 1] += 1
+        pos += 1
+        i, j = above[pos], right[pos]
+        v = 1 if i is None else values[i] + 1
+        hi = top if j is None else values[j]
 
 
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:

@@ -11,7 +11,8 @@ c1_by_new_cells and rsk_inverse_by_max_scan are the first forms of the c1
 and RSK-inverse kernels: a new Cell per image, and a max scan of Q's column
 ends per removed letter.  equiv_by_insertion decides Knuth and crystal
 equivalence by column insertion, the reference for the BFS closure, and
-inverse_picture turns a picture's cell map around.
+inverse_picture turns a picture's cell map around.  fillings_by_recursion is
+the first form of the J-order filler, one generator frame per cell.
 """
 
 from collections import Counter
@@ -22,7 +23,7 @@ from lrpictures.crystal import lr_membership
 from lrpictures.pictures import is_pj_standard
 from lrpictures.rsk import _to_columns, _unbump, column_insert_sequence
 from lrpictures.shapes import Composition, add_sequence, j_order_cells, leq_j, leq_p
-from lrpictures.tableaux import enumerate_ssyt, me_reading
+from lrpictures.tableaux import SkewTableau, _reading_rows, enumerate_ssyt, me_reading
 from lrpictures.words import Word
 
 
@@ -191,3 +192,26 @@ def inverse_picture(p):
     back = dict(zip(p.images, j_order_cells(p.domain)))
     assert len(back) == len(p.images), "map is not injective"
     return Picture(p.codomain, p.domain, tuple(back[c] for c in j_order_cells(p.codomain)))
+
+
+def fillings_by_recursion(shape, top, parts, cap):
+    """The J-order filler as a recursive generator, one frame per cell."""
+    right, above = shape._fill_bounds
+    size = shape.size
+    values = [0] * size
+
+    def fill(pos):
+        if pos == size:
+            yield SkewTableau._built(shape, _reading_rows(shape, values))
+            return
+        lo = 1 if above[pos] is None else values[above[pos]] + 1
+        hi = top if right[pos] is None else values[right[pos]]
+        for v in range(lo, hi + 1):
+            r = v - 1
+            if parts[r] < cap[r] and (r == 0 or parts[r - 1] > parts[r]):
+                values[pos] = v
+                parts[r] += 1
+                yield from fill(pos + 1)
+                parts[r] -= 1
+
+    return fill(0)

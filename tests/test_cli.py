@@ -323,8 +323,9 @@ def test_cross_check_on_ten_cells():
 
 @pytest.mark.parametrize("flags", [[], ["--cross-check"]])
 def test_lr_coeff_refuses_mu_past_the_cell_bound(flags, capsys):
-    # Every route recurses once per cell of mu, so a long mu exits 2 with
-    # the bound named, not with a RecursionError traceback.
+    # The pictures route recurses once per cell of mu, so a long mu exits 2
+    # with the bound named, not with a RecursionError traceback; without
+    # --cross-check the crystal route refuses the same mu.
     for m in (3000, LR_MAX_CELLS + 1):
         argv = ["lr-coeff", "--lambda", "[]", "--mu", f"[{m}]", "--nu", f"[{m}]", *flags]
         assert cmd_run(argv) == (2, "")
@@ -359,6 +360,22 @@ def test_negative_verify_size_exits_2(argv, flag, capsys):
     assert cmd_run(argv) == (2, "")
     err = capsys.readouterr().err
     assert f"argument {flag}: must not be negative, got -" in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--instances", "--max-cells"])
+@pytest.mark.parametrize("raw", ["+2", "2_0", " 2", "2 ", "\u0662", "-", "", "0x2", "9" * 5000])
+def test_verify_integers_are_ascii_digits(flag, raw, capsys):
+    # int() reads each of these as a number; the options take ASCII digits only
+    argv = ["verify", "--suite", "knuth-crystal", "--instances", "1", "--max-cells", "1", flag, raw]
+    assert cmd_run(argv) == (2, "")
+    assert f"argument {flag}: invalid int value: {raw!r}" in capsys.readouterr().err
+
+
+def test_verify_seed_may_be_negative():
+    argv = ["verify", "--suite", "knuth-crystal", "--instances", "3", "--max-cells", "2"]
+    code, out = cmd_run([*argv, "--seed", "-3"])
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    assert cmd_run([*argv, "--seed", "07"]) == cmd_run([*argv, "--seed", "7"])
 
 
 def test_same_shape_from_stdin_is_read_once():

@@ -253,8 +253,8 @@ def test_enumerate_lr_crystal_examples():
 
 
 def test_enumerate_lr_crystal_refuses_mu_past_the_cell_bound():
-    # the filler recurses once per cell of mu, so a long mu is refused with
-    # the bound named, not with a RecursionError
+    # the filler does not recurse, but a long mu is refused with the bound
+    # named, as the pictures route of lr_routes must refuse it
     with pytest.raises(ValueError, match=f"mu has 3000 cells, past the LR bound of {LR_MAX_CELLS}"):
         enumerate_lr_crystal(Partition((3000,)), Partition(), Partition((3000,)))
     mu = Partition((LR_MAX_CELLS,))

@@ -35,6 +35,37 @@ def test_partition_rejects_bad_input():
         Partition((2, -1))
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((1, 2, -1), "negative part in (1, 2, -1)"),
+        ((-1,), "negative part in (-1,)"),
+        ((0, -2, 0), "negative part in (0, -2, 0)"),
+        ((1, 2), "parts not weakly decreasing: (1, 2)"),
+        ((3, 0, 1), "parts not weakly decreasing: (3, 0, 1)"),
+        ((2, 2, 1, 3), "parts not weakly decreasing: (2, 2, 1, 3)"),
+    ],
+)
+def test_partition_reports_a_negative_part_first(parts, message):
+    with pytest.raises(ValueError) as exc:
+        Partition(parts)
+    assert str(exc.value) == message
+
+
+def test_contains_matches_the_row_by_row_definition():
+    # Every ordered pair in the 4x4 box, and each against a longer other.
+    box = list(partitions_in_box(16, 4, 4))
+    longer = [Partition((1,) * 5), Partition((4, 4, 4, 4, 1)), Partition((5,) * 5)]
+    checked = 0
+    for big in box + longer:
+        for small in box + longer:
+            rows = range(1, small.rows + 1)
+            assert big.contains(small) == all(big.part(i) >= small.part(i) for i in rows)
+            checked += 1
+    assert checked == 73 * 73
+    assert not Partition((4, 4, 4, 4)).contains(Partition((1,) * 5))
+
+
 def test_cell_requires_positive_coordinates():
     with pytest.raises(ValueError):
         Cell(0, 1)

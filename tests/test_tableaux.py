@@ -3,10 +3,19 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from lrpictures import Cell, Partition, SkewShape, SkewTableau, partitions_in_box, subpartitions
-from lrpictures.crystal import enumerate_lr_crystal
+from lrpictures import (
+    Cell,
+    Partition,
+    SkewShape,
+    SkewTableau,
+    partitions_in_box,
+    partitions_of,
+    subpartitions,
+)
+from lrpictures.crystal import _padded, enumerate_lr_crystal
 from lrpictures.shapes import j_order_cells
 from lrpictures.tableaux import (
+    _fillings,
     enumerate_ssyt,
     highest_tableau,
     me_reading,
@@ -15,7 +24,12 @@ from lrpictures.tableaux import (
     validate_semistandard,
 )
 from lrpictures.rsk import _straight
-from cellwise import fill_bounds_by_cells, j_order_cells_by_rows, validate_semistandard_by_cells
+from cellwise import (
+    fill_bounds_by_cells,
+    fillings_by_recursion,
+    j_order_cells_by_rows,
+    validate_semistandard_by_cells,
+)
 from conftest import skew_shapes
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -91,6 +105,58 @@ def test_enumerate_ssyt_examples():
 def test_enumerate_ssyt_bound():
     with pytest.raises(ValueError):
         list(enumerate_ssyt(SkewShape(Partition((5, 5, 3))), 3))
+
+
+def same_fillings(shape, top, parts, cap):
+    """The loop's fillings are the recursive filler's, in its order, and
+    both give parts back as they found it."""
+    given = list(parts)
+    found = list(_fillings(shape, top, parts, cap))
+    assert parts == given, (shape, top)
+    assert found == list(fillings_by_recursion(shape, top, parts, cap)), (shape, top, given, cap)
+    assert parts == given, (shape, top)
+    return found
+
+
+def test_flat_filler_matches_the_recursive_one():
+    # Every skew shape with nu in the 4x4 box, empty ones included, for
+    # tops 1-5.  The lattice caps (rows from empty, each of room |shape|)
+    # refuse every letter that would break the partition; enumerate_ssyt's
+    # caps refuse none, and top 5 under them would add 746,075 leaves.
+    shapes = [SkewShape(nu, lam) for nu in partitions_in_box(16, 4, 4) for lam in subpartitions(nu)]
+    assert len(shapes) == 1764 and SkewShape(Partition()) in shapes
+    lattice = wide = 0
+    for shape in shapes:
+        g = shape.size + 1
+        for top in range(1, 6):
+            lattice += len(same_fillings(shape, top, [0] * top, [shape.size] * top))
+            if top < 5:
+                parts = [(top - r) * g for r in range(top)]
+                wide += len(same_fillings(shape, top, parts, [p + g for p in parts]))
+    assert (lattice, wide) == (12280, 164786)
+    empty = SkewShape(Partition((2, 1)), Partition((2, 1)))
+    assert same_fillings(empty, 3, [0, 0, 0], [0, 0, 0]) == [SkewTableau(empty, ((), ()))]
+
+
+def test_flat_filler_matches_the_recursive_one_under_lr_caps():
+    # The crystal route's caps (shape mu, from lam inside nu) and the LR
+    # rule's (shape nu/lam, from the empty partition inside mu) refuse
+    # letters, so both fillers prune the same branches.
+    calls = refused = 0
+    for nu in partitions_in_box(8, 4, 4):
+        for lam in subpartitions(nu):
+            for mu in partitions_of(nu.size - lam.size):
+                n = max(nu.rows, mu.rows + lam.rows, 1)
+                for shape, start, cap in (
+                    (SkewShape(mu), lam, nu),
+                    (SkewShape(nu, lam), Partition(), mu),
+                ):
+                    found = same_fillings(shape, n + 1, _padded(start, n), _padded(cap, n))
+                    refused += not found  # every shape has a semistandard filling
+                    calls += 1
+    assert calls == 3972 and refused > calls // 2
+    # a cap of nothing refuses every letter
+    assert same_fillings(SkewShape(Partition((2,))), 2, [0, 0], [0, 0]) == []
 
 
 def test_fill_bounds_match_the_cell_index():
