@@ -8,12 +8,17 @@ import argparse
 import sys
 
 from lrpictures import lr_routes, partitions_in_box, partitions_of, subpartitions
+from lrpictures.cli import _non_negative
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-size", type=int, default=6, help="largest |nu| to tabulate")
-    parser.add_argument("--box", type=int, nargs=2, default=(4, 4), metavar=("ROWS", "COLS"))
+    parser.add_argument(
+        "--max-size", type=_non_negative, default=6, help="largest |nu| to tabulate"
+    )
+    parser.add_argument(
+        "--box", type=_non_negative, nargs=2, default=(4, 4), metavar=("ROWS", "COLS")
+    )
     args = parser.parse_args()
 
     shown = 0

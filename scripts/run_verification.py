@@ -8,19 +8,23 @@ import argparse
 import sys
 import time
 
-from lrpictures.cli import _non_negative
+from lrpictures.cli import _integer, _non_negative
 from lrpictures.verify import SUITE_NAMES, run_suite
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("suite", nargs="?", default="all", help=f"{', '.join(SUITE_NAMES)} or all")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_integer, default=0)
     parser.add_argument("--instances", type=_non_negative, default=10000)
     args = parser.parse_args()
 
     start = time.monotonic()
-    reports = run_suite(args.suite, seed=args.seed, instances=args.instances)
+    try:
+        reports = run_suite(args.suite, seed=args.seed, instances=args.instances)
+    except ValueError as exc:  # an unknown suite, refused before any work
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - start
 
     width = max(len(r.suite) for r in reports)

@@ -12,7 +12,6 @@ phi(first) > eps(second) (lowering).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
@@ -38,7 +37,7 @@ __all__ = [
     "cached_ssyt",
 ]
 
-# Longest words equiv_check will close over by breadth-first search.
+# Longest words equiv_check will close over.
 DEFAULT_BFS_LENGTH = 8
 
 # The picture search recurses once per cell, so it refuses more than this
@@ -188,7 +187,7 @@ def _letters_of(x) -> tuple[int, ...]:
 
 
 def equiv_check(x, y, mode: Literal["knuth", "crystal"] = "knuth") -> bool:
-    """Exact equivalence by breadth-first closure.
+    """Exact equivalence by closure under single moves.
 
     mode 'knuth' closes a word under the fundamental Knuth transformations;
     mode 'crystal' closes a tensor word under R at every window.  The two
@@ -202,20 +201,22 @@ def equiv_check(x, y, mode: Literal["knuth", "crystal"] = "knuth") -> bool:
         raise ValueError(f"length {len(a)} exceeds the BFS bound {DEFAULT_BFS_LENGTH}")
     if sorted(a) != sorted(b):
         return False  # both move families permute letters
-    step = neighbours(mode)
-    if a == b:
-        return True
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        t = queue.popleft()
-        for m in step(t):
-            if m == b:
-                return True
+    return b in _closure(a, neighbours(mode))
+
+
+def _closure(
+    start: tuple[int, ...], step: Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]
+) -> Iterator[tuple[int, ...]]:
+    """start, then every tuple reachable from it by step, each once."""
+    yield start
+    seen = {start}
+    todo = [start]
+    while todo:
+        for m in step(todo.pop()):
             if m not in seen:
                 seen.add(m)
-                queue.append(m)
-    return False
+                todo.append(m)
+                yield m
 
 
 def tensor_concat(a: TensorWord, b: TensorWord) -> TensorWord:
@@ -242,8 +243,7 @@ def lr_membership(
         raise ValueError("straight tableau required")
     n = _resolve_rank(t, lam, nu, n)
     reading = me_reading(t, rank=n)  # rejects non-semistandard fillings
-    added = add_sequence(lam, reading.letters)
-    return LrWitness(added.valid and added.result.to_partition() == nu)
+    return LrWitness(add_sequence(lam, reading.letters) == nu)
 
 
 def _padded(p: Partition, n: int) -> list[int]:

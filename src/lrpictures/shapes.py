@@ -9,14 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import ge, lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 __all__ = [
     "Cell",
     "Partition",
-    "Composition",
     "SkewShape",
-    "AdditionResult",
     "leq_p",
     "leq_j",
     "j_order_cells",
@@ -32,11 +30,11 @@ _SHAPE_CACHE_SIZE = 256
 
 
 def _ints(values) -> tuple[int, ...]:
-    """values as a tuple of ints; floats, booleans and strings are refused, not coerced."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"expected a list of integers, got {values!r}") from None
+    """values, a list or tuple, as a tuple of ints; floats, booleans and
+    strings are refused, not coerced, and so are other iterables."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of integers, got {values!r}")
+    values = tuple(values)
     for x in values:
         if type(x) is not int:
             raise ValueError(f"expected an integer, got {x!r}")
@@ -133,37 +131,6 @@ class Partition:
     @classmethod
     def from_json(cls, obj) -> "Partition":
         return cls(obj)
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Non-negative integer parts in a fixed order; trailing zeros are kept."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        parts = _ints(self.parts)
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def part(self, i: int) -> int:
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
-    def is_partition(self) -> bool:
-        return all(self.parts[i] >= self.parts[i + 1] for i in range(len(self.parts) - 1))
-
-    def to_partition(self) -> Partition:
-        if not self.is_partition():
-            raise ValueError(f"{self.parts} is not weakly decreasing")
-        return Partition(self.parts)
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
 
 @dataclass(frozen=True)
@@ -271,17 +238,11 @@ def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:
     return shape._j_order
 
 
-class AdditionResult(NamedTuple):
-    result: Composition
-    valid: bool
-
-
-def add_sequence(base: Partition, word: Iterable[int]) -> AdditionResult:
+def add_sequence(base: Partition, word: Iterable[int]) -> Partition | None:
     """Add boxes at the rows named by word, left to right.
 
-    valid is True iff every intermediate stays weakly decreasing.  The
-    boxes are added regardless, so the returned shape always has
-    |base| + len(word) cells.
+    The partition reached when every intermediate stays weakly decreasing,
+    else None.  Each letter must be a positive row index, wherever it stands.
     """
     parts = list(base.parts)
     valid = True
@@ -293,7 +254,7 @@ def add_sequence(base: Partition, word: Iterable[int]) -> AdditionResult:
         parts[i - 1] += 1
         if i > 1 and parts[i - 2] < parts[i - 1]:
             valid = False
-    return AdditionResult(Composition(tuple(parts)), valid)
+    return Partition(tuple(parts)) if valid else None
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -309,9 +270,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         for p in range(min(largest, remaining), 0, -1):
             yield from rec(remaining - p, p, prefix + (p,))
 
-    if n == 0:
-        yield Partition()
-        return
     for parts in rec(n, cap, ()):
         yield Partition(parts)
 
@@ -335,8 +293,5 @@ def subpartitions(nu: Partition) -> Iterator[Partition]:
         for v in range(min(prev, parts[i]), -1, -1):
             yield from rec(i + 1, v, prefix + (v,))
 
-    if not parts:
-        yield Partition()
-        return
-    for lam in rec(0, parts[0], ()):
+    for lam in rec(0, parts[0] if parts else 0, ()):
         yield Partition(lam)

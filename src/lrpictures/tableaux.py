@@ -40,10 +40,9 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            rows = tuple(_ints(row) for row in self.rows)
-        except TypeError:
-            raise ValueError(f"expected a list of rows, got {self.rows!r}") from None
+        if not isinstance(self.rows, (list, tuple)):
+            raise ValueError(f"expected a list of rows, got {self.rows!r}")
+        rows = tuple(map(_ints, self.rows))
         lengths = self.shape._row_lengths
         if len(rows) != len(lengths):
             raise ValueError(f"expected {len(lengths)} rows, got {len(rows)}")

@@ -24,6 +24,7 @@ from .correspondence import (
     s3_array_to_pair,
 )
 from .crystal import (
+    _closure,
     apply_crystal_op,
     cached_ssyt,
     combinatorial_r,
@@ -312,21 +313,14 @@ def _words(alphabet: int, length: int):
 
 
 def _closure_classes(items, neighbours) -> dict:
-    """Label each item with a class id under the symmetric closure of neighbours."""
+    """Label each item with a class id under the symmetric closure of
+    neighbours, numbering the classes in the order they first appear."""
     labels: dict = {}
-    next_label = 0
+    classes = 0
     for start in items:
-        if start in labels:
-            continue
-        stack = [start]
-        labels[start] = next_label
-        while stack:
-            t = stack.pop()
-            for m in neighbours(t):
-                if m not in labels:
-                    labels[m] = next_label
-                    stack.append(m)
-        next_label += 1
+        if start not in labels:
+            labels.update(dict.fromkeys(_closure(start, neighbours), classes))
+            classes += 1
     return labels
 
 
@@ -394,7 +388,7 @@ def check_highest_weight_equivalence() -> SuiteReport:
                     reading = me_reading(t, rank=n)
                     for lam in lambdas:
                         report.count("memberships")
-                        valid = add_sequence(lam, reading.letters).valid
+                        valid = add_sequence(lam, reading.letters) is not None
                         # the prefix condition is rank-uniform, so read the
                         # highest tableau at whatever rank its rows demand
                         highest = is_highest_weight(
@@ -422,8 +416,8 @@ def check_tensor_decomposition() -> SuiteReport:
                 rhs = 0
                 for t in cached_ssyt(SkewShape(mu), n + 1):
                     added = add_sequence(lam, me_reading(t, rank=n).letters)
-                    if added.valid:
-                        rhs += len(cached_ssyt(SkewShape(added.result.to_partition()), n + 1))
+                    if added is not None:
+                        rhs += len(cached_ssyt(SkewShape(added), n + 1))
                 if lhs != rhs:
                     report.fail(n=n, lam=lam.to_json(), mu=mu.to_json(), lhs=lhs, rhs=rhs)
                     return report

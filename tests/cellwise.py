@@ -10,7 +10,7 @@ add_one builds a shape one box at a time, for a second route to add_sequence.
 c1_by_new_cells and rsk_inverse_by_max_scan are the first forms of the c1
 and RSK-inverse kernels: a new Cell per image, and a max scan of Q's column
 ends per removed letter.  equiv_by_insertion decides Knuth and crystal
-equivalence by column insertion, the reference for the BFS closure, and
+equivalence by column insertion, the reference for the closure walk, and
 inverse_picture turns a picture's cell map around.  fillings_by_recursion is
 the first form of the J-order filler, one generator frame per cell.
 """
@@ -22,7 +22,7 @@ from lrpictures import Cell, Picture, SkewShape, TwoRowedArray
 from lrpictures.crystal import lr_membership
 from lrpictures.pictures import is_pj_standard
 from lrpictures.rsk import _to_columns, _unbump, column_insert_sequence
-from lrpictures.shapes import Composition, add_sequence, j_order_cells, leq_j, leq_p
+from lrpictures.shapes import add_sequence, j_order_cells, leq_j, leq_p
 from lrpictures.tableaux import SkewTableau, _reading_rows, enumerate_ssyt, me_reading
 from lrpictures.words import Word
 
@@ -54,16 +54,15 @@ def in_s_set_with_content_check(ctx, s):
     top = max([outer.rows, *counts.keys()], default=0)
     if any(counts.get(i, 0) != outer.part(i) - inner.part(i) for i in range(1, top + 1)):
         return False
-    added = add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters)
-    return added.valid and added.result.to_partition() == ctx.nu2
+    return add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters) == ctx.nu2
 
 
-def add_one(shape, i):
-    """Add one box to row i of a Composition or Partition; rows beyond the
-    current length count as empty, and the result need not be a partition."""
-    parts = list(shape.parts) + [0] * max(0, i - len(shape.parts))
+def add_one(parts, i):
+    """parts with one box added to row i; rows beyond the current length
+    count as empty, and the result need not be weakly decreasing."""
+    parts = list(parts) + [0] * max(0, i - len(parts))
     parts[i - 1] += 1
-    return Composition(tuple(parts))
+    return tuple(parts)
 
 
 def lr_crystal_by_filter(mu, lam, nu, n):

@@ -13,14 +13,12 @@ from lrpictures import (
     TwoRowedArray,
 )
 from lrpictures.rsk import column_insert, column_insert_sequence
-from lrpictures.shapes import Composition
 from lrpictures.words import TensorWord, Word
 
 BUILDERS = {
     "cell-row": lambda x: Cell(x, 2),
     "cell-col": lambda x: Cell(1, x),
     "partition": lambda x: Partition((3, x)),
-    "composition": lambda x: Composition((x, 0)),
     "word": lambda x: Word((2, x)),
     "tensor-word-rank": lambda x: TensorWord(x, (1,)),
     "tensor-word-letter": lambda x: TensorWord(2, (1, x)),

@@ -250,6 +250,47 @@ def test_malformed_lists_name_what_was_expected(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+EMPTY_TABLEAU = '{"outer":[],"rows":{}}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lr-coeff", "--lambda", "{}", "--mu", "[1]", "--nu", "[1]"], "got {}"),
+        (["lr-coeff", "--lambda", '""', "--mu", "[1]", "--nu", "[1]"], "got ''"),
+        (["lr-coeff", "--lambda", '{"2":1}', "--mu", "[1]", "--nu", "[1]"], "got {'2': 1}"),
+        (
+            ["pictures", "--kappa1", '{"outer":{},"inner":""}', "--kappa2", "same"],
+            "got {}",
+        ),
+        (["pictures", "--kappa1", '{"outer":"21"}', "--kappa2", "same"], "got '21'"),
+        (["rsk", "--array", '{"top":{},"bottom":""}'], "got {}"),
+        (
+            ["unrsk", "--pair", '{"p":%s,"q":%s}' % (EMPTY_TABLEAU, EMPTY_TABLEAU)],
+            "expected a list of rows, got {}",
+        ),
+        (
+            ["unrsk", "--pair", '{"p":%s,"q":%s}' % (TABLEAU % '["a"]', TABLEAU % "[[1]]")],
+            "got 'a'",
+        ),
+        (
+            ["to-pair", "--picture", '{"domain":{"outer":{}},"codomain":{"outer":[]},"pairs":[]}'],
+            "got {}",
+        ),
+    ],
+    ids=[
+        "object-lambda", "string-lambda", "keyed-lambda", "object-shape", "string-shape",
+        "object-array", "object-rows", "string-row", "object-picture-shape",
+    ],
+)
+def test_objects_and_strings_are_not_lists(argv, message, capsys):
+    # a JSON object or string iterates, but is no list: each was once read
+    # as its keys or characters, the empty ones as an empty list
+    assert cmd_run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected a list of ") and err.endswith(f"{message}\n")
+
+
 def test_unrsk_non_object_pair_names_its_keys(capsys):
     assert cmd_run(["unrsk", "--pair", "[1]"]) == (2, "")
     assert "keys p, q" in capsys.readouterr().err

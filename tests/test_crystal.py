@@ -214,6 +214,19 @@ def test_fast_equivalence_matches_bfs(letters, rng):
     assert equiv_check(ta, tb, "crystal") == equiv_by_insertion(ta, tb, "crystal")
 
 
+def test_equiv_check_matches_insertion_on_every_rearrangement():
+    # every pair of rearrangements of every word of length <= 5 over {1,2,3}
+    for length in range(6):
+        for content in itertools.combinations_with_replacement(range(1, 4), length):
+            words = sorted(set(itertools.permutations(content)))
+            for a, b in itertools.product(words, repeat=2):
+                assert equiv_check(Word(a), Word(b), "knuth") == equiv_by_insertion(
+                    Word(a), Word(b), "knuth"
+                )
+                ta, tb = TensorWord(2, a), TensorWord(2, b)
+                assert equiv_check(ta, tb, "crystal") == equiv_by_insertion(ta, tb, "crystal")
+
+
 def test_lr_membership_examples():
     w = lr_membership(SkewTableau.straight(((1, 2),)), Partition((1,)), Partition((2, 1)))
     assert w.member

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -40,6 +42,28 @@ def test_run_verification_prints_an_ok_row():
 
 def test_run_verification_refuses_negative_instances():
     out = run_script("run_verification.py", "bumping-lemma", "--instances", "-5")
+    assert out.returncode == 2
+    assert out.stdout == "" and "must not be negative" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "+2"], "invalid int value: '+2'"),
+        (["--seed", " 2"], "invalid int value: ' 2'"),
+        (["nosuch"], "error: unknown suite 'nosuch'"),
+    ],
+)
+def test_run_verification_refuses_what_the_cli_refuses(argv, message):
+    out = run_script("run_verification.py", *argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [["--max-size", "-1"], ["--box", "4", "-1"]])
+def test_lr_table_refuses_negative_sizes(argv):
+    out = run_script("lr_table.py", *argv)
     assert out.returncode == 2
     assert out.stdout == "" and "must not be negative" in out.stderr
 

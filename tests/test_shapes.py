@@ -1,11 +1,19 @@
 import itertools
 import json
+from operator import ge, lt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrpictures import Cell, Partition, SkewShape, partitions_in_box, subpartitions
+from lrpictures import (
+    Cell,
+    Partition,
+    SkewShape,
+    partitions_in_box,
+    partitions_of,
+    subpartitions,
+)
 from lrpictures.pictures import _coordinates
 from lrpictures.shapes import (
     _SHAPE_CACHE_SIZE,
@@ -149,54 +157,91 @@ def test_skew_shape_rejects_non_nested():
     [((2, 2), 3, (2, 2, 1)), ((2, 2), 2, (2, 3)), ((), 1, (1,))],
 )
 def test_add_one_examples(base, i, expected):
-    # one box, added whether or not the result is a partition
-    assert add_sequence(Partition(base), (i,)).result.parts == expected
+    # add_one adds the box whether or not the result is a partition;
+    # add_sequence returns the partition reached, or None
+    assert add_one(base, i) == expected
+    reached = add_sequence(Partition(base), (i,))
+    if all(map(ge, expected, expected[1:])):
+        assert reached == Partition(expected)
+    else:
+        assert reached is None
 
 
 def test_add_sequence_worked_example():
     steps = []
-    running = Partition((2, 2))
+    running = (2, 2)
     for letter in (3, 1, 2, 1, 2):
-        running = add_one(running, letter).to_partition()
-        steps.append(running.parts)
+        running = add_one(running, letter)
+        steps.append(running)
     assert steps == [(2, 2, 1), (3, 2, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1)]
-    result = add_sequence(Partition((2, 2)), (3, 1, 2, 1, 2))
-    assert result.valid
-    assert result.result.parts == (4, 4, 1)
+    assert add_sequence(Partition((2, 2)), (3, 1, 2, 1, 2)) == Partition((4, 4, 1))
 
 
 def test_add_sequence_invalid_cases():
-    result = add_sequence(Partition((2, 2)), (2,))
-    assert not result.valid
-    assert result.result.parts == (2, 3)
-    result = add_sequence(Partition(()), (1, 2, 3))
-    assert result.valid and result.result.parts == (1, 1, 1)
+    assert add_sequence(Partition((2, 2)), (2,)) is None
+    assert add_sequence(Partition(()), (1, 2, 3)) == Partition((1, 1, 1))
+
+
+@pytest.mark.parametrize("word", [(0,), (1, 0), (2, 0)])
+def test_add_sequence_refuses_a_row_below_one(word):
+    # (2, 0) refuses the 0 although the 2 already left the partitions
+    with pytest.raises(ValueError, match="row index must be positive"):
+        add_sequence(Partition(()), word)
 
 
 def test_add_sequence_reports_first_failure_only():
-    # the remark word: invalid at step 1 even though the total is a partition
-    result = add_sequence(Partition((2, 2)), (2, 2, 1, 3, 3))
-    assert not result.valid
-    assert result.result.parts == (3, 4, 2)
+    # (2, 2) -> (2, 3) -> (3, 3): the total is a partition, but the first
+    # step was not, so the sequence fails
+    assert add_one(add_one((2, 2), 2), 1) == (3, 3)
+    assert add_sequence(Partition((2, 2)), (2, 1)) is None
+    assert add_sequence(Partition((2, 2)), (2, 2, 1, 3, 3)) is None
 
 
 @given(partitions(), st.lists(st.integers(1, 6), max_size=10))
 def test_add_sequence_size_invariant(base, word):
-    result = add_sequence(base, word)
-    assert result.result.size == base.size + len(word)
+    reached = add_sequence(base, word)
+    assert reached is None or reached.size == base.size + len(word)
+
+
+@given(partitions(), st.lists(st.integers(1, 6), max_size=10))
+def test_add_sequence_matches_add_one(base, word):
+    # None exactly when some step leaves the weakly decreasing tuples;
+    # otherwise the last step
+    steps = [base.parts]
+    for letter in word:
+        steps.append(add_one(steps[-1], letter))
+    broken = any(any(map(lt, t, t[1:])) for t in steps)
+    reached = add_sequence(base, word)
+    if broken:
+        assert reached is None
+    else:
+        assert reached == Partition(steps[-1])
 
 
 @given(partitions(), st.lists(st.integers(1, 6), min_size=1, max_size=10))
 def test_valid_addition_grows_by_single_cells(base, word):
-    result = add_sequence(base, word)
-    if not result.valid:
+    reached = add_sequence(base, word)
+    if reached is None:
         return
     previous = base
     for letter in word:
-        step = add_one(previous, letter).to_partition()
+        step = Partition(add_one(previous.parts, letter))
         assert step.contains(previous) and step.size == previous.size + 1
         previous = step
-    assert previous.parts == result.result.parts
+    assert previous == reached
+
+
+def test_partition_generators_on_empty_input():
+    # the empty partition comes from the general recursion, not a base case
+    assert list(partitions_of(0)) == [Partition()]
+    assert list(partitions_of(0, 0)) == [Partition()]
+    assert list(partitions_of(0, 3)) == [Partition()]
+    assert list(partitions_of(3, 0)) == []
+    assert list(partitions_of(-1)) == []
+    assert list(subpartitions(Partition())) == [Partition()]
+    assert list(subpartitions(Partition((1,)))) == [Partition((1,)), Partition()]
+    assert list(partitions_in_box(0, 0, 0)) == [Partition()]
+    assert list(partitions_in_box(2, 0, 2)) == [Partition()]
 
 
 @given(partitions(max_rows=3, max_part=3))
