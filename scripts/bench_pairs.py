@@ -36,13 +36,38 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from lrpictures.cli import _integer  # noqa: E402
+
 SIDES = ("parent", "change")
 CLAIMED_METRIC = "ops_per_s"
 
 
 def seed_range(text: str) -> range:
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    """FIRST-LAST, or one seed, as a range of seeds; each seed is ASCII
+    digits, and a range that runs backwards is refused."""
+    first, dash, last = text.partition("-")
+    lo = _integer(first)
+    hi = _integer(last) if dash else lo
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"seed range runs backwards: {text!r}")
+    return range(lo, hi + 1)
+
+
+def parent_commit(parent: Path) -> str | None:
+    """The short hash of the commit checked out at parent, or None, with a
+    warning on stderr, when parent is not the top of a git checkout (a
+    git archive copy, say)."""
+    out = subprocess.run(
+        ["git", "-C", str(parent), "rev-parse", "--show-toplevel", "--short", "HEAD"],
+        capture_output=True, text=True,
+    ).stdout.split()
+    if len(out) == 2 and Path(out[0]).resolve() == parent.resolve():
+        return out[1]
+    print(f"warning: no git commit checked out at {parent}; parent_commit is recorded as null",
+          file=sys.stderr)
+    return None
 
 
 def run_side(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -155,10 +180,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     path = ROOT / f"BENCH_{args.pr}.json"
-    commit = subprocess.run(["git", "-C", str(args.parent), "rev-parse", "--short", "HEAD"],
-                            capture_output=True, text=True).stdout.strip() or None
     doc = json.loads(path.read_text()) if path.exists() else {
-        "parent_commit": commit,
+        "parent_commit": parent_commit(args.parent),
         "command": " ".join(bench["command"])
         + f" --workload <workload> --seed <seed> --seconds {seconds:g}",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python "

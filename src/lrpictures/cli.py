@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 from .correspondence import (
     CorrespondenceContext,
@@ -33,6 +34,9 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = ["cmd_run", "main"]
 
 _ENV_BOUND = "LRPK_MAX_CELLS"
+# Partition and shape argument texts kept per process, as for JSON shapes
+# in shapes._interned_shape; a 130-op lr_coeff benchmark pass names ~59.
+_ARGUMENT_CACHE_SIZE = 256
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -44,6 +48,21 @@ def _read_json(raw: str, stdin):
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
+@lru_cache(maxsize=_ARGUMENT_CACHE_SIZE)
+def _parsed_argument(kind: type[Partition] | type[SkewShape], raw: str):
+    """kind.from_json of the JSON text raw, kept per process by the text.
+    Equal values written apart ("[2]", "[2.0]") are read apart, and a
+    refused text, which raises, is never kept."""
+    return kind.from_json(_read_json(raw, None))
+
+
+def _argument(kind: type[Partition] | type[SkewShape], raw: str, stdin):
+    """A partition or shape argument; '-' reads stdin and bypasses the cache."""
+    if raw == "-":
+        return kind.from_json(_read_json(raw, stdin))
+    return _parsed_argument(kind, raw)
 
 
 def _ascii_int(raw: str) -> int | None:
@@ -147,10 +166,10 @@ _TABLES = {name: _option_table(parser) for name, parser in _COMMANDS.items()}
 
 def _read_shapes(args, stdin) -> tuple[SkewShape, SkewShape]:
     """--kappa1 and --kappa2, where kappa2 'same' reuses kappa1 as parsed."""
-    kappa1 = SkewShape.from_json(_read_json(args.kappa1, stdin))
+    kappa1 = _argument(SkewShape, args.kappa1, stdin)
     if args.kappa2 == "same":
         return kappa1, kappa1
-    return kappa1, SkewShape.from_json(_read_json(args.kappa2, stdin))
+    return kappa1, _argument(SkewShape, args.kappa2, stdin)
 
 
 def _run_pictures(args, stdin):
@@ -175,9 +194,9 @@ def _run_to_picture(args, stdin):
 
 
 def _run_lr_coeff(args, stdin):
-    lam = Partition.from_json(_read_json(args.lam, stdin))
-    mu = Partition.from_json(_read_json(args.mu, stdin))
-    nu = Partition.from_json(_read_json(args.nu, stdin))
+    lam = _argument(Partition, args.lam, stdin)
+    mu = _argument(Partition, args.mu, stdin)
+    nu = _argument(Partition, args.nu, stdin)
     if not args.cross_check:
         return {"coefficient": lr_coefficient(lam, mu, nu)}, 0
     routes = lr_routes(lam, mu, nu)

@@ -19,7 +19,7 @@ from typing import Iterator
 from .crystal import (
     LR_MAX_CELLS,
     _check_lr_size,
-    _lr_fillings,
+    _lr_count,
     _lr_member,
     _padded,
     enumerate_lr_crystal,
@@ -280,14 +280,16 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     n = max(nu.rows, mu.rows + lam.rows, 1)
     domain, codomain = _interned_shape(mu.parts, ()), _interned_shape(nu.parts, lam.parts)
     return {
-        "crystal": len(enumerate_lr_crystal(mu, lam, nu, n)),
+        "crystal": _lr_count(domain, lam, nu, n),
         "pictures": sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=mu.size)),
-        "skew_tableaux": len(_lr_fillings(codomain, Partition(), mu, n)),
+        "skew_tableaux": _lr_count(codomain, Partition(), mu, n),
     }
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient of (lam, mu, nu), by the crystal
-    route; lr_routes compares it with the other two.  mu past LR_MAX_CELLS
-    cells is refused with ValueError."""
-    return len(enumerate_lr_crystal(mu, lam, nu))
+    route, counted without building a tableau; lr_routes compares it with
+    the other two.  mu past LR_MAX_CELLS cells is refused with ValueError."""
+    _check_lr_size(mu)
+    n = max(nu.rows, mu.rows + lam.rows, 1)
+    return _lr_count(_interned_shape(mu.parts, ()), lam, nu, n)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
 from .shapes import Partition, SkewShape, _interned_shape, _ints, add_sequence
-from .tableaux import SkewTableau, _fillings, enumerate_ssyt, me_reading
+from .tableaux import SkewTableau, _fillings, _reading_rows, enumerate_ssyt, me_reading
 from .words import TensorWord, Word
 
 __all__ = [
@@ -47,8 +47,10 @@ DEFAULT_BFS_LENGTH = 8
 LR_MAX_CELLS = 500
 
 # Memo bounds for long-running processes; `verify --suite all` uses about
-# 1,600 filling keys and 65 tableau lists.
+# 1,000 filling keys, 950 count keys and 65 tableau lists.  A count is one
+# int, so its cache holds every triple of the lr_coeff benchmark (2,641).
 _FILLINGS_CACHE_SIZE = 4096
+_COUNT_CACHE_SIZE = 4096
 _SSYT_CACHE_SIZE = 256
 
 
@@ -275,22 +277,39 @@ def cached_ssyt(shape: SkewShape, max_entry: int) -> tuple[SkewTableau, ...]:
     return tuple(enumerate_ssyt(shape, max_entry))
 
 
+def _lr_readings(
+    shape: SkewShape, lam: Partition, nu: Partition, n: int
+) -> Iterator[list[int]]:
+    """J-order readings of the semistandard fillings of shape, entries at
+    most n + 1, that add boxes to lam through partitions and end at nu; each
+    is the filler's own list (see _fillings).
+
+    A filling that stays inside nu ends at nu since |lam| + |shape| = |nu|,
+    so these are the readings of enumerate_ssyt(shape, n + 1) filtered by the
+    addition condition, in the same order.  On a straight shape mu they read
+    the LR crystal; on nu/lam from the empty partition to mu, the LR rule
+    (content mu, lattice reading).
+    """
+    if lam.size + shape.size != nu.size or not nu.contains(lam):
+        return iter(())
+    return _fillings(shape, n + 1, _padded(lam, n), _padded(nu, n))
+
+
 @lru_cache(maxsize=_FILLINGS_CACHE_SIZE)
 def _lr_fillings(
     shape: SkewShape, lam: Partition, nu: Partition, n: int
 ) -> tuple[SkewTableau, ...]:
-    """Semistandard fillings of shape, entries at most n + 1, whose J-order
-    reading adds boxes to lam through partitions and ends at nu.
+    """The tableaux of _lr_readings(shape, lam, nu, n), in its order."""
+    return tuple(
+        SkewTableau._built(shape, _reading_rows(shape, r))
+        for r in _lr_readings(shape, lam, nu, n)
+    )
 
-    A filling that stays inside nu ends at nu since |lam| + |shape| = |nu|,
-    so this is enumerate_ssyt(shape, n + 1) filtered by the addition
-    condition, in the same order.  On a straight shape mu it is the LR
-    crystal; on nu/lam from the empty partition to mu it is the LR rule
-    (content mu, lattice reading).
-    """
-    if lam.size + shape.size != nu.size or not nu.contains(lam):
-        return ()
-    return tuple(_fillings(shape, n + 1, _padded(lam, n), _padded(nu, n)))
+
+@lru_cache(maxsize=_COUNT_CACHE_SIZE)
+def _lr_count(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
+    """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept."""
+    return sum(1 for _ in _lr_readings(shape, lam, nu, n))
 
 
 def enumerate_lr_crystal(

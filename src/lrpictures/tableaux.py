@@ -171,14 +171,16 @@ def p_index(t: SkewTableau, c: Cell) -> int:
 
 def _fillings(
     shape: SkewShape, top: int, parts: list[int], cap: list[int]
-) -> Iterator[SkewTableau]:
-    """Semistandard fillings of shape, entries at most top, whose J-order
-    reading adds boxes to the partition parts without leaving cap.
+) -> Iterator[list[int]]:
+    """J-order readings of the semistandard fillings of shape, entries at
+    most top, that add boxes to the partition parts without leaving cap.
 
-    Cells are filled along the J order, values ascending, so the output is
-    lexicographic in the reading.  A letter v is refused when its box at row
-    v would leave cap or break the partition.  parts, of at least top rows,
-    is updated in place and restored once the fillings run out.
+    Each reading is yielded as the loop's own list, which it goes on to
+    change: a caller that keeps a reading copies it.  Cells are filled along
+    the J order, values ascending, so the output is lexicographic.  A letter
+    v is refused when its box at row v would leave cap or break the
+    partition.  parts, of at least top rows, is updated in place and
+    restored once the fillings run out.
 
     The search is one backtrack in this frame: values holds the letter
     placed at each position, and stepping back to a position takes its box
@@ -186,7 +188,7 @@ def _fillings(
     """
     size = shape.size
     if not size:
-        yield SkewTableau._built(shape, _reading_rows(shape, ()))
+        yield []
         return
     right, above = shape._fill_bounds
     last = size - 1
@@ -211,7 +213,7 @@ def _fillings(
             continue
         values[pos] = v
         if pos == last:
-            yield SkewTableau._built(shape, _reading_rows(shape, values))
+            yield values
             v += 1
             continue
         parts[v - 1] += 1
@@ -236,4 +238,5 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     # cap is reached, and the LR filler refuses no letter.
     g = shape.size + 1
     parts = [(max_entry - r) * g for r in range(max_entry)]
-    yield from _fillings(shape, max_entry, parts, [p + g for p in parts])
+    for reading in _fillings(shape, max_entry, parts, [p + g for p in parts]):
+        yield SkewTableau._built(shape, _reading_rows(shape, reading))

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from lrpictures import SkewShape, enumerate_pictures
-from lrpictures.cli import cmd_run
+from lrpictures.cli import _parsed_argument, cmd_run
 from lrpictures.correspondence import LR_MAX_CELLS
 from lrpictures.verify import acceptance_contexts
 from schemas import (
@@ -476,6 +476,72 @@ def test_determinism():
     assert first == second
     argv = ["pictures", "--kappa1", HOOK, "--kappa2", HOOK]
     assert cmd_run(argv) == cmd_run(argv)
+
+
+ARGUMENT_ARGVS = [
+    ["lr-coeff", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", "[3,2,1]"],
+    ["lr-coeff", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", "[3,2,1]", "--cross-check"],
+    ["lr-coeff", "--lambda", "[1]", "--mu", "[2,1]", "--nu", "[2,1]"],
+    ["pictures", "--kappa1", HOOK, "--kappa2", "same"],
+    ["pictures", "--kappa1", '{"outer":[1,1]}', "--kappa2", HOOK, "--count-only"],
+    ["to-picture", "--kappa1", '{"outer":[1]}', "--kappa2", '{"outer":[1]}',
+     "--pair", '{"first":{"outer":[1],"rows":[[1]]},"second":{"outer":[1],"rows":[[1]]}}'],
+]
+
+
+def test_cached_arguments_give_the_same_stdout():
+    _parsed_argument.cache_clear()
+    first = [cmd_run(argv) for argv in ARGUMENT_ARGVS]
+    assert all(code == 0 for code, _ in first)
+    assert _parsed_argument.cache_info().currsize == 6
+    assert [cmd_run(argv) for argv in ARGUMENT_ARGVS] == first
+    _parsed_argument.cache_clear()
+    assert [cmd_run(argv) for argv in ARGUMENT_ARGVS] == first
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("[2.0]", "error: expected an integer, got 2.0"),
+        ("[true]", "error: expected an integer, got True"),
+        ("[1,2]", "error: parts not weakly decreasing: (1, 2)"),
+        ("[-1]", "error: negative part in (-1,)"),
+        ("{}", "error: expected a list of integers, got {}"),
+        ("[2", "error: malformed JSON input: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+    ],
+)
+def test_refused_arguments_are_not_cached(raw, message, capsys):
+    # [2] is cached first; a text equal to it, or malformed, is still refused
+    argv = ["lr-coeff", "--lambda", "[]", "--mu", "[2]", "--nu", "[2]"]
+    assert cmd_run(argv) == (0, '{"coefficient":1}\n')
+    capsys.readouterr()
+    size = _parsed_argument.cache_info().currsize
+    refused = argv[:4] + [raw] + argv[5:]
+    for _ in range(2):
+        assert cmd_run(refused) == (2, "")
+        assert capsys.readouterr().err == message + "\n"
+    assert _parsed_argument.cache_info().currsize == size
+
+
+def test_dash_reads_stdin_on_every_call():
+    argv = ["lr-coeff", "--lambda", "[1]", "--mu", "-", "--nu", "[2,1]"]
+    assert cmd_run(argv, stdin_text="[2]") == (0, '{"coefficient":1}\n')
+    assert cmd_run(argv, stdin_text="[1,1]") == (0, '{"coefficient":1}\n')
+    assert cmd_run(argv, stdin_text="[3]") == (0, '{"coefficient":0}\n')
+    argv = ["pictures", "--kappa1", "-", "--kappa2", "same", "--count-only"]
+    assert cmd_run(argv, stdin_text='{"outer":[2,1]}') == (0, '{"count":1}\n')
+    assert cmd_run(argv, stdin_text='{"outer":[1,1,1]}') == (0, '{"count":1}\n')
+    assert cmd_run(argv, stdin_text='{"outer":[2,1],"inner":[1]}') == (0, '{"count":2}\n')
+
+
+def test_argument_cache_stays_bounded():
+    for k in range(1000):
+        assert cmd_run(["lr-coeff", "--lambda", f"[{k}]", "--mu", "[]", "--nu", f"[{k}]"]) == (
+            0,
+            '{"coefficient":1}\n',
+        )
+    info = _parsed_argument.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_cmd_verify_reports_elapsed_internally(capsys):

@@ -18,6 +18,7 @@ from lrpictures import (
 from lrpictures.crystal import (
     LR_MAX_CELLS,
     _knuth_moves,
+    _lr_count,
     _lr_fillings,
     apply_crystal_op,
     cached_ssyt,
@@ -326,15 +327,37 @@ def test_skew_route_equals_the_crystal_route():
 
 
 def test_filling_caches_stay_bounded():
-    # 10,000 distinct triples: one box added to a row of 1 to 10,000 cells.
+    # 10,000 distinct triples: one box added to a row of 1 to 10,000 cells,
+    # counted and listed.
     for k in range(1, 10001):
-        assert lr_coefficient(Partition((k,)), Partition((1,)), Partition((k + 1,))) == 1
+        triple = Partition((k,)), Partition((1,)), Partition((k + 1,))
+        assert lr_coefficient(*triple) == 1
+        assert len(enumerate_lr_crystal(triple[1], triple[0], triple[2])) == 1
     info = _lr_fillings.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    info = _lr_count.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     for k in range(1, 1001):
         assert len(cached_ssyt(SkewShape(Partition((k,)), Partition((k - 1,))), 1)) == 1
     info = cached_ssyt.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_counts_equal_the_listing_and_the_pictures_route():
+    # Every triple with nu in the 4x4 box, |nu| <= 10 and 4 <= |mu| <= 7:
+    # the count, the listed crystal and the picture search agree.
+    checked = 0
+    for nu in partitions_in_box(10, 4, 4):
+        for lam in subpartitions(nu):
+            if not 4 <= nu.size - lam.size <= 7:
+                continue
+            for mu in partitions_of(nu.size - lam.size):
+                c = lr_coefficient(lam, mu, nu)
+                assert c == len(enumerate_lr_crystal(mu, lam, nu)), (lam, mu, nu)
+                pictures = enumerate_pictures(SkewShape(mu), SkewShape(nu, lam), max_cells=7)
+                assert c == sum(1 for _ in pictures), (lam, mu, nu)
+                checked += 1
+    assert checked == 3113
 
 
 def test_pruned_filling_agrees_with_the_pictures_route():
@@ -357,11 +380,13 @@ def test_pruned_filling_agrees_with_the_pictures_route():
     [
         ((4, 3, 2, 1), (4, 3, 2, 1), (7, 5, 4, 3, 1), 12),
         ((5, 4, 3, 2, 1), (4, 3, 2, 1), (8, 6, 5, 3, 2, 1), 26),
+        ((4, 3, 2, 1), (4, 3, 2, 1), (6, 5, 4, 3, 1, 1), 18),
     ],
 )
 def test_ten_cell_coefficients(lam, mu, nu, expected):
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     assert lr_coefficient(lam, mu, nu) == expected
+    assert len(enumerate_lr_crystal(mu, lam, nu)) == expected
     pictures = enumerate_pictures(SkewShape(mu), SkewShape(nu, lam), max_cells=10)
     assert sum(1 for _ in pictures) == expected
 

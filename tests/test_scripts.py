@@ -142,3 +142,42 @@ def test_bench_pairs_reads_a_seed_range():
     bench = load_script("bench_pairs")
     assert bench.seed_range("31-40") == range(31, 41)
     assert bench.seed_range("7") == range(7, 8)
+    assert bench.seed_range("5-5") == range(5, 6)
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ("5-3", "seed range runs backwards: '5-3'"),
+        ("+5", "invalid int value: '+5'"),
+        ("", "invalid int value: ''"),
+        ("5-", "invalid int value: ''"),
+        ("5-+7", "invalid int value: '+7'"),
+        (" 5", "invalid int value: ' 5'"),
+    ],
+)
+def test_bench_pairs_refuses_a_bad_seed_range(seeds, message, capsys):
+    bench = load_script("bench_pairs")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["no-such-parent", "roundtrip", seeds, "--pr", "0"])
+    assert exc.value.code == 2
+    assert f"argument seeds: {message}" in capsys.readouterr().err
+    assert not (ROOT / "BENCH_0.json").exists()
+
+
+def test_bench_pairs_warns_on_a_parent_without_a_commit(tmp_path, capsys):
+    bench = load_script("bench_pairs")
+    assert bench.parent_commit(tmp_path) is None
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and str(tmp_path) in err
+    # a copy inside some other checkout is not taken for that checkout
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.org"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "t"], check=True)
+    assert bench.parent_commit(copy) is None
+    assert str(copy) in capsys.readouterr().err
+    head = subprocess.run([*git, "rev-parse", "--short", "HEAD"], capture_output=True, text=True)
+    assert bench.parent_commit(tmp_path) == head.stdout.strip()
+    assert capsys.readouterr().err == ""
