@@ -11,16 +11,18 @@ pairs are added to BENCH_<pr>.json at the root of this checkout, which is
 made if missing.  With --claim they go under "pairs" and the claim line is
 written again from every claimed pair of the workload: the pairs the change
 wins on ops_per_s, both medians and the distance between the parent's
-quartiles.  A gain stands when the change wins at least nine in ten pairs
-and its median beats the parent's by more than that distance.  Without
---claim the pairs go under "runs", for workloads that must only not
-regress.
+quartiles.  A gain stands when the change wins at least nine in ten pairs,
+its median beats the parent's by more than that distance, and no change
+run failed more ops than its pair's parent run.  Without --claim the pairs
+go under "runs", for workloads that must only not regress.
 
 After every invocation, each workload's pairs, claimed or not, are checked
 for regression: for every end-to-end metric of BENCHMARK.json, one line
 gives the parent and change medians, the relative change and whether the
 change is worse by more than the metric's bound.  The same rows are stored
-under "no_regression".
+under "no_regression".  One more line per workload gives each side's
+failed ops over its attempted ops, and the seeds where the change run
+failed more ops than the parent run; these rows are stored under "failed".
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
     q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
     medians = {side: statistics.median(v) for side, v in values.items()}
     gain = sign * (medians["change"] - medians["parent"])
+    failed_more = failed_more_seeds(pairs)
     return {
         "workload": pairs[0]["workload"],
         "metric": metric,
@@ -102,8 +105,43 @@ def summarize(pairs: list[dict], metric: str, better: str) -> dict:
         "parent_median": medians["parent"],
         "change_median": medians["change"],
         "parent_quartile_distance": q3 - q1,
-        "gain_stands": wins >= 0.9 * len(pairs) and gain > q3 - q1,
+        "failed_more_seeds": failed_more,
+        "gain_stands": wins >= 0.9 * len(pairs) and gain > q3 - q1 and not failed_more,
     }
+
+
+def failed_more_seeds(pairs: list[dict]) -> list[int]:
+    """The seeds of the pairs whose change run failed more ops than its parent run."""
+    return [p["seed"] for p in pairs if p["change"]["failed"] > p["parent"]["failed"]]
+
+
+def failed_rows(pairs: list[dict]) -> list[dict]:
+    """Per workload: each side's failed ops over its attempted ops, and the
+    seeds where the change failed more ops than the parent."""
+    rows = []
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        mine = [p for p in pairs if p["workload"] == workload]
+        ratio = {}
+        for side in SIDES:
+            attempted = sum(p[side]["attempted"] for p in mine)
+            ratio[side] = sum(p[side]["failed"] for p in mine) / attempted if attempted else 0.0
+        rows.append({
+            "workload": workload,
+            "parent_failed_ratio": ratio["parent"],
+            "change_failed_ratio": ratio["change"],
+            "failed_more_seeds": failed_more_seeds(mine),
+        })
+    return rows
+
+
+def failed_line(r: dict) -> str:
+    seeds = r["failed_more_seeds"]
+    verdict = (f"the change failed more ops than the parent on seeds {', '.join(map(str, seeds))}"
+               if seeds else "the change failed no more ops than the parent on any seed")
+    return (
+        f"{r['workload']} failed ratio: parent {r['parent_failed_ratio']:.4f}, "
+        f"change {r['change_failed_ratio']:.4f}; {verdict}"
+    )
 
 
 def _number(x: float) -> str:
@@ -119,6 +157,8 @@ def claim_line(s: dict) -> str:
         f"{s['pairs']}, median {_number(s['parent_median'])} -> {_number(s['change_median'])} "
         f"({change:+.0%}), parent quartile distance {_number(s['parent_quartile_distance'])}; "
         f"the gain {'stands' if s['gain_stands'] else 'does not stand'}"
+        + (f" (the change failed more ops than the parent on seeds "
+           f"{', '.join(map(str, s['failed_more_seeds']))})" if s["failed_more_seeds"] else "")
     )
 
 
@@ -207,11 +247,14 @@ def main(argv: list[str] | None = None) -> int:
         summary = summarize(claimed, CLAIMED_METRIC, better[CLAIMED_METRIC])
         doc["claim"] = claim_line(summary)
         print(doc["claim"])
-    doc["no_regression"] = no_regression(doc.get("pairs", []) + doc.get("runs", []),
-                                         bench["end_to_end"])
+    every = doc.get("pairs", []) + doc.get("runs", [])
+    doc["no_regression"] = no_regression(every, bench["end_to_end"])
+    doc["failed"] = failed_rows(every)
     write_bench(path, doc)
     for row in doc["no_regression"]:
         print(regression_line(row))
+    for row in doc["failed"]:
+        print(failed_line(row))
     return 0
 
 

@@ -37,6 +37,9 @@ _ENV_BOUND = "LRPK_MAX_CELLS"
 # Partition and shape argument texts kept per process, as for JSON shapes
 # in shapes._interned_shape; a 130-op lr_coeff benchmark pass names ~59.
 _ARGUMENT_CACHE_SIZE = 256
+# Longer argument texts are parsed on every call and never kept, so the
+# cache holds at most 256 texts of this many characters and their values.
+_CACHED_ARGUMENT_CHARS = 512
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -59,10 +62,35 @@ def _parsed_argument(kind: type[Partition] | type[SkewShape], raw: str):
 
 
 def _argument(kind: type[Partition] | type[SkewShape], raw: str, stdin):
-    """A partition or shape argument; '-' reads stdin and bypasses the cache."""
-    if raw == "-":
+    """A partition or shape argument; '-' reads stdin, and both it and a text
+    past _CACHED_ARGUMENT_CHARS characters bypass the cache."""
+    if raw == "-" or len(raw) > _CACHED_ARGUMENT_CHARS:
         return kind.from_json(_read_json(raw, stdin))
     return _parsed_argument(kind, raw)
+
+
+def _tableau_text(t: SkewTableau) -> str:
+    """_ENCODE(t.to_json()), written from the text its shape keeps."""
+    rows = ",".join(["[" + ",".join(map(str, r)) + "]" for r in t.rows])
+    return f'{t.shape._json_head},"rows":[{rows}]}}'
+
+
+def _pair_text(pair: CrystalPair) -> str:
+    """_ENCODE(pair.to_json()), written as _tableau_text writes."""
+    return f'{{"first":{_tableau_text(pair.first)},"second":{_tableau_text(pair.second)}}}'
+
+
+def _picture_text(f: Picture) -> str:
+    """_ENCODE(f.to_json()), written from the texts its shapes keep; every
+    image must be a codomain cell, as in every picture full_c returns."""
+    index, images = f.codomain._j_index, f.codomain._cell_texts
+    pairs = ",".join(
+        [f"[{s},{images[index[c.row, c.col]]}]" for s, c in zip(f.domain._cell_texts, f.images)]
+    )
+    return (
+        f'{{"domain":{f.domain._json_head}}},"codomain":{f.codomain._json_head}}},'
+        f'"pairs":[{pairs}]}}'
+    )
 
 
 def _ascii_int(raw: str) -> int | None:
@@ -183,14 +211,13 @@ def _run_pictures(args, stdin):
 
 def _run_to_pair(args, stdin):
     f = Picture.from_json(_read_json(args.picture, stdin))
-    ctx = CorrespondenceContext(f.domain, f.codomain)
-    return full_s(ctx, f).to_json(), 0
+    return _pair_text(full_s(CorrespondenceContext(f.domain, f.codomain), f)), 0
 
 
 def _run_to_picture(args, stdin):
     ctx = CorrespondenceContext(*_read_shapes(args, stdin))
     pair = CrystalPair.from_json(_read_json(args.pair, stdin))
-    return full_c(ctx, pair).to_json(), 0
+    return _picture_text(full_c(ctx, pair)), 0
 
 
 def _run_lr_coeff(args, stdin):
@@ -208,7 +235,7 @@ def _run_lr_coeff(args, stdin):
 def _run_rsk(args, stdin):
     w = TwoRowedArray.from_json(_read_json(args.array, stdin))
     p, q = rsk_forward(w)
-    return {"p": p.to_json(), "q": q.to_json()}, 0
+    return f'{{"p":{_tableau_text(p)},"q":{_tableau_text(q)}}}', 0
 
 
 def _run_unrsk(args, stdin):
@@ -293,6 +320,8 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
             stdin_text = sys.stdin.read()
         return stdin_text
 
+    # A handler returns its document, or the document's text when it writes
+    # one itself.
     try:
         doc, code = _HANDLERS[args.command](args, stdin)
     except json.JSONDecodeError as exc:
@@ -301,7 +330,7 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
-    return code, _ENCODE(doc) + "\n"
+    return code, (doc if type(doc) is str else _ENCODE(doc)) + "\n"
 
 
 def main() -> None:

@@ -6,9 +6,11 @@ raises ValueError when it lies outside the stage's set.  Outputs are not
 re-checked: that each stage lands in the next stage's set is a theorem of
 the construction, and ``verify --suite roundtrip`` sweeps it over the whole
 acceptance family.  The composed maps check only at the boundary: full_s
-checks the picture (through s1) and full_c the crystal pair (c3's test),
+checks the picture (s1's checks) and full_c the crystal pair (c3's test),
 and both then run the remaining stages unchecked, each stage's computation
-shared with its public map.
+shared with its public map.  full_s builds no tableau for s1: the reading
+of s1's tableau is the images' rows, and s2 takes it as it is.  full_c
+reads each tableau of the pair once, for its semistandard and its LR test.
 """
 
 from __future__ import annotations
@@ -26,15 +28,8 @@ from .crystal import (
 )
 from .pictures import Picture, enumerate_pictures, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
-from .shapes import (
-    Partition,
-    SkewShape,
-    _interned_shape,
-    _json_object,
-    j_order_cells,
-    partitions_of,
-)
-from .tableaux import SkewTableau, _reading_rows, validate_semistandard
+from .shapes import Partition, SkewShape, _interned_shape, _json_object, partitions_of
+from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
 from .words import Word
 
 __all__ = [
@@ -133,17 +128,19 @@ def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
     """
     if s.shape != ctx.kappa1:
         raise ValueError("tableau shape differs from the context's first shape")
-    return validate_semistandard(s) and _lr_member(s.reading(), ctx.lambda2, ctx.nu2, ctx.rank)
+    reading = _semistandard_reading(s)
+    return reading is not None and _lr_member(reading, ctx.lambda2, ctx.nu2)
 
 
 def _in_product(ctx: CorrespondenceContext, pair: CrystalPair) -> bool:
     """Is each tableau of the pair in its Littlewood-Richardson crystal?  A
     tableau that is not semistandard is refused with ValueError, as
-    lr_membership refuses it."""
+    lr_membership refuses it.  Each tableau is read once, for both tests."""
     for t, lam, nu in ((pair.second, ctx.lambda2, ctx.nu2), (pair.first, ctx.lambda1, ctx.nu1)):
-        if not validate_semistandard(t):
+        reading = _semistandard_reading(t)
+        if reading is None:
             raise ValueError("tableau is not semistandard")
-        if not _lr_member(t.reading(), lam, nu, ctx.rank):
+        if not _lr_member(reading, lam, nu):
             return False
     return True
 
@@ -160,8 +157,7 @@ def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
     if len(w) != ctx.size or not validate_lex_array(w):
         return None
     for word, kappa in ((w.top, ctx.kappa1), (w.bottom, ctx.kappa2)):
-        rows = enumerate(kappa._row_lengths, start=1)
-        if sorted(word.letters) != [i for i, m in rows for _ in range(m)]:
+        if tuple(sorted(word.letters)) != kappa._j_rows:
             return None
     pair = _s3(w)
     return pair if _in_product(ctx, pair) else None
@@ -173,18 +169,23 @@ def in_w_set(ctx: CorrespondenceContext, w: TwoRowedArray) -> bool:
     return _w_pair(ctx, w) is not None
 
 
-def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau:
-    """Record the row coordinate of each image; the filling lands in the S set."""
+def _s1_reading(ctx: CorrespondenceContext, f: Picture) -> tuple[int, ...]:
+    """The J-order reading of s1's tableau, after s1's checks: the row of
+    each image, in the domain's J order."""
     if f.domain != ctx.kappa1 or f.codomain != ctx.kappa2:
         raise ValueError("picture does not match the context's shapes")
     if not validate_picture(f):
         raise ValueError("map is not a picture")
-    return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, [img.row for img in f.images]))
+    return tuple(img.row for img in f.images)
+
+
+def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau:
+    """Record the row coordinate of each image; the filling lands in the S set."""
+    return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, _s1_reading(ctx, f)))
 
 
 def _s2(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> TwoRowedArray:
-    top = tuple(c.row for c in j_order_cells(ctx.kappa1))
-    return TwoRowedArray(Word._built(top), Word._built(reading))
+    return TwoRowedArray(Word._built(ctx.kappa1._j_rows), Word._built(reading))
 
 
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
@@ -239,8 +240,9 @@ def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture
 
 
 def full_s(ctx: CorrespondenceContext, f: Picture) -> CrystalPair:
-    """Picture to crystal pair: s3(s2(s1(f))), checking only the picture."""
-    return _s3(_s2(ctx, s1_picture_to_skewtab(ctx, f).reading()))
+    """Picture to crystal pair: s3(s2(s1(f))), checking only the picture.
+    s1's tableau is not built: its reading is the images' rows."""
+    return _s3(_s2(ctx, _s1_reading(ctx, f)))
 
 
 def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:

@@ -52,6 +52,11 @@ LR_MAX_CELLS = 500
 _FILLINGS_CACHE_SIZE = 4096
 _COUNT_CACHE_SIZE = 4096
 _SSYT_CACHE_SIZE = 256
+# A count at a rank past this is counted afresh on every call and never
+# kept.  Every caller's rank is at least the row count of the shape, lam and
+# nu it counts, so the count cache holds at most 4,096 keys of this many
+# rows each.  The lr_coeff benchmark's ranks are at most 8.
+_CACHED_COUNT_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -253,22 +258,25 @@ def _padded(p: Partition, n: int) -> list[int]:
     return list(p.parts) + [0] * (n + 1 - p.rows)
 
 
-def _lr_member(reading: tuple[int, ...], lam: Partition, nu: Partition, n: int) -> bool:
+def _lr_member(reading: tuple[int, ...], lam: Partition, nu: Partition) -> bool:
     """Does adding one box at row a for each letter a of reading, in order,
     carry lam to nu through partitions?
 
     This is lr_membership(t, lam, nu, n).member for a semistandard t with
-    this J-order reading and entries at most n + 1, read in one pass; the
-    caller checks semistandardness.  A letter past n + 1, which
-    lr_membership refuses, fails.
+    this J-order reading, at any rank n of at least nu's row count, read in
+    one pass; the caller checks semistandardness.  Only nu's rows can take
+    a box, so lam is padded to them and a letter past them fails, as does
+    a letter past n + 1, which lr_membership refuses.
     """
-    parts, cap = _padded(lam, n), _padded(nu, n)
+    cap, parts = nu.parts, list(lam.parts)
+    top = len(cap)
+    parts += [0] * (top - len(parts))
     for a in reading:
         r = a - 1
-        if r > n or parts[r] >= cap[r] or (r and parts[r - 1] <= parts[r]):
+        if r >= top or parts[r] >= cap[r] or (r and parts[r - 1] <= parts[r]):
             return False
         parts[r] += 1
-    return parts == cap
+    return tuple(parts) == cap
 
 
 @lru_cache(maxsize=_SSYT_CACHE_SIZE)
@@ -306,9 +314,18 @@ def _lr_fillings(
     )
 
 
-@lru_cache(maxsize=_COUNT_CACHE_SIZE)
 def _lr_count(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
-    """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept."""
+    """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept;
+    kept per process unless n is past _CACHED_COUNT_RANK.  n must be at
+    least the row count of shape, lam and nu."""
+    if n > _CACHED_COUNT_RANK:
+        return _lr_count_cached.__wrapped__(shape, lam, nu, n)
+    return _lr_count_cached(shape, lam, nu, n)
+
+
+@lru_cache(maxsize=_COUNT_CACHE_SIZE)
+def _lr_count_cached(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
+    """_lr_count's body, kept per process by its key."""
     return sum(1 for _ in _lr_readings(shape, lam, nu, n))
 
 

@@ -53,10 +53,24 @@ class Picture:
         pairs = obj["pairs"]
         if not isinstance(pairs, (list, tuple)):
             raise ValueError(f"expected a list of [cell, image] pairs, got {pairs!r}")
-        given = {
-            _coordinates(s): _coordinates(i)
-            for s, i in (_json_pair(p, "[cell, image]") for p in pairs)
-        }
+        given = {}
+        for p in pairs:
+            # A JSON pair of two [row, col] lists of positive ints is read
+            # inline; any other item goes through the helpers, which give
+            # it the message of its first fault, or read a tuple alike.
+            if type(p) is list and len(p) == 2:
+                s, i = p
+                if type(s) is list and type(i) is list and len(s) == len(i) == 2:
+                    (a, b), (c, d) = s, i
+                    if (
+                        type(a) is int and type(b) is int and type(c) is int and type(d) is int
+                        and a > 0 and b > 0 and c > 0 and d > 0
+                    ):
+                        given[a, b] = c, d
+                        continue
+            s, i = _json_pair(p, "[cell, image]")
+            source = _coordinates(s)  # before the image, whose fault comes second
+            given[source] = _coordinates(i)
         if len(given) != len(pairs):
             raise ValueError("pairs name a domain cell more than once")
         # Both sizes are checked before a shape builds its tables, so the
@@ -68,10 +82,11 @@ class Picture:
         # Each image is the codomain's own Cell; one outside the codomain
         # gets a Cell of its own, which validate_picture refuses.
         index, cells = codomain._j_index, codomain._j_order
-        images = (given[x] for x in domain._j_index)
-        return cls(
-            domain, codomain, tuple(cells[index[y]] if y in index else Cell(*y) for y in images)
-        )
+        images = []
+        for x in domain._j_index:
+            k = index.get(given[x])
+            images.append(Cell(*given[x]) if k is None else cells[k])
+        return cls(domain, codomain, tuple(images))
 
 
 def _coordinates(obj) -> tuple[int, int]:

@@ -53,6 +53,8 @@ def _json_object(obj, *keys: str, optional: tuple[str, ...] = ()) -> dict:
     """obj itself when it is a JSON object with every key of keys, none beyond
     them, and only the optional ones left out; otherwise a ValueError naming
     the keys."""
+    if type(obj) is dict and obj.keys() == set(keys):
+        return obj  # the common case: every key, optional ones too
     if isinstance(obj, dict):
         extra = obj.keys() - set(keys)
         missing = [k for k in keys if k not in obj and k not in optional]
@@ -173,6 +175,24 @@ class SkewShape:
         """The J position of each cell, keyed by its plain (row, col) pair and
         listed in J order.  Position k names the Cell _j_order[k]."""
         return {(c.row, c.col): k for k, c in enumerate(self._j_order)}
+
+    @cached_property
+    def _j_rows(self) -> tuple[int, ...]:
+        """The row of each cell, in J order: weakly increasing, row i
+        repeated as often as row i's length."""
+        return tuple(i for i, m in enumerate(self._row_lengths, start=1) for _ in range(m))
+
+    @cached_property
+    def _json_head(self) -> str:
+        """The compact JSON text of to_json() without its closing brace:
+        '{"outer":[...],"inner":[...]', to be closed or extended by a writer."""
+        outer, inner = (",".join(map(str, p.parts)) for p in (self.outer, self.inner))
+        return f'{{"outer":[{outer}],"inner":[{inner}]'
+
+    @cached_property
+    def _cell_texts(self) -> tuple[str, ...]:
+        """The compact JSON text '[row,col]' of each cell, in J order."""
+        return tuple(f"[{c.row},{c.col}]" for c in self._j_order)
 
     @cached_property
     def _row_lengths(self) -> tuple[int, ...]:

@@ -98,7 +98,27 @@ class SkewTableau:
     @classmethod
     def from_json(cls, obj) -> "SkewTableau":
         obj = _json_object(obj, "outer", "inner", "rows", optional=("inner",))
-        return cls(_parsed_shape(obj["outer"], obj.get("inner", ())), obj["rows"])
+        shape, rows = _parsed_shape(obj["outer"], obj.get("inner", ())), obj["rows"]
+        checked = _json_rows(rows, shape._row_lengths)
+        # Anything but JSON rows that fit goes to the constructor, which
+        # names the first fault, or reads tuples alike.
+        return cls(shape, rows) if checked is None else cls._built(shape, checked)
+
+
+def _json_rows(rows, lengths: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+    """rows as tuples when it is a JSON list of lists of positive ints with
+    the given lengths, else None."""
+    if type(rows) is not list or len(rows) != len(lengths):
+        return None
+    out = []
+    for row, m in zip(rows, lengths):
+        if type(row) is not list or len(row) != m:
+            return None
+        for a in row:
+            if type(a) is not int or a < 1:
+                return None
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _reading_rows(shape: SkewShape, letters: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -113,6 +133,13 @@ def _reading_rows(shape: SkewShape, letters: Sequence[int]) -> tuple[tuple[int, 
 def validate_semistandard(t: SkewTableau) -> bool:
     """Rows weakly increase left to right, columns strictly increase top to bottom."""
     return _semistandard(t.reading(), t.shape)
+
+
+def _semistandard_reading(t: SkewTableau) -> tuple[int, ...] | None:
+    """t's J-order reading when t is semistandard, else None: the check of
+    validate_semistandard and the reading from one read of the rows."""
+    r = t.reading()
+    return r if _semistandard(r, t.shape) else None
 
 
 def _semistandard(r: Sequence[int], shape: SkewShape) -> bool:

@@ -13,16 +13,27 @@ ends per removed letter.  equiv_by_insertion decides Knuth and crystal
 equivalence by column insertion, the reference for the closure walk, and
 inverse_picture turns a picture's cell map around.  fillings_by_recursion is
 the first form of the J-order filler, one generator frame per cell.
+picture_from_json_by_helpers and tableau_from_json_by_constructor are the
+first forms of the two document readers: every pair through _json_pair and
+_coordinates, every row through the SkewTableau constructor, and every
+object through json_object_by_key_sets.
 """
 
 from collections import Counter
 from functools import lru_cache
 
-from lrpictures import Cell, Picture, SkewShape, TwoRowedArray
+from lrpictures import Cell, CrystalPair, Picture, SkewShape, TwoRowedArray
 from lrpictures.crystal import lr_membership
-from lrpictures.pictures import is_pj_standard
+from lrpictures.pictures import _coordinates, is_pj_standard
 from lrpictures.rsk import _to_columns, _unbump, column_insert_sequence
-from lrpictures.shapes import add_sequence, j_order_cells, leq_j, leq_p
+from lrpictures.shapes import (
+    _json_pair,
+    _parsed_shape,
+    add_sequence,
+    j_order_cells,
+    leq_j,
+    leq_p,
+)
 from lrpictures.tableaux import SkewTableau, _reading_rows, enumerate_ssyt, me_reading
 from lrpictures.words import Word
 
@@ -214,3 +225,66 @@ def fillings_by_recursion(shape, top, parts, cap):
                 parts[r] -= 1
 
     return fill(0)
+
+
+def json_object_by_key_sets(obj, *keys, optional=()):
+    """_json_object without its fast path: obj when it is a JSON object with
+    every key of keys, none beyond them, and only the optional ones left
+    out; otherwise a ValueError naming the keys."""
+    if isinstance(obj, dict):
+        extra = obj.keys() - set(keys)
+        missing = [k for k in keys if k not in obj and k not in optional]
+        if not extra and not missing:
+            return obj
+    expected = f"expected an object with keys {', '.join(keys)}"
+    if not isinstance(obj, dict):
+        raise ValueError(f"{expected}; got {obj!r}")
+    if extra:
+        raise ValueError(f"unexpected keys {', '.join(sorted(map(str, extra)))}; {expected}")
+    raise ValueError(f"missing keys {', '.join(missing)}; {expected}")
+
+
+def shape_from_json_by_key_sets(obj):
+    """SkewShape.from_json through json_object_by_key_sets."""
+    obj = json_object_by_key_sets(obj, "outer", "inner", optional=("inner",))
+    return _parsed_shape(obj["outer"], obj.get("inner", ()))
+
+
+def picture_from_json_by_helpers(obj):
+    """Picture.from_json with every pair read by _json_pair and _coordinates."""
+    obj = json_object_by_key_sets(obj, "domain", "codomain", "pairs")
+    domain = shape_from_json_by_key_sets(obj["domain"])
+    codomain = shape_from_json_by_key_sets(obj["codomain"])
+    pairs = obj["pairs"]
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"expected a list of [cell, image] pairs, got {pairs!r}")
+    given = {
+        _coordinates(s): _coordinates(i)
+        for s, i in (_json_pair(p, "[cell, image]") for p in pairs)
+    }
+    if len(given) != len(pairs):
+        raise ValueError("pairs name a domain cell more than once")
+    if len(given) != domain.size or given.keys() != domain._j_index.keys():
+        raise ValueError("pairs do not cover exactly the domain cells")
+    if codomain.size != domain.size:
+        raise ValueError(f"sizes differ: {domain.size} vs {codomain.size}")
+    index, cells = codomain._j_index, codomain._j_order
+    images = (given[x] for x in domain._j_index)
+    return Picture(
+        domain, codomain, tuple(cells[index[y]] if y in index else Cell(*y) for y in images)
+    )
+
+
+def tableau_from_json_by_constructor(obj):
+    """SkewTableau.from_json with the rows read by the constructor."""
+    obj = json_object_by_key_sets(obj, "outer", "inner", "rows", optional=("inner",))
+    return SkewTableau(_parsed_shape(obj["outer"], obj.get("inner", ())), obj["rows"])
+
+
+def crystal_pair_from_json_by_constructor(obj):
+    """CrystalPair.from_json on tableau_from_json_by_constructor."""
+    obj = json_object_by_key_sets(obj, "first", "second")
+    return CrystalPair(
+        tableau_from_json_by_constructor(obj["first"]),
+        tableau_from_json_by_constructor(obj["second"]),
+    )

@@ -8,10 +8,14 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from lrpictures import SkewShape, enumerate_pictures
-from lrpictures.cli import _parsed_argument, cmd_run
-from lrpictures.correspondence import LR_MAX_CELLS
+from itertools import combinations_with_replacement
+
+from lrpictures import SkewShape, TwoRowedArray, enumerate_pictures, full_s, rsk_forward
+from lrpictures.cli import _ENCODE, _pair_text, _parsed_argument, _picture_text, cmd_run
+from lrpictures.correspondence import LR_MAX_CELLS, enumerate_crystal_pairs
 from lrpictures.verify import acceptance_contexts
+from lrpictures.words import Word
+from conftest import roundtrip_population
 from schemas import (
     CRYSTAL_PAIR_SCHEMA,
     OUTPUT_SCHEMAS,
@@ -91,6 +95,46 @@ def test_round_trip_on_the_whole_five_to_seven_cell_family():
             )
             pictures += 1
     assert pictures == 3044
+
+
+def test_writers_equal_the_encoder():
+    # to-pair and to-picture write from the texts each shape keeps; on every
+    # picture and crystal pair of the contexts of at most six cells, and of
+    # the 5-7-cell family, the text is the encoder's, byte for byte
+    pictures = pairs = 0
+    for ctx in acceptance_contexts(max_cells=6):
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            assert _picture_text(f) == _ENCODE(f.to_json()), f
+            pictures += 1
+        for pair in enumerate_crystal_pairs(ctx):
+            assert _pair_text(pair) == _ENCODE(pair.to_json()), pair
+            pairs += 1
+    assert pictures == pairs == 13594
+    population = 0
+    for ctx, f in roundtrip_population():
+        pair = full_s(ctx, f)
+        assert _picture_text(f) == _ENCODE(f.to_json()), f
+        assert _pair_text(pair) == _ENCODE(pair.to_json()), pair
+        population += 1
+    assert population == 3044
+
+
+def test_rsk_and_unrsk_write_what_the_encoder_writes():
+    # every lexicographic array of up to six letters over 1..3
+    alphabet = sorted(
+        ((u, v) for u in range(1, 4) for v in range(1, 4)), key=lambda uv: (uv[0], -uv[1])
+    )
+    arrays = 0
+    for m in range(7):
+        for pairs in combinations_with_replacement(alphabet, m):
+            w = TwoRowedArray(Word(tuple(u for u, _ in pairs)), Word(tuple(v for _, v in pairs)))
+            p, q = rsk_forward(w)
+            tableaux = _ENCODE({"p": p.to_json(), "q": q.to_json()}) + "\n"
+            array = _ENCODE(w.to_json()) + "\n"
+            assert cmd_run(["rsk", "--array", array]) == (0, tableaux)
+            assert cmd_run(["unrsk", "--pair", tableaux]) == (0, array)
+            arrays += 1
+    assert arrays == 5005
 
 
 def test_rsk_and_unrsk():
@@ -542,6 +586,29 @@ def test_argument_cache_stays_bounded():
         )
     info = _parsed_argument.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_long_arguments_are_not_kept():
+    # 300 distinct lambda = nu of 2,000 rows: each text runs past the
+    # argument cache's length bound and each count key past the count
+    # cache's row bound, so neither cache keeps them.  With either bound
+    # lifted they hold 5-10 MB.
+    def long(k):
+        return "[" + ",".join(["2"] * k + ["1"] * (2000 - k)) + "]"
+
+    argv = ["lr-coeff", "--lambda", long(0), "--mu", "[]", "--nu", long(0)]
+    assert cmd_run(argv) == (0, '{"coefficient":1}\n')  # "[]" is cached from here on
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 301):
+            lam = long(k)
+            argv = ["lr-coeff", "--lambda", lam, "--mu", "[]", "--nu", lam]
+            assert cmd_run(argv) == (0, '{"coefficient":1}\n')
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_cmd_verify_reports_elapsed_internally(capsys):

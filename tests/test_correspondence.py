@@ -19,9 +19,7 @@ from lrpictures import (
     full_s,
     lr_coefficient,
     lr_routes,
-    partitions_in_box,
     partitions_of,
-    subpartitions,
 )
 from lrpictures.correspondence import (
     _c1,
@@ -48,6 +46,7 @@ from lrpictures.tableaux import enumerate_ssyt, p_index
 from lrpictures.words import TensorWord, Word
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
 from cellwise import c1_by_new_cells, in_s_set_with_content_check
+from conftest import roundtrip_population
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -198,7 +197,7 @@ def test_lr_kernel_matches_lr_membership():
     for lam, nu, n in sides:
         for mu in partitions_of(nu.size - lam.size):
             for t in cached_ssyt(SkewShape(mu), n + 1):
-                verdict = _lr_member(t.reading(), lam, nu, n)
+                verdict = _lr_member(t.reading(), lam, nu)
                 assert verdict == lr_membership(t, lam, nu, n).member, (lam, nu, n, t)
                 members += verdict
                 tableaux += 1
@@ -250,21 +249,6 @@ def test_full_maps_on_hook_context():
         assert full_c(HOOK_CTX, full_s(HOOK_CTX, f)) == f
 
 
-def roundtrip_population():
-    """Every picture between equal-sized 5-7-cell shapes nu/lam with nu in
-    the 4x4 box and |nu| <= 8, with its context."""
-    by_size = defaultdict(list)
-    for nu in partitions_in_box(8, 4, 4):
-        for lam in subpartitions(nu):
-            if 5 <= nu.size - lam.size <= 7:
-                by_size[nu.size - lam.size].append(SkewShape(nu, lam))
-    for shapes in by_size.values():
-        for kappa1, kappa2 in product(shapes, repeat=2):
-            ctx = CorrespondenceContext(kappa1, kappa2)
-            for f in enumerate_pictures(kappa1, kappa2):
-                yield ctx, f
-
-
 def composed_s(ctx, f):
     return s3_array_to_pair(ctx, s2_skewtab_to_array(ctx, s1_picture_to_skewtab(ctx, f)))
 
@@ -296,6 +280,7 @@ def test_full_maps_equal_the_composed_stages():
 COUNTED = {
     "validate_picture": "pictures",
     "validate_semistandard": "tableaux",
+    "_semistandard_reading": "tableaux",
     "lr_membership": "crystal",
     "_lr_member": "crystal",
     "rsk_forward": "rsk",
@@ -344,12 +329,14 @@ def test_full_maps_check_once(calls):
     calls.clear()
     assert full_c(ctx, full_s(ctx, f)) == f
     # full_s checks the picture and inserts its array unchecked; full_c
-    # checks through c3, which checks each tableau semistandard and reads
-    # it once through the LR kernel, then runs the RSK inverse unchecked
+    # checks through c3, which reads each tableau once, checks that reading
+    # semistandard and runs it through the LR kernel, then runs the RSK
+    # inverse unchecked; validate_semistandard, which reads again, is not
+    # called
     assert calls == Counter(
         validate_picture=1,
         _lr_member=2,
-        validate_semistandard=2,
+        _semistandard_reading=2,
         _rsk_forward=1,
         c3_pair_to_array=1,
     )
@@ -367,7 +354,7 @@ def test_roundtrip_suite_checks_each_set_once(calls):
         in_s_set=n,
         _rsk_forward=n,
         _lr_member=3 * n,
-        validate_semistandard=3 * n,
+        _semistandard_reading=3 * n,
     )
 
 

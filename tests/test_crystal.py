@@ -18,7 +18,7 @@ from lrpictures import (
 from lrpictures.crystal import (
     LR_MAX_CELLS,
     _knuth_moves,
-    _lr_count,
+    _lr_count_cached,
     _lr_fillings,
     apply_crystal_op,
     cached_ssyt,
@@ -335,12 +335,24 @@ def test_filling_caches_stay_bounded():
         assert len(enumerate_lr_crystal(triple[1], triple[0], triple[2])) == 1
     info = _lr_fillings.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-    info = _lr_count.cache_info()
+    info = _lr_count_cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     for k in range(1, 1001):
         assert len(cached_ssyt(SkewShape(Partition((k,)), Partition((k - 1,))), 1)) == 1
     info = cached_ssyt.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_count_cache_keeps_keys_of_rank_at_most_32():
+    # lambda = (1^k), mu = (1), nu = (2, 1^(k-1)): a coefficient of 1 at
+    # rank k + 1.  The rank-8 keys of the lr_coeff benchmark are kept.
+    for k, kept in ((7, True), (31, True), (32, False), (2000, False)):
+        triple = Partition((1,) * k), Partition((1,)), Partition((2,) + (1,) * (k - 1))
+        assert lr_coefficient(*triple) == 1
+        before = _lr_count_cached.cache_info()
+        assert lr_coefficient(*triple) == 1
+        after = _lr_count_cached.cache_info()
+        assert after.hits - before.hits == kept and after.misses == before.misses, k
 
 
 def test_counts_equal_the_listing_and_the_pictures_route():

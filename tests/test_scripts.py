@@ -68,13 +68,13 @@ def test_lr_table_refuses_negative_sizes(argv):
     assert out.stdout == "" and "must not be negative" in out.stderr
 
 
-def canned_pair(seed, parent, change, first="parent"):
-    def result(ops_per_s):
-        return {"correct": True, "attempted": 1000, "failed": 0,
+def canned_pair(seed, parent, change, first="parent", failed=(0, 0)):
+    def result(ops_per_s, failed):
+        return {"correct": failed == 0, "attempted": 1000, "failed": failed,
                 "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}}}
 
     return {"workload": "roundtrip", "seed": seed, "first": first,
-            "parent": result(parent), "change": result(change)}
+            "parent": result(parent, failed[0]), "change": result(change, failed[1])}
 
 
 def test_bench_pairs_summarizes_canned_pairs(tmp_path):
@@ -102,6 +102,32 @@ def test_bench_pairs_summarizes_canned_pairs(tmp_path):
     bench.write_bench(path, {"claim": "x", "pairs": pairs[:2]})
     assert json.loads(path.read_text()) == {"claim": "x", "pairs": pairs[:2]}
     assert len(path.read_text().splitlines()) == 7  # one line per pair
+
+
+def test_bench_pairs_refuses_a_gain_with_more_failed_ops():
+    bench = load_script("bench_pairs")
+    parent = [3000, 3100, 3050, 2950, 3200, 3020, 3080, 3110, 2990, 3060]
+    pairs = [canned_pair(31 + k, p, p + 1500) for k, p in enumerate(parent)]
+    assert bench.summarize(pairs, "ops_per_s", "higher")["gain_stands"]
+    # Ten wins of ten, but the change failed 3 ops where the parent failed 1.
+    pairs[2] = canned_pair(33, 3050, 4550, failed=(1, 3))
+    s = bench.summarize(pairs, "ops_per_s", "higher")
+    assert (s["wins"], s["failed_more_seeds"], s["gain_stands"]) == (10, [33], False)
+    assert bench.claim_line(s).endswith(
+        "; the gain does not stand (the change failed more ops than the parent on seeds 33)"
+    )
+    [row] = bench.failed_rows(pairs)
+    assert (row["parent_failed_ratio"], row["change_failed_ratio"]) == (1 / 10000, 3 / 10000)
+    assert bench.failed_line(row) == (
+        "roundtrip failed ratio: parent 0.0001, change 0.0003; "
+        "the change failed more ops than the parent on seeds 33"
+    )
+    # Fewer failed ops than the parent do not refuse the gain.
+    pairs[2] = canned_pair(33, 3050, 4550, failed=(3, 1))
+    assert bench.summarize(pairs, "ops_per_s", "higher")["gain_stands"]
+    assert bench.failed_line(bench.failed_rows(pairs)[0]).endswith(
+        "the change failed no more ops than the parent on any seed"
+    )
 
 
 def test_bench_pairs_reports_no_regression():
