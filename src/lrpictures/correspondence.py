@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .crystal import (
-    LR_MAX_CELLS,
-    _check_lr_size,
-    _lr_count,
-    _lr_member,
-    _padded,
-    enumerate_lr_crystal,
-)
+from .crystal import _lr_count, _lr_member, _padded, enumerate_lr_crystal
 from .pictures import Picture, enumerate_pictures, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
 from .shapes import Partition, SkewShape, _interned_shape, _json_object, partitions_of
@@ -272,11 +265,9 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     'crystal' fills shape mu so that its reading carries lam to nu,
     'pictures' counts pictures from straight mu to nu/lam, and
     'skew_tableaux' fills nu/lam with content mu and a lattice reading (the
-    LR rule).  The pictures route recurses once per cell of mu, so mu past
-    LR_MAX_CELLS cells is refused with ValueError before any route runs,
-    and the other two refuse the same mu.
+    LR rule).  Each route is a backtrack in a single frame, so mu may have
+    any number of cells.
     """
-    _check_lr_size(mu)
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
     n = max(nu.rows, mu.rows + lam.rows, 1)
@@ -291,7 +282,6 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient of (lam, mu, nu), by the crystal
     route, counted without building a tableau; lr_routes compares it with
-    the other two.  mu past LR_MAX_CELLS cells is refused with ValueError."""
-    _check_lr_size(mu)
+    the other two.  mu may have any number of cells."""
     n = max(nu.rows, mu.rows + lam.rows, 1)
     return _lr_count(_interned_shape(mu.parts, ()), lam, nu, n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, _interned_shape, _ints, add_sequence
+from .shapes import _CACHED_RANK, Partition, SkewShape, _interned_shape, _ints, add_sequence
 from .tableaux import SkewTableau, _fillings, _reading_rows, enumerate_ssyt, me_reading
 from .words import TensorWord, Word
 
@@ -40,23 +40,16 @@ __all__ = [
 # Longest words equiv_check will close over.
 DEFAULT_BFS_LENGTH = 8
 
-# The picture search recurses once per cell, so it refuses more than this
-# many cells, well inside Python's default recursion limit of 1000 even when
-# the caller is already deep in its own stack.  The J-order filler does not
-# recurse; the LR routes keep the bound so that all three refuse the same mu.
-LR_MAX_CELLS = 500
-
 # Memo bounds for long-running processes; `verify --suite all` uses about
 # 1,000 filling keys, 950 count keys and 65 tableau lists.  A count is one
 # int, so its cache holds every triple of the lr_coeff benchmark (2,641).
 _FILLINGS_CACHE_SIZE = 4096
 _COUNT_CACHE_SIZE = 4096
 _SSYT_CACHE_SIZE = 256
-# A count at a rank past this is counted afresh on every call and never
-# kept.  Every caller's rank is at least the row count of the shape, lam and
-# nu it counts, so the count cache holds at most 4,096 keys of this many
-# rows each.  The lr_coeff benchmark's ranks are at most 8.
-_CACHED_COUNT_RANK = 32
+# Fillings and counts at a rank past shapes._CACHED_RANK, or on a shape, lam
+# or nu of more rows, are made afresh on every call and never kept, so each
+# cache holds at most 4,096 keys of that many rows each.  A count's rank is
+# at least those row counts.  The lr_coeff benchmark's ranks are at most 8.
 
 
 @dataclass(frozen=True)
@@ -303,11 +296,22 @@ def _lr_readings(
     return _fillings(shape, n + 1, _padded(lam, n), _padded(nu, n))
 
 
-@lru_cache(maxsize=_FILLINGS_CACHE_SIZE)
 def _lr_fillings(
     shape: SkewShape, lam: Partition, nu: Partition, n: int
 ) -> tuple[SkewTableau, ...]:
-    """The tableaux of _lr_readings(shape, lam, nu, n), in its order."""
+    """The tableaux of _lr_readings(shape, lam, nu, n), in its order; kept
+    per process unless n or the row count of shape, lam or nu is past
+    _CACHED_RANK (a caller of enumerate_lr_crystal may pass a smaller n)."""
+    if max(n, shape.outer.rows, lam.rows, nu.rows) > _CACHED_RANK:
+        return _lr_fillings_cached.__wrapped__(shape, lam, nu, n)
+    return _lr_fillings_cached(shape, lam, nu, n)
+
+
+@lru_cache(maxsize=_FILLINGS_CACHE_SIZE)
+def _lr_fillings_cached(
+    shape: SkewShape, lam: Partition, nu: Partition, n: int
+) -> tuple[SkewTableau, ...]:
+    """_lr_fillings' body, kept per process by its key."""
     return tuple(
         SkewTableau._built(shape, _reading_rows(shape, r))
         for r in _lr_readings(shape, lam, nu, n)
@@ -316,9 +320,9 @@ def _lr_fillings(
 
 def _lr_count(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
     """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept;
-    kept per process unless n is past _CACHED_COUNT_RANK.  n must be at
-    least the row count of shape, lam and nu."""
-    if n > _CACHED_COUNT_RANK:
+    kept per process unless n is past _CACHED_RANK.  n must be at least the
+    row count of shape, lam and nu."""
+    if n > _CACHED_RANK:
         return _lr_count_cached.__wrapped__(shape, lam, nu, n)
     return _lr_count_cached(shape, lam, nu, n)
 
@@ -336,17 +340,11 @@ def enumerate_lr_crystal(
     lexicographic in the J-order reading.
 
     The count is the Littlewood-Richardson coefficient of the triple, which
-    is stable in n once n reaches the row count of nu.  mu past LR_MAX_CELLS
-    cells is refused with ValueError, as every route of lr_routes refuses it.
+    is stable in n once n reaches the row count of nu.  mu may have any
+    number of cells: the filler does not recurse.
     """
-    _check_lr_size(mu)
     if n is None:
         n = max(nu.rows, mu.rows + lam.rows, 1)
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
     return _lr_fillings(_interned_shape(mu.parts, ()), lam, nu, n)
-
-
-def _check_lr_size(mu: Partition) -> None:
-    if mu.size > LR_MAX_CELLS:
-        raise ValueError(f"mu has {mu.size} cells, past the LR bound of {LR_MAX_CELLS} cells")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .crystal import LR_MAX_CELLS
 from .shapes import Cell, SkewShape, _json_object, _json_pair, j_order_cells, leq_j, leq_p
 from .tableaux import _semistandard
 
@@ -156,10 +155,10 @@ def enumerate_pictures(
     with a search that checks every assigned pair.
 
     Shapes past max_cells cells (default DEFAULT_PICTURE_CELLS) are refused
-    with ValueError.  The search recurses once per cell, so shapes past
-    LR_MAX_CELLS cells are refused whatever max_cells says.
+    with ValueError.  The search is one backtrack in this frame, as in
+    tableaux._fillings, so no cell costs a frame and there is no other bound.
     """
-    bound = min(DEFAULT_PICTURE_CELLS if max_cells is None else max_cells, LR_MAX_CELLS)
+    bound = DEFAULT_PICTURE_CELLS if max_cells is None else max_cells
     if kappa1.size != kappa2.size:
         raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
     if kappa1.size > bound:
@@ -167,6 +166,9 @@ def enumerate_pictures(
 
     codomain = j_order_cells(kappa2)
     n = len(codomain)
+    if not n:
+        yield Picture(kappa1, kappa2, ())
+        return
     right, up = kappa1._fill_bounds
     # The bits of the cell above each codomain cell and of its left
     # neighbour, the cell whose right neighbour it is.
@@ -175,18 +177,35 @@ def enumerate_pictures(
     for v, u in enumerate(right2):
         if u is not None:
             need[u] |= 1 << v
-    images: list[int] = []
-
-    def rec(pos: int, used: int) -> Iterator[Picture]:
-        if pos == n:
-            yield Picture(kappa1, kappa2, tuple(codomain[y] for y in images))
-            return
-        lo = -1 if up[pos] is None else images[up[pos]]
-        hi = n if right[pos] is None else images[right[pos]]
-        for y in range(lo + 1, hi):
+    # images holds the image number at each position and used the bits of
+    # the images taken.  The first source has no cell above it and no right
+    # neighbour.
+    last = n - 1
+    images = [0] * n
+    pos, y, hi, used = 0, 0, n, 0
+    while True:
+        while y < hi:
             if not used >> y & 1 and used & need[y] == need[y]:
-                images.append(y)
-                yield from rec(pos + 1, used | 1 << y)
-                images.pop()
-
-    yield from rec(0, 0)
+                break
+            y += 1
+        else:
+            # No candidate is left at pos: take back the image before it.
+            if not pos:
+                return
+            pos -= 1
+            y = images[pos]
+            used ^= 1 << y
+            j = right[pos]
+            hi = n if j is None else images[j]
+            y += 1
+            continue
+        images[pos] = y
+        if pos == last:
+            yield Picture(kappa1, kappa2, tuple(map(codomain.__getitem__, images)))
+            y += 1
+            continue
+        used |= 1 << y
+        pos += 1
+        i, j = up[pos], right[pos]
+        y = 0 if i is None else images[i] + 1
+        hi = n if j is None else images[j]

@@ -27,6 +27,12 @@ __all__ = [
 # Distinct skew shapes kept per process by SkewShape.from_json and
 # SkewTableau.straight; the roundtrip benchmark uses 93.
 _SHAPE_CACHE_SIZE = 256
+# A shape past _CACHED_RANK rows or _CACHED_SHAPE_CELLS cells is built
+# afresh and never kept, so the shape cache holds keys of bounded size; the
+# LR caches of crystal keep no key past the same rank.  Every benchmark
+# shape has at most 12 rows and 9 cells.
+_CACHED_RANK = 32
+_CACHED_SHAPE_CELLS = 64
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -241,10 +247,18 @@ def _parsed_shape(outer, inner) -> SkewShape:
     return _interned_shape(outer, inner)
 
 
-@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _interned_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
     """One SkewShape per (outer, inner) of plain ints; the key must not hold
-    floats or booleans, which hash like the ints they equal."""
+    floats or booleans, which hash like the ints they equal.  A shape past
+    _CACHED_RANK rows or _CACHED_SHAPE_CELLS cells is built afresh."""
+    if len(outer) > _CACHED_RANK or sum(outer) - sum(inner) > _CACHED_SHAPE_CELLS:
+        return _shape_cached.__wrapped__(outer, inner)
+    return _shape_cached(outer, inner)
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape_cached(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
+    """_interned_shape's body, kept per process by its key."""
     return SkewShape(Partition(outer), Partition(inner))
 
 

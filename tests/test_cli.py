@@ -10,9 +10,9 @@ import pytest
 
 from itertools import combinations_with_replacement
 
-from lrpictures import SkewShape, TwoRowedArray, enumerate_pictures, full_s, rsk_forward
+from lrpictures import TwoRowedArray, enumerate_pictures, full_s, rsk_forward
 from lrpictures.cli import _ENCODE, _pair_text, _parsed_argument, _picture_text, cmd_run
-from lrpictures.correspondence import LR_MAX_CELLS, enumerate_crystal_pairs
+from lrpictures.correspondence import enumerate_crystal_pairs
 from lrpictures.verify import acceptance_contexts
 from lrpictures.words import Word
 from conftest import roundtrip_population
@@ -406,31 +406,23 @@ def test_cross_check_on_ten_cells():
     assert cmd_run(argv) == (0, '{"coefficient":12,"routes_agree":true}\n')
 
 
-@pytest.mark.parametrize("flags", [[], ["--cross-check"]])
-def test_lr_coeff_refuses_mu_past_the_cell_bound(flags, capsys):
-    # The pictures route recurses once per cell of mu, so a long mu exits 2
-    # with the bound named, not with a RecursionError traceback; without
-    # --cross-check the crystal route refuses the same mu.
-    for m in (3000, LR_MAX_CELLS + 1):
-        argv = ["lr-coeff", "--lambda", "[]", "--mu", f"[{m}]", "--nu", f"[{m}]", *flags]
-        assert cmd_run(argv) == (2, "")
-        message = f"error: mu has {m} cells, past the LR bound of {LR_MAX_CELLS} cells\n"
-        assert capsys.readouterr().err == message
-    m = LR_MAX_CELLS
-    argv = ["lr-coeff", "--lambda", "[]", "--mu", f"[{m}]", "--nu", f"[{m}]", *flags]
-    code, out = cmd_run(argv)
-    assert code == 0 and json.loads(out)["coefficient"] == 1
+@pytest.mark.parametrize(
+    "flags, out",
+    [([], '{"coefficient":1}\n'), (["--cross-check"], '{"coefficient":1,"routes_agree":true}\n')],
+    ids=["crystal", "cross-check"],
+)
+def test_lr_coeff_accepts_mu_past_the_recursion_limit(flags, out):
+    # No route recurses once per cell, so a mu longer than the recursion
+    # limit is counted by every route.
+    argv = ["lr-coeff", "--lambda", "[]", "--mu", "[1200]", "--nu", "[1200]", *flags]
+    assert cmd_run(argv) == (0, out)
 
 
-def test_pictures_refuses_shapes_past_the_cell_bound(monkeypatch, capsys):
-    # The search recurses once per cell, so no LRPK_MAX_CELLS lets a shape
-    # past LR_MAX_CELLS cells through to a RecursionError traceback.
+def test_pictures_accepts_shapes_past_the_recursion_limit(monkeypatch):
+    # The search does not recurse, so LRPK_MAX_CELLS is its only cell bound.
     monkeypatch.setenv("LRPK_MAX_CELLS", "1200")
-    for m in (1200, LR_MAX_CELLS + 1):
-        argv = ["pictures", "--kappa1", f'{{"outer":[{m}]}}', "--kappa2", "same", "--count-only"]
-        assert cmd_run(argv) == (2, "")
-        message = f"error: {m} cells exceed the enumeration bound {LR_MAX_CELLS}\n"
-        assert capsys.readouterr().err == message
+    argv = ["pictures", "--kappa1", '{"outer":[1200]}', "--kappa2", "same", "--count-only"]
+    assert cmd_run(argv) == (0, '{"count":1}\n')
 
 
 @pytest.mark.parametrize(
@@ -611,6 +603,27 @@ def test_long_arguments_are_not_kept():
     assert held < 1 << 20
 
 
+def test_long_shapes_are_not_kept(capsys):
+    # 150 to-pair calls whose domain = codomain has a distinct 2,000-row
+    # outer, each refused: no shape past the shape cache's row or cell
+    # bound is kept.  With the bounds lifted they hold about 2.5 MB.
+    def doc(k):
+        shape = {"outer": [2] * k + [1] * (2000 - k)}
+        return json.dumps({"domain": shape, "codomain": shape, "pairs": [[[1, 1], [1, 1]]]})
+
+    docs = [doc(k) for k in range(1, 151)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in docs:
+            assert cmd_run(["to-pair", "--picture", text]) == (2, "")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == "error: pairs do not cover exactly the domain cells\n" * 150
+    assert held < 1 << 20
+
+
 def test_cmd_verify_reports_elapsed_internally(capsys):
     code, out = cmd_run(["verify", "--suite", "rsk-bijection"])
     doc = json.loads(out)
@@ -642,11 +655,17 @@ def test_count_only_does_not_hold_the_pictures():
 def test_to_pair_checks_sizes_before_building_tables(domain, codomain, message, capsys):
     pairs = [[[1, 1], [1, 1]]]
     doc = {"domain": {"outer": domain}, "codomain": {"outer": codomain}, "pairs": pairs}
-    assert cmd_run(["to-pair", "--picture", json.dumps(doc)]) == (2, "")
+    # The 100,000-cell shape is not kept, so its tables are seen in the
+    # peak: they would take about 27 MB.
+    tracemalloc.start()
+    try:
+        result = cmd_run(["to-pair", "--picture", json.dumps(doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
-    big = SkewShape.from_json({"outer": max(domain, codomain, key=sum)})
-    assert big.size == 100000
-    assert "_j_order" not in big.__dict__ and "_j_index" not in big.__dict__
+    assert peak < 1 << 20
 
 
 def test_env_bound_override(monkeypatch):

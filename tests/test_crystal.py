@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -16,10 +17,10 @@ from lrpictures import (
     subpartitions,
 )
 from lrpictures.crystal import (
-    LR_MAX_CELLS,
     _knuth_moves,
     _lr_count_cached,
     _lr_fillings,
+    _lr_fillings_cached,
     apply_crystal_op,
     cached_ssyt,
     combinatorial_r,
@@ -266,13 +267,9 @@ def test_enumerate_lr_crystal_examples():
     assert sorted(t.rows for t in two) == [((1, 2), (3,)), ((1, 3), (2,))]
 
 
-def test_enumerate_lr_crystal_refuses_mu_past_the_cell_bound():
-    # the filler does not recurse, but a long mu is refused with the bound
-    # named, as the pictures route of lr_routes must refuse it
-    with pytest.raises(ValueError, match=f"mu has 3000 cells, past the LR bound of {LR_MAX_CELLS}"):
-        enumerate_lr_crystal(Partition((3000,)), Partition(), Partition((3000,)))
-    mu = Partition((LR_MAX_CELLS,))
-    assert len(enumerate_lr_crystal(mu, Partition(), mu)) == 1
+def test_enumerate_lr_crystal_accepts_mu_past_the_recursion_limit():
+    mu = Partition((1200,))
+    assert [t.rows for t in enumerate_lr_crystal(mu, Partition(), mu)] == [((1,) * 1200,)]
 
 
 def test_enumerate_lr_crystal_size_mismatch_is_empty():
@@ -333,7 +330,7 @@ def test_filling_caches_stay_bounded():
         triple = Partition((k,)), Partition((1,)), Partition((k + 1,))
         assert lr_coefficient(*triple) == 1
         assert len(enumerate_lr_crystal(triple[1], triple[0], triple[2])) == 1
-    info = _lr_fillings.cache_info()
+    info = _lr_fillings_cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     info = _lr_count_cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
@@ -353,6 +350,27 @@ def test_count_cache_keeps_keys_of_rank_at_most_32():
         assert lr_coefficient(*triple) == 1
         after = _lr_count_cached.cache_info()
         assert after.hits - before.hits == kept and after.misses == before.misses, k
+
+
+@pytest.mark.parametrize("rank", [None, 1])
+def test_long_fillings_are_not_kept(rank):
+    # 300 distinct lam = nu of 2,000 rows, listed from the empty mu at the
+    # default rank and at rank 1: each key has rows past the filling cache's
+    # rank bound, so none is kept.  With the bound lifted they hold about
+    # 5 MB.
+    def long(k):
+        return Partition((2,) * k + (1,) * (2000 - k))
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 301):
+            lam = long(k)
+            assert len(enumerate_lr_crystal(Partition(), lam, lam, rank)) == 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_counts_equal_the_listing_and_the_pictures_route():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -87,6 +88,15 @@ def test_enumeration_errors():
     with pytest.raises(ValueError):
         list(enumerate_pictures(big, big))
     assert len(list(enumerate_pictures(big, big, max_cells=9))) >= 1
+
+
+def test_enumeration_runs_past_the_recursion_limit():
+    # one row and one column, each one cell longer than the recursion limit:
+    # the search takes no frame per cell
+    m = sys.getrecursionlimit() + 1
+    for shape in (SkewShape(Partition((m,))), SkewShape(Partition((1,) * m))):
+        found = list(enumerate_pictures(shape, shape, max_cells=m))
+        assert len(found) == 1 and validate_picture(found[0])
 
 
 def test_empty_shapes_have_one_picture():

@@ -16,8 +16,11 @@ from lrpictures import (
 )
 from lrpictures.pictures import _coordinates
 from lrpictures.shapes import (
+    _CACHED_RANK,
+    _CACHED_SHAPE_CELLS,
     _SHAPE_CACHE_SIZE,
     _interned_shape,
+    _shape_cached,
     add_sequence,
     j_order_cells,
     leq_j,
@@ -281,10 +284,26 @@ def test_equal_json_gives_one_shared_shape():
 
 
 def test_shape_cache_is_bounded():
-    assert _interned_shape.cache_info().maxsize == _SHAPE_CACHE_SIZE
+    assert _shape_cached.cache_info().maxsize == _SHAPE_CACHE_SIZE
     for nu in itertools.islice(partitions_in_box(20, 6, 6), _SHAPE_CACHE_SIZE + 50):
         SkewShape.from_json({"outer": list(nu.parts)})
-    assert _interned_shape.cache_info().currsize == _SHAPE_CACHE_SIZE
+    assert _shape_cached.cache_info().currsize == _SHAPE_CACHE_SIZE
+
+
+@pytest.mark.parametrize(
+    "outer, inner, kept",
+    [
+        ((1,) * 12, (1,) * 3, True),  # 12 rows and 9 cells, the benchmark's largest
+        ((2,) * _CACHED_RANK, (), True),
+        ((2,) * _CACHED_RANK + (1,), (1,), False),
+        ((_CACHED_SHAPE_CELLS + 1,), (1,), True),
+        ((_CACHED_SHAPE_CELLS + 1,), (), False),
+    ],
+)
+def test_shapes_past_the_row_or_cell_bound_are_built_afresh(outer, inner, kept):
+    a, b = _interned_shape(outer, inner), _interned_shape(outer, inner)
+    assert a == b == SkewShape(Partition(outer), Partition(inner))
+    assert (a is b) == kept
 
 
 def test_standard_fillings_increase_along_the_right_and_lower_steps():
