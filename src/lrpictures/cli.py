@@ -27,7 +27,7 @@ from .correspondence import (
 )
 from .pictures import Picture, enumerate_pictures
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
-from .shapes import Partition, SkewShape, _json_object
+from .shapes import Partition, SkewShape, _json_object, _kept
 from .tableaux import SkewTableau
 from .verify import SUITE_NAMES, run_suite
 
@@ -57,16 +57,21 @@ def _read_json(raw: str, stdin):
 def _parsed_argument(kind: type[Partition] | type[SkewShape], raw: str):
     """kind.from_json of the JSON text raw, kept per process by the text.
     Equal values written apart ("[2]", "[2.0]") are read apart, and a
-    refused text, which raises, is never kept."""
-    return kind.from_json(_read_json(raw, None))
+    refused text, which raises, is never kept.  A shape that shapes._kept
+    refuses is kept as None, so the tables built on it are not kept."""
+    value = kind.from_json(_read_json(raw, None))
+    return value if kind is Partition or _kept(value.outer.rows, value.size) else None
 
 
 def _argument(kind: type[Partition] | type[SkewShape], raw: str, stdin):
     """A partition or shape argument; '-' reads stdin, and both it and a text
-    past _CACHED_ARGUMENT_CHARS characters bypass the cache."""
-    if raw == "-" or len(raw) > _CACHED_ARGUMENT_CHARS:
-        return kind.from_json(_read_json(raw, stdin))
-    return _parsed_argument(kind, raw)
+    past _CACHED_ARGUMENT_CHARS characters bypass the cache, as does a shape
+    that the cache does not keep."""
+    if raw != "-" and len(raw) <= _CACHED_ARGUMENT_CHARS:
+        value = _parsed_argument(kind, raw)
+        if value is not None:
+            return value
+    return kind.from_json(_read_json(raw, stdin))
 
 
 def _tableau_text(t: SkewTableau) -> str:
@@ -95,9 +100,13 @@ def _picture_text(f: Picture) -> str:
 
 def _ascii_int(raw: str) -> int | None:
     """raw as an int when it is ASCII digits after an optional '-', else None;
-    int() would also take '9_0', ' 9', '+9' and non-ASCII digits."""
+    int() would also take '9_0', ' 9', '+9' and non-ASCII digits, and it
+    refuses more digits than sys.get_int_max_str_digits()."""
     digits = raw[1:] if raw.startswith("-") else raw
-    return int(raw) if digits.isascii() and digits.isdigit() else None
+    try:
+        return int(raw) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _bound_override() -> int | None:
@@ -113,10 +122,7 @@ def _bound_override() -> int | None:
 
 
 def _integer(raw: str) -> int:
-    try:
-        value = _ascii_int(raw)
-    except ValueError:  # more digits than int() converts
-        value = None
+    value = _ascii_int(raw)
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
     return value

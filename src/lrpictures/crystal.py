@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import _CACHED_RANK, Partition, SkewShape, _interned_shape, _ints, add_sequence
+from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept, add_sequence
 from .tableaux import SkewTableau, _fillings, _reading_rows, enumerate_ssyt, me_reading
 from .words import TensorWord, Word
 
@@ -41,15 +41,12 @@ __all__ = [
 DEFAULT_BFS_LENGTH = 8
 
 # Memo bounds for long-running processes; `verify --suite all` uses about
-# 1,000 filling keys, 950 count keys and 65 tableau lists.  A count is one
-# int, so its cache holds every triple of the lr_coeff benchmark (2,641).
+# 1,000 filling keys and 65 tableau lists.  A filling key is kept only by
+# the keep rule shapes._kept (see _lr_fillings), so the cache holds at most
+# 4,096 keys of bounded size.  Counts are not kept: the lr_coeff benchmark
+# repeats no triple, and verify one in nine.
 _FILLINGS_CACHE_SIZE = 4096
-_COUNT_CACHE_SIZE = 4096
 _SSYT_CACHE_SIZE = 256
-# Fillings and counts at a rank past shapes._CACHED_RANK, or on a shape, lam
-# or nu of more rows, are made afresh on every call and never kept, so each
-# cache holds at most 4,096 keys of that many rows each.  A count's rank is
-# at least those row counts.  The lr_coeff benchmark's ranks are at most 8.
 
 
 @dataclass(frozen=True)
@@ -300,11 +297,11 @@ def _lr_fillings(
     shape: SkewShape, lam: Partition, nu: Partition, n: int
 ) -> tuple[SkewTableau, ...]:
     """The tableaux of _lr_readings(shape, lam, nu, n), in its order; kept
-    per process unless n or the row count of shape, lam or nu is past
-    _CACHED_RANK (a caller of enumerate_lr_crystal may pass a smaller n)."""
-    if max(n, shape.outer.rows, lam.rows, nu.rows) > _CACHED_RANK:
-        return _lr_fillings_cached.__wrapped__(shape, lam, nu, n)
-    return _lr_fillings_cached(shape, lam, nu, n)
+    per process when shapes._kept keeps the shape at the key's rank: the
+    largest of n and the row counts of shape, lam and nu."""
+    if _kept(max(n, shape.outer.rows, lam.rows, nu.rows), shape.size):
+        return _lr_fillings_cached(shape, lam, nu, n)
+    return _lr_fillings_cached.__wrapped__(shape, lam, nu, n)
 
 
 @lru_cache(maxsize=_FILLINGS_CACHE_SIZE)
@@ -319,17 +316,7 @@ def _lr_fillings_cached(
 
 
 def _lr_count(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
-    """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept;
-    kept per process unless n is past _CACHED_RANK.  n must be at least the
-    row count of shape, lam and nu."""
-    if n > _CACHED_RANK:
-        return _lr_count_cached.__wrapped__(shape, lam, nu, n)
-    return _lr_count_cached(shape, lam, nu, n)
-
-
-@lru_cache(maxsize=_COUNT_CACHE_SIZE)
-def _lr_count_cached(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
-    """_lr_count's body, kept per process by its key."""
+    """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept."""
     return sum(1 for _ in _lr_readings(shape, lam, nu, n))
 
 

@@ -27,10 +27,8 @@ __all__ = [
 # Distinct skew shapes kept per process by SkewShape.from_json and
 # SkewTableau.straight; the roundtrip benchmark uses 93.
 _SHAPE_CACHE_SIZE = 256
-# A shape past _CACHED_RANK rows or _CACHED_SHAPE_CELLS cells is built
-# afresh and never kept, so the shape cache holds keys of bounded size; the
-# LR caches of crystal keep no key past the same rank.  Every benchmark
-# shape has at most 12 rows and 9 cells.
+# The bounds of _kept, the keep rule of every cache that can hold a shape.
+# Every benchmark shape has at most 12 rows and 9 cells.
 _CACHED_RANK = 32
 _CACHED_SHAPE_CELLS = 64
 
@@ -247,13 +245,20 @@ def _parsed_shape(outer, inner) -> SkewShape:
     return _interned_shape(outer, inner)
 
 
+def _kept(rows: int, cells: int) -> bool:
+    """The keep rule of every per-process cache that can hold a shape: keep
+    one of this many rows (or this rank) and cells only within _CACHED_RANK
+    and _CACHED_SHAPE_CELLS; build a larger one afresh on every call."""
+    return rows <= _CACHED_RANK and cells <= _CACHED_SHAPE_CELLS
+
+
 def _interned_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
     """One SkewShape per (outer, inner) of plain ints; the key must not hold
-    floats or booleans, which hash like the ints they equal.  A shape past
-    _CACHED_RANK rows or _CACHED_SHAPE_CELLS cells is built afresh."""
-    if len(outer) > _CACHED_RANK or sum(outer) - sum(inner) > _CACHED_SHAPE_CELLS:
-        return _shape_cached.__wrapped__(outer, inner)
-    return _shape_cached(outer, inner)
+    floats or booleans, which hash like the ints they equal.  _kept reads
+    the ints before anything is built."""
+    if _kept(len(outer), sum(outer) - sum(inner)):
+        return _shape_cached(outer, inner)
+    return _shape_cached.__wrapped__(outer, inner)
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)

@@ -10,8 +10,15 @@ import pytest
 
 from itertools import combinations_with_replacement
 
-from lrpictures import TwoRowedArray, enumerate_pictures, full_s, rsk_forward
-from lrpictures.cli import _ENCODE, _pair_text, _parsed_argument, _picture_text, cmd_run
+from lrpictures import SkewShape, TwoRowedArray, enumerate_pictures, full_s, rsk_forward
+from lrpictures.cli import (
+    _ENCODE,
+    _argument,
+    _pair_text,
+    _parsed_argument,
+    _picture_text,
+    cmd_run,
+)
 from lrpictures.correspondence import enumerate_crystal_pairs
 from lrpictures.verify import acceptance_contexts
 from lrpictures.words import Word
@@ -383,6 +390,13 @@ def test_env_bound_takes_ascii_digits_only(raw, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: LRPK_MAX_CELLS must be an integer, got {raw!r}\n"
 
 
+def test_env_bound_past_the_int_digit_limit_exits_2(monkeypatch, capsys):
+    raw = "1" * (sys.get_int_max_str_digits() + 1)
+    monkeypatch.setenv("LRPK_MAX_CELLS", raw)
+    assert cmd_run(["pictures", "--kappa1", HOOK, "--kappa2", "same"]) == (2, "")
+    assert capsys.readouterr().err == f"error: LRPK_MAX_CELLS must be an integer, got {raw!r}\n"
+
+
 def test_lr_coeff_past_twelve_cells():
     # The 13-cell shape is filled directly; swapped, all three routes run
     # on the 6-cell one.
@@ -622,6 +636,57 @@ def test_long_shapes_are_not_kept(capsys):
         tracemalloc.stop()
     assert capsys.readouterr().err == "error: pairs do not cover exactly the domain cells\n" * 150
     assert held < 1 << 20
+
+
+def test_lr_coeff_keeps_no_count():
+    # 100 distinct mu = nu of one row of 600-699 cells: no count is kept,
+    # nor the shape or fill table it was counted on.  A count cache keyed
+    # by the shape holds about 2.5 MB of them.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(600, 700):
+            argv = ["lr-coeff", "--lambda", "[]", "--mu", f"[{k}]", "--nu", f"[{k}]"]
+            assert cmd_run(argv) == (0, '{"coefficient":1}\n')
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 18
+
+
+@pytest.mark.parametrize(
+    "outer, kept", [([64], True), ([65], False), ([1] * 32, True), ([1] * 33, False)]
+)
+def test_argument_cache_keeps_by_the_shape_keep_rule(outer, kept):
+    raw = json.dumps({"outer": outer})
+    a, b = (_argument(SkewShape, raw, None) for _ in range(2))
+    assert a == b == SkewShape.from_json({"outer": outer})
+    assert (a is b) == kept
+
+
+def test_short_texts_of_large_shapes_are_not_kept():
+    # 50 to-picture calls on distinct one-row shapes of 200-249 cells,
+    # each written in a short text: the argument cache keeps no shape that
+    # the shape cache refuses, so the J-order tables built on it are not
+    # kept either.  Keeping them by the text holds about 2.8 MB.
+    def argv(k):
+        shape, rows = f'{{"outer":[{k}]}}', ",".join(["1"] * k)
+        tableau = f'{{"outer":[{k}],"rows":[[{rows}]]}}'
+        pair = f'{{"first":{tableau},"second":{tableau}}}'
+        return ["to-picture", "--kappa1", shape, "--kappa2", "same", "--pair", pair]
+
+    argvs = [argv(k) for k in range(200, 250)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a in argvs:
+            assert cmd_run(a)[0] == 0
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 18
+    # an unkept shape reads the same on every call
+    assert cmd_run(argvs[0]) == cmd_run(argvs[0])
 
 
 def test_cmd_verify_reports_elapsed_internally(capsys):

@@ -18,7 +18,6 @@ from lrpictures import (
 )
 from lrpictures.crystal import (
     _knuth_moves,
-    _lr_count_cached,
     _lr_fillings,
     _lr_fillings_cached,
     apply_crystal_op,
@@ -332,24 +331,10 @@ def test_filling_caches_stay_bounded():
         assert len(enumerate_lr_crystal(triple[1], triple[0], triple[2])) == 1
     info = _lr_fillings_cached.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-    info = _lr_count_cached.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
     for k in range(1, 1001):
         assert len(cached_ssyt(SkewShape(Partition((k,)), Partition((k - 1,))), 1)) == 1
     info = cached_ssyt.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
-
-
-def test_count_cache_keeps_keys_of_rank_at_most_32():
-    # lambda = (1^k), mu = (1), nu = (2, 1^(k-1)): a coefficient of 1 at
-    # rank k + 1.  The rank-8 keys of the lr_coeff benchmark are kept.
-    for k, kept in ((7, True), (31, True), (32, False), (2000, False)):
-        triple = Partition((1,) * k), Partition((1,)), Partition((2,) + (1,) * (k - 1))
-        assert lr_coefficient(*triple) == 1
-        before = _lr_count_cached.cache_info()
-        assert lr_coefficient(*triple) == 1
-        after = _lr_count_cached.cache_info()
-        assert after.hits - before.hits == kept and after.misses == before.misses, k
 
 
 @pytest.mark.parametrize("rank", [None, 1])
@@ -371,6 +356,40 @@ def test_long_fillings_are_not_kept(rank):
     finally:
         tracemalloc.stop()
     assert held < 1 << 20
+
+
+def test_fillings_of_shapes_past_the_cell_bound_are_not_kept():
+    # 100 distinct one-row mu of 500-599 cells, listed from the empty
+    # lambda to nu = mu at rank 1: each shape has more cells than the shape
+    # cache keeps, so the filling cache keeps none of them either.  Keeping
+    # them by rank alone holds about 2.5 MB.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(500, 600):
+            mu = Partition((k,))
+            assert len(enumerate_lr_crystal(mu, Partition(), mu)) == 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 17
+
+
+@pytest.mark.parametrize(
+    "mu, lam, n, kept",
+    [
+        ((8,) * 8, (), None, True),  # 64 cells at rank 8
+        ((65,), (), None, False),
+        ((1,), (1,) * 31, None, True),  # rank 32
+        ((1,), (1,) * 32, None, False),  # rank 33: lam's and nu's rows count
+        ((1,), (), 33, False),
+    ],
+)
+def test_filling_cache_keeps_by_the_shape_keep_rule(mu, lam, n, kept):
+    mu, lam = Partition(mu), Partition(lam)
+    nu = Partition(tuple(a + b for a, b in itertools.zip_longest(mu.parts, lam.parts, fillvalue=0)))
+    first = enumerate_lr_crystal(mu, lam, nu, n)
+    assert (enumerate_lr_crystal(mu, lam, nu, n) is first) == kept
 
 
 def test_counts_equal_the_listing_and_the_pictures_route():
