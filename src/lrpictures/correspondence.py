@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .crystal import _lr_count, _lr_member, _padded, enumerate_lr_crystal
+from .crystal import _lr_count, _lr_member, enumerate_lr_crystal
 from .pictures import Picture, enumerate_pictures, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
 from .shapes import Partition, SkewShape, _interned_shape, _json_object, partitions_of
@@ -45,8 +45,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrespondenceContext:
-    """Fixes the two skew shapes; their inner/outer partitions and the rank
-    used for membership tests are derived."""
+    """Fixes the two skew shapes.  Their inner and outer partitions are
+    derived, and so is rank, the rank of the tensor words that read this
+    context's tableaux."""
 
     kappa1: SkewShape
     kappa2: SkewShape
@@ -217,7 +218,7 @@ def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
     # them right to left and a running count is each cell's p_index.  The
     # t-th letter k goes to (k, lambda2_k + t), taken from kappa2's cells.
     index, cells = ctx.kappa2._j_index, ctx.kappa2._j_order
-    col = [0] + _padded(ctx.lambda2, ctx.rank)
+    col = [0, *ctx.lambda2.parts] + [0] * (ctx.nu2.rows - ctx.lambda2.rows)
     images = []
     for k in reading:
         col[k] += 1
@@ -248,12 +249,12 @@ def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
 def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:
     """All same-shaped pairs with each side in its Littlewood-Richardson crystal."""
     for mu in partitions_of(ctx.size):
-        if mu.rows > ctx.rank + 1:
+        if mu.rows > ctx.nu1.rows:
             continue
-        firsts = enumerate_lr_crystal(mu, ctx.lambda1, ctx.nu1, ctx.rank)
+        firsts = enumerate_lr_crystal(mu, ctx.lambda1, ctx.nu1)
         if not firsts:
             continue
-        seconds = enumerate_lr_crystal(mu, ctx.lambda2, ctx.nu2, ctx.rank)
+        seconds = enumerate_lr_crystal(mu, ctx.lambda2, ctx.nu2)
         for t1 in firsts:
             for t2 in seconds:
                 yield CrystalPair(t1, t2)
@@ -270,12 +271,11 @@ def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
     """
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
-    n = max(nu.rows, mu.rows + lam.rows, 1)
     domain, codomain = _interned_shape(mu.parts, ()), _interned_shape(nu.parts, lam.parts)
     return {
-        "crystal": _lr_count(domain, lam, nu, n),
+        "crystal": _lr_count(domain, lam, nu),
         "pictures": sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=mu.size)),
-        "skew_tableaux": _lr_count(codomain, Partition(), mu, n),
+        "skew_tableaux": _lr_count(codomain, Partition(), mu),
     }
 
 
@@ -283,5 +283,4 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient of (lam, mu, nu), by the crystal
     route, counted without building a tableau; lr_routes compares it with
     the other two.  mu may have any number of cells."""
-    n = max(nu.rows, mu.rows + lam.rows, 1)
-    return _lr_count(_interned_shape(mu.parts, ()), lam, nu, n)
+    return _lr_count(_interned_shape(mu.parts, ()), lam, nu)

@@ -41,7 +41,7 @@ __all__ = [
 DEFAULT_BFS_LENGTH = 8
 
 # Memo bounds for long-running processes; `verify --suite all` uses about
-# 1,000 filling keys and 65 tableau lists.  A filling key is kept only by
+# 450 filling keys and 65 tableau lists.  A filling key is kept only by
 # the keep rule shapes._kept (see _lr_fillings), so the cache holds at most
 # 4,096 keys of bounded size.  Counts are not kept: the lr_coeff benchmark
 # repeats no triple, and verify one in nine.
@@ -243,20 +243,14 @@ def lr_membership(
     return LrWitness(add_sequence(lam, reading.letters) == nu)
 
 
-def _padded(p: Partition, n: int) -> list[int]:
-    """p's parts padded with zeros to at least n + 1 rows, one per letter."""
-    return list(p.parts) + [0] * (n + 1 - p.rows)
-
-
 def _lr_member(reading: tuple[int, ...], lam: Partition, nu: Partition) -> bool:
     """Does adding one box at row a for each letter a of reading, in order,
     carry lam to nu through partitions?
 
-    This is lr_membership(t, lam, nu, n).member for a semistandard t with
-    this J-order reading, at any rank n of at least nu's row count, read in
-    one pass; the caller checks semistandardness.  Only nu's rows can take
-    a box, so lam is padded to them and a letter past them fails, as does
-    a letter past n + 1, which lr_membership refuses.
+    This is lr_membership(t, lam, nu).member for a semistandard t with
+    this J-order reading, read in one pass; the caller checks
+    semistandardness.  The letters are nu's rows: lam is padded to them,
+    and a letter past them takes no box and fails.
     """
     cap, parts = nu.parts, list(lam.parts)
     top = len(cap)
@@ -275,63 +269,54 @@ def cached_ssyt(shape: SkewShape, max_entry: int) -> tuple[SkewTableau, ...]:
     return tuple(enumerate_ssyt(shape, max_entry))
 
 
-def _lr_readings(
-    shape: SkewShape, lam: Partition, nu: Partition, n: int
-) -> Iterator[list[int]]:
-    """J-order readings of the semistandard fillings of shape, entries at
-    most n + 1, that add boxes to lam through partitions and end at nu; each
-    is the filler's own list (see _fillings).
+def _lr_readings(shape: SkewShape, lam: Partition, nu: Partition) -> Iterator[list[int]]:
+    """J-order readings of the semistandard fillings of shape that add boxes
+    to lam through partitions and end at nu; each is the filler's own list
+    (see _fillings).  Letter a adds its box to row a, so the letters are
+    nu's rows.
 
     A filling that stays inside nu ends at nu since |lam| + |shape| = |nu|,
-    so these are the readings of enumerate_ssyt(shape, n + 1) filtered by the
-    addition condition, in the same order.  On a straight shape mu they read
-    the LR crystal; on nu/lam from the empty partition to mu, the LR rule
-    (content mu, lattice reading).
+    so these are the readings of enumerate_ssyt(shape, m) filtered by the
+    addition condition, in the same order, for any m of at least nu's row
+    count.  On a straight shape mu they read the LR crystal; on nu/lam from
+    the empty partition to mu, the LR rule (content mu, lattice reading).
     """
     if lam.size + shape.size != nu.size or not nu.contains(lam):
         return iter(())
-    return _fillings(shape, n + 1, _padded(lam, n), _padded(nu, n))
+    return _fillings(shape, list(lam.parts) + [0] * (nu.rows - lam.rows), list(nu.parts))
 
 
-def _lr_fillings(
-    shape: SkewShape, lam: Partition, nu: Partition, n: int
-) -> tuple[SkewTableau, ...]:
-    """The tableaux of _lr_readings(shape, lam, nu, n), in its order; kept
-    per process when shapes._kept keeps the shape at the key's rank: the
-    largest of n and the row counts of shape, lam and nu."""
-    if _kept(max(n, shape.outer.rows, lam.rows, nu.rows), shape.size):
-        return _lr_fillings_cached(shape, lam, nu, n)
-    return _lr_fillings_cached.__wrapped__(shape, lam, nu, n)
+def _lr_fillings(shape: SkewShape, lam: Partition, nu: Partition) -> tuple[SkewTableau, ...]:
+    """The tableaux of _lr_readings(shape, lam, nu), in its order; kept per
+    process when shapes._kept keeps the shape with the largest row count of
+    shape, lam and nu."""
+    if _kept(max(shape.outer.rows, lam.rows, nu.rows), shape.size):
+        return _lr_fillings_cached(shape, lam, nu)
+    return _lr_fillings_cached.__wrapped__(shape, lam, nu)
 
 
 @lru_cache(maxsize=_FILLINGS_CACHE_SIZE)
 def _lr_fillings_cached(
-    shape: SkewShape, lam: Partition, nu: Partition, n: int
+    shape: SkewShape, lam: Partition, nu: Partition
 ) -> tuple[SkewTableau, ...]:
     """_lr_fillings' body, kept per process by its key."""
     return tuple(
         SkewTableau._built(shape, _reading_rows(shape, r))
-        for r in _lr_readings(shape, lam, nu, n)
+        for r in _lr_readings(shape, lam, nu)
     )
 
 
-def _lr_count(shape: SkewShape, lam: Partition, nu: Partition, n: int) -> int:
-    """len(_lr_fillings(shape, lam, nu, n)), with no tableau built or kept."""
-    return sum(1 for _ in _lr_readings(shape, lam, nu, n))
+def _lr_count(shape: SkewShape, lam: Partition, nu: Partition) -> int:
+    """len(_lr_fillings(shape, lam, nu)), with no tableau built or kept."""
+    return sum(1 for _ in _lr_readings(shape, lam, nu))
 
 
-def enumerate_lr_crystal(
-    mu: Partition, lam: Partition, nu: Partition, n: int | None = None
-) -> tuple[SkewTableau, ...]:
+def enumerate_lr_crystal(mu: Partition, lam: Partition, nu: Partition) -> tuple[SkewTableau, ...]:
     """All straight shape-mu tableaux whose reading is a valid lam -> nu addition,
     lexicographic in the J-order reading.
 
-    The count is the Littlewood-Richardson coefficient of the triple, which
-    is stable in n once n reaches the row count of nu.  mu may have any
-    number of cells: the filler does not recurse.
+    The count is the Littlewood-Richardson coefficient of the triple.  The
+    letters are nu's rows, since a letter past them could add no box.  mu
+    may have any number of cells: the filler does not recurse.
     """
-    if n is None:
-        n = max(nu.rows, mu.rows + lam.rows, 1)
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    return _lr_fillings(_interned_shape(mu.parts, ()), lam, nu, n)
+    return _lr_fillings(_interned_shape(mu.parts, ()), lam, nu)

@@ -29,7 +29,7 @@ __all__ = [
 _SHAPE_CACHE_SIZE = 256
 # The bounds of _kept, the keep rule of every cache that can hold a shape.
 # Every benchmark shape has at most 12 rows and 9 cells.
-_CACHED_RANK = 32
+_CACHED_ROWS = 32
 _CACHED_SHAPE_CELLS = 64
 
 
@@ -247,9 +247,9 @@ def _parsed_shape(outer, inner) -> SkewShape:
 
 def _kept(rows: int, cells: int) -> bool:
     """The keep rule of every per-process cache that can hold a shape: keep
-    one of this many rows (or this rank) and cells only within _CACHED_RANK
-    and _CACHED_SHAPE_CELLS; build a larger one afresh on every call."""
-    return rows <= _CACHED_RANK and cells <= _CACHED_SHAPE_CELLS
+    one of this many rows and cells only within _CACHED_ROWS and
+    _CACHED_SHAPE_CELLS; build a larger one afresh on every call."""
+    return rows <= _CACHED_ROWS and cells <= _CACHED_SHAPE_CELLS
 
 
 def _interned_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:

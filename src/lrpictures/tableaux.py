@@ -196,17 +196,16 @@ def p_index(t: SkewTableau, c: Cell) -> int:
     )
 
 
-def _fillings(
-    shape: SkewShape, top: int, parts: list[int], cap: list[int]
-) -> Iterator[list[int]]:
-    """J-order readings of the semistandard fillings of shape, entries at
-    most top, that add boxes to the partition parts without leaving cap.
+def _fillings(shape: SkewShape, parts: list[int], cap: list[int]) -> Iterator[list[int]]:
+    """J-order readings of the semistandard fillings of shape, one letter
+    per row of cap, that add boxes to the partition parts without leaving
+    cap.
 
     Each reading is yielded as the loop's own list, which it goes on to
     change: a caller that keeps a reading copies it.  Cells are filled along
     the J order, values ascending, so the output is lexicographic.  A letter
     v is refused when its box at row v would leave cap or break the
-    partition.  parts, of at least top rows, is updated in place and
+    partition.  parts, of as many rows as cap, is updated in place and
     restored once the fillings run out.
 
     The search is one backtrack in this frame: values holds the letter
@@ -218,7 +217,7 @@ def _fillings(
         yield []
         return
     right, above = shape._fill_bounds
-    last = size - 1
+    top, last = len(cap), size - 1
     values = [0] * size
     pos, v, hi = 0, 1, top
     while True:
@@ -265,5 +264,5 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     # cap is reached, and the LR filler refuses no letter.
     g = shape.size + 1
     parts = [(max_entry - r) * g for r in range(max_entry)]
-    for reading in _fillings(shape, max_entry, parts, [p + g for p in parts]):
+    for reading in _fillings(shape, parts, [p + g for p in parts]):
         yield SkewTableau._built(shape, _reading_rows(shape, reading))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -10,7 +11,16 @@ import pytest
 
 from itertools import combinations_with_replacement
 
-from lrpictures import SkewShape, TwoRowedArray, enumerate_pictures, full_s, rsk_forward
+from lrpictures import (
+    SkewShape,
+    TwoRowedArray,
+    enumerate_pictures,
+    full_s,
+    partitions_in_box,
+    partitions_of,
+    rsk_forward,
+    subpartitions,
+)
 from lrpictures.cli import (
     _ENCODE,
     _argument,
@@ -51,6 +61,25 @@ def test_lr_coeff_example():
 def test_lr_coeff_without_cross_check():
     doc = run_ok(["lr-coeff", "--lambda", "[1]", "--mu", "[2]", "--nu", "[2,1]"])
     assert doc == {"coefficient": 1}
+
+
+def test_lr_coeff_output_is_pinned():
+    # Every triple with nu in the 4x4 box and |nu| <= 8, each run plain and
+    # with --cross-check: the exit codes and stdout are pinned byte for
+    # byte, as verify's are.  A change that alters them updates this digest.
+    digest, calls = hashlib.md5(), 0
+    for nu in partitions_in_box(8, 4, 4):
+        for lam in subpartitions(nu):
+            for mu in partitions_of(nu.size - lam.size):
+                argv = ["lr-coeff"]
+                for flag, p in (("--lambda", lam), ("--mu", mu), ("--nu", nu)):
+                    argv += [flag, json.dumps(p.to_json(), separators=(",", ":"))]
+                for flags in ([], ["--cross-check"]):
+                    code, out = cmd_run(argv + flags)
+                    digest.update(f"{code}{out}".encode())
+                    calls += 1
+    assert calls == 3972
+    assert digest.hexdigest() == "0d9ab9c13e72b13edccfe8e3bf1cb3a4"
 
 
 def test_pictures_count_only():
@@ -596,9 +625,8 @@ def test_argument_cache_stays_bounded():
 
 def test_long_arguments_are_not_kept():
     # 300 distinct lambda = nu of 2,000 rows: each text runs past the
-    # argument cache's length bound and each count key past the count
-    # cache's row bound, so neither cache keeps them.  With either bound
-    # lifted they hold 5-10 MB.
+    # argument cache's length bound, so the cache keeps none of them.  With
+    # the bound lifted they hold about 5 MB.
     def long(k):
         return "[" + ",".join(["2"] * k + ["1"] * (2000 - k)) + "]"
 

@@ -223,7 +223,7 @@ def test_in_s_set_matches_the_content_checked_definition():
                 if verdict:
                     found.append(s)
             # The pruned filler reaches the same members in the same order.
-            assert tuple(found) == _lr_fillings(ctx.kappa1, ctx.lambda2, ctx.nu2, ctx.rank), ctx
+            assert tuple(found) == _lr_fillings(ctx.kappa1, ctx.lambda2, ctx.nu2), ctx
             members += len(found)
     assert members > 0
 

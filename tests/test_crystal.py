@@ -262,8 +262,15 @@ def test_enumerate_lr_crystal_examples():
         t.rows
         for t in enumerate_lr_crystal(Partition((2,)), Partition((1,)), Partition((2, 1)))
     ] == [((1, 2),)]
-    two = enumerate_lr_crystal(Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)), 3)
+    two = enumerate_lr_crystal(Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)))
     assert sorted(t.rows for t in two) == [((1, 2), (3,)), ((1, 3), (2,))]
+    # the letters are nu's rows, with no rank to cut them short
+    column = Partition((1, 1, 1))
+    assert [t.rows for t in enumerate_lr_crystal(column, Partition(), column)] == [
+        ((1,), (2,), (3,))
+    ]
+    with pytest.raises(TypeError):
+        enumerate_lr_crystal(column, Partition(), column, 1)
 
 
 def test_enumerate_lr_crystal_accepts_mu_past_the_recursion_limit():
@@ -276,6 +283,8 @@ def test_enumerate_lr_crystal_size_mismatch_is_empty():
 
 
 def test_lr_counts_stable_in_rank():
+    # The rank-free listing counts what the filtered enumeration counts at
+    # any rank large enough, and that count does not move with the rank.
     for nu in (Partition((3, 2, 1)), Partition((2, 2)), Partition((4, 2))):
         for lam in (Partition((1,)), Partition((2, 1))):
             if not nu.contains(lam):
@@ -284,9 +293,10 @@ def test_lr_counts_stable_in_rank():
 
             for mu in partitions_of(nu.size - lam.size):
                 base = max(nu.rows, mu.rows + lam.rows, 1)
-                a = len(enumerate_lr_crystal(mu, lam, nu, base))
-                b = len(enumerate_lr_crystal(mu, lam, nu, base + 1))
-                assert a == b
+                found = len(enumerate_lr_crystal(mu, lam, nu))
+                a = len(lr_crystal_by_filter(mu, lam, nu, base))
+                b = len(lr_crystal_by_filter(mu, lam, nu, base + 1))
+                assert found == a == b, (lam, mu, nu)
 
 
 def lr_triples(sizes):
@@ -299,15 +309,15 @@ def lr_triples(sizes):
 
 
 def test_pruned_filling_equals_the_filtered_enumeration():
-    # Whole tableau sequences, not counts: same members, same order.  Rank 1
-    # (entries 1 and 2) lies below the row count of most nu here.
+    # Whole tableau sequences, not counts: same members, same order.  The
+    # listing takes no rank, and it is the filtered enumeration at every
+    # rank n whose letters 1..n+1 cover nu's rows, from nu's row count less
+    # one up to one past max(nu's rows, mu's rows + lam's rows).
     for lam, mu, nu in lr_triples(range(7)):
+        found = enumerate_lr_crystal(mu, lam, nu)
         base = max(nu.rows, mu.rows + lam.rows, 1)
-        ranks = (1, base, base + 1) if nu.size <= 5 else (base,)
-        for n in ranks:
-            assert enumerate_lr_crystal(mu, lam, nu, n) == lr_crystal_by_filter(
-                mu, lam, nu, n
-            ), (lam, mu, nu, n)
+        for n in range(max(nu.rows - 1, 1), base + 2):
+            assert found == lr_crystal_by_filter(mu, lam, nu, n), (lam, mu, nu, n)
 
 
 def test_skew_route_equals_the_crystal_route():
@@ -315,9 +325,8 @@ def test_skew_route_equals_the_crystal_route():
     # route on mu: two fillings of different shapes, one count.
     checked = 0
     for lam, mu, nu in lr_triples(range(9)):
-        n = max(nu.rows, mu.rows + lam.rows, 1)
-        skew = _lr_fillings(SkewShape(nu, lam), Partition(), mu, n)
-        assert len(skew) == len(enumerate_lr_crystal(mu, lam, nu, n)), (lam, mu, nu)
+        skew = _lr_fillings(SkewShape(nu, lam), Partition(), mu)
+        assert len(skew) == len(enumerate_lr_crystal(mu, lam, nu)), (lam, mu, nu)
         checked += 1
     assert checked == 4136
 
@@ -337,12 +346,10 @@ def test_filling_caches_stay_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
-@pytest.mark.parametrize("rank", [None, 1])
-def test_long_fillings_are_not_kept(rank):
-    # 300 distinct lam = nu of 2,000 rows, listed from the empty mu at the
-    # default rank and at rank 1: each key has rows past the filling cache's
-    # rank bound, so none is kept.  With the bound lifted they hold about
-    # 5 MB.
+def test_long_fillings_are_not_kept():
+    # 300 distinct lam = nu of 2,000 rows, listed from the empty mu: each
+    # key has rows past the filling cache's row bound, so none is kept.
+    # With the bound lifted they hold about 5 MB.
     def long(k):
         return Partition((2,) * k + (1,) * (2000 - k))
 
@@ -351,7 +358,7 @@ def test_long_fillings_are_not_kept(rank):
         before = tracemalloc.get_traced_memory()[0]
         for k in range(1, 301):
             lam = long(k)
-            assert len(enumerate_lr_crystal(Partition(), lam, lam, rank)) == 1
+            assert len(enumerate_lr_crystal(Partition(), lam, lam)) == 1
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -360,9 +367,9 @@ def test_long_fillings_are_not_kept(rank):
 
 def test_fillings_of_shapes_past_the_cell_bound_are_not_kept():
     # 100 distinct one-row mu of 500-599 cells, listed from the empty
-    # lambda to nu = mu at rank 1: each shape has more cells than the shape
+    # lambda to nu = mu: each shape has more cells than the shape
     # cache keeps, so the filling cache keeps none of them either.  Keeping
-    # them by rank alone holds about 2.5 MB.
+    # them by their rows alone holds about 2.5 MB.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -376,20 +383,24 @@ def test_fillings_of_shapes_past_the_cell_bound_are_not_kept():
 
 
 @pytest.mark.parametrize(
-    "mu, lam, n, kept",
+    "mu, lam, nu, kept",
     [
-        ((8,) * 8, (), None, True),  # 64 cells at rank 8
+        ((8,) * 8, (), None, True),  # 64 cells in 8 rows
         ((65,), (), None, False),
-        ((1,), (1,) * 31, None, True),  # rank 32
-        ((1,), (1,) * 32, None, False),  # rank 33: lam's and nu's rows count
-        ((1,), (), 33, False),
+        ((1,), (1,) * 32, None, True),  # 32 rows
+        ((1,), (1,) * 33, None, False),  # 33 rows: lam's and nu's rows count
+        ((1,), (1,) * 32, (1,) * 33, False),  # 33 rows: nu's alone count
     ],
 )
-def test_filling_cache_keeps_by_the_shape_keep_rule(mu, lam, n, kept):
+def test_filling_cache_keeps_by_the_shape_keep_rule(mu, lam, nu, kept):
+    # nu is mu and lam added row by row unless it is given.
     mu, lam = Partition(mu), Partition(lam)
-    nu = Partition(tuple(a + b for a, b in itertools.zip_longest(mu.parts, lam.parts, fillvalue=0)))
-    first = enumerate_lr_crystal(mu, lam, nu, n)
-    assert (enumerate_lr_crystal(mu, lam, nu, n) is first) == kept
+    if nu is None:
+        nu = tuple(a + b for a, b in itertools.zip_longest(mu.parts, lam.parts, fillvalue=0))
+    nu = Partition(nu)
+    first = enumerate_lr_crystal(mu, lam, nu)
+    assert len(first) == 1
+    assert (enumerate_lr_crystal(mu, lam, nu) is first) == kept
 
 
 def test_counts_equal_the_listing_and_the_pictures_route():

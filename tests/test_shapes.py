@@ -16,7 +16,7 @@ from lrpictures import (
 )
 from lrpictures.pictures import _coordinates
 from lrpictures.shapes import (
-    _CACHED_RANK,
+    _CACHED_ROWS,
     _CACHED_SHAPE_CELLS,
     _SHAPE_CACHE_SIZE,
     _interned_shape,
@@ -294,8 +294,8 @@ def test_shape_cache_is_bounded():
     "outer, inner, kept",
     [
         ((1,) * 12, (1,) * 3, True),  # 12 rows and 9 cells, the benchmark's largest
-        ((2,) * _CACHED_RANK, (), True),
-        ((2,) * _CACHED_RANK + (1,), (1,), False),
+        ((2,) * _CACHED_ROWS, (), True),
+        ((2,) * _CACHED_ROWS + (1,), (1,), False),
         ((_CACHED_SHAPE_CELLS + 1,), (1,), True),
         ((_CACHED_SHAPE_CELLS + 1,), (), False),
     ],

@@ -12,7 +12,7 @@ from lrpictures import (
     partitions_of,
     subpartitions,
 )
-from lrpictures.crystal import _padded, enumerate_lr_crystal
+from lrpictures.crystal import enumerate_lr_crystal
 from lrpictures.shapes import j_order_cells
 from lrpictures.tableaux import (
     _fillings,
@@ -107,36 +107,38 @@ def test_enumerate_ssyt_bound():
         list(enumerate_ssyt(SkewShape(Partition((5, 5, 3))), 3))
 
 
-def same_fillings(shape, top, parts, cap):
+def same_fillings(shape, parts, cap):
     """The loop's readings are those of the recursive filler's tableaux, in
-    its order, and both give parts back as they found it."""
+    its order, with one letter per row of cap, and both give parts back as
+    they found it."""
     given = list(parts)
-    found = [tuple(r) for r in _fillings(shape, top, parts, cap)]
-    assert parts == given, (shape, top)
-    expected = [t.reading() for t in fillings_by_recursion(shape, top, parts, cap)]
-    assert found == expected, (shape, top, given, cap)
-    assert parts == given, (shape, top)
+    found = [tuple(r) for r in _fillings(shape, parts, cap)]
+    assert parts == given, (shape, cap)
+    expected = [t.reading() for t in fillings_by_recursion(shape, len(cap), parts, cap)]
+    assert found == expected, (shape, given, cap)
+    assert parts == given, (shape, cap)
     return found
 
 
 def test_flat_filler_matches_the_recursive_one():
-    # Every skew shape with nu in the 4x4 box, empty ones included, for
-    # tops 1-5.  The lattice caps (rows from empty, each of room |shape|)
-    # refuse every letter that would break the partition; enumerate_ssyt's
-    # caps refuse none, and top 5 under them would add 746,075 leaves.
+    # Every skew shape with nu in the 4x4 box, empty ones included, under
+    # caps of 1-5 rows.  The lattice caps (rows from empty, each of room
+    # |shape|) refuse every letter that would break the partition;
+    # enumerate_ssyt's caps refuse none, and 5 rows of them would add
+    # 746,075 leaves.
     shapes = [SkewShape(nu, lam) for nu in partitions_in_box(16, 4, 4) for lam in subpartitions(nu)]
     assert len(shapes) == 1764 and SkewShape(Partition()) in shapes
     lattice = wide = 0
     for shape in shapes:
         g = shape.size + 1
         for top in range(1, 6):
-            lattice += len(same_fillings(shape, top, [0] * top, [shape.size] * top))
+            lattice += len(same_fillings(shape, [0] * top, [shape.size] * top))
             if top < 5:
                 parts = [(top - r) * g for r in range(top)]
-                wide += len(same_fillings(shape, top, parts, [p + g for p in parts]))
+                wide += len(same_fillings(shape, parts, [p + g for p in parts]))
     assert (lattice, wide) == (12280, 164786)
     empty = SkewShape(Partition((2, 1)), Partition((2, 1)))
-    assert same_fillings(empty, 3, [0, 0, 0], [0, 0, 0]) == [()]
+    assert same_fillings(empty, [0, 0, 0], [0, 0, 0]) == [()]
 
 
 def test_flat_filler_matches_the_recursive_one_under_lr_caps():
@@ -147,17 +149,17 @@ def test_flat_filler_matches_the_recursive_one_under_lr_caps():
     for nu in partitions_in_box(8, 4, 4):
         for lam in subpartitions(nu):
             for mu in partitions_of(nu.size - lam.size):
-                n = max(nu.rows, mu.rows + lam.rows, 1)
                 for shape, start, cap in (
                     (SkewShape(mu), lam, nu),
                     (SkewShape(nu, lam), Partition(), mu),
                 ):
-                    found = same_fillings(shape, n + 1, _padded(start, n), _padded(cap, n))
+                    parts = list(start.parts) + [0] * (cap.rows - start.rows)
+                    found = same_fillings(shape, parts, list(cap.parts))
                     refused += not found  # every shape has a semistandard filling
                     calls += 1
     assert calls == 3972 and refused > calls // 2
     # a cap of nothing refuses every letter
-    assert same_fillings(SkewShape(Partition((2,))), 2, [0, 0], [0, 0]) == []
+    assert same_fillings(SkewShape(Partition((2,))), [0, 0], [0, 0]) == []
 
 
 def test_fill_bounds_match_the_cell_index():
