@@ -45,9 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrespondenceContext:
-    """Fixes the two skew shapes.  Their inner and outer partitions are
-    derived, and so is rank, the rank of the tensor words that read this
-    context's tableaux."""
+    """Fixes the two skew shapes; their inner and outer partitions are derived."""
 
     kappa1: SkewShape
     kappa2: SkewShape
@@ -78,17 +76,8 @@ class CorrespondenceContext:
     def size(self) -> int:
         return self.kappa1.size
 
-    @property
-    def rank(self) -> int:
-        return max(self.nu1.rows, self.nu2.rows, 1)
-
     def to_json(self) -> dict:
         return {"kappa1": self.kappa1.to_json(), "kappa2": self.kappa2.to_json()}
-
-    @classmethod
-    def from_json(cls, obj) -> "CorrespondenceContext":
-        obj = _json_object(obj, "kappa1", "kappa2")
-        return cls(SkewShape.from_json(obj["kappa1"]), SkewShape.from_json(obj["kappa2"]))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ opening letter precedes a closing one.  The raising operator turns the
 rightmost unmatched k+1 into k, the lowering operator turns the leftmost
 unmatched k into k+1.  Equivalently, on two factors the first factor is
 preferred exactly when phi(first) >= eps(second) (raising) or
-phi(first) > eps(second) (lowering).
+phi(first) > eps(second) (lowering), where phi and eps count the lowering
+and raising steps that apply.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept, add_sequence
-from .tableaux import SkewTableau, _fillings, _reading_rows, enumerate_ssyt, me_reading
+from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept
+from .tableaux import SkewTableau, _fillings, _reading_rows, _semistandard_reading, enumerate_ssyt
 from .words import TensorWord, Word
 
 __all__ = [
     "LrWitness",
     "apply_crystal_op",
     "epsilon",
-    "phi",
-    "weight",
     "is_highest_weight",
     "combinatorial_r",
     "neighbours",
@@ -101,20 +100,6 @@ def epsilon(w: TensorWord, k: int) -> int:
     """How many times the raising operator for k applies."""
     _check_index(w, k)
     return len(_unmatched(w.letters, k)[0])
-
-
-def phi(w: TensorWord, k: int) -> int:
-    """How many times the lowering operator for k applies."""
-    _check_index(w, k)
-    return len(_unmatched(w.letters, k)[1])
-
-
-def weight(w: TensorWord) -> tuple[int, ...]:
-    """Letter multiplicities, indexed 1 .. rank+1."""
-    out = [0] * (w.rank + 1)
-    for a in w.letters:
-        out[a - 1] += 1
-    return tuple(out)
 
 
 def is_highest_weight(w: TensorWord) -> bool:
@@ -220,37 +205,27 @@ def tensor_concat(a: TensorWord, b: TensorWord) -> TensorWord:
     return TensorWord(max(a.rank, b.rank), a.letters + b.letters)
 
 
-def _resolve_rank(t: SkewTableau, lam: Partition, nu: Partition, n: int | None) -> int:
-    if n is None:
-        max_letter = max((a for row in t.rows for a in row), default=1)
-        return max(nu.rows, t.shape.outer.rows + lam.rows, max_letter - 1, 1)
-    if n < 1:
-        raise ValueError(f"rank must be positive, got {n}")
-    return n
-
-
-def lr_membership(
-    t: SkewTableau, lam: Partition, nu: Partition, n: int | None = None
-) -> LrWitness:
+def lr_membership(t: SkewTableau, lam: Partition, nu: Partition) -> LrWitness:
     """Does adding boxes along t's J-order reading carry lam to nu through partitions?
 
-    t must be a straight semistandard tableau with entries at most n+1.
+    t must be a straight semistandard tableau.  Its reading goes through
+    _lr_member, so a letter past nu's rows makes t no member.
     """
     if not t.shape.is_straight:
         raise ValueError("straight tableau required")
-    n = _resolve_rank(t, lam, nu, n)
-    reading = me_reading(t, rank=n)  # rejects non-semistandard fillings
-    return LrWitness(add_sequence(lam, reading.letters) == nu)
+    reading = _semistandard_reading(t)
+    if reading is None:
+        raise ValueError("tableau is not semistandard")
+    return LrWitness(_lr_member(reading, lam, nu))
 
 
 def _lr_member(reading: tuple[int, ...], lam: Partition, nu: Partition) -> bool:
     """Does adding one box at row a for each letter a of reading, in order,
     carry lam to nu through partitions?
 
-    This is lr_membership(t, lam, nu).member for a semistandard t with
-    this J-order reading, read in one pass; the caller checks
-    semistandardness.  The letters are nu's rows: lam is padded to them,
-    and a letter past them takes no box and fails.
+    The caller checks that the reading is a semistandard tableau's.  The
+    letters are nu's rows: lam is padded to them, and a letter past them
+    takes no box and fails.
     """
     cap, parts = nu.parts, list(lam.parts)
     top = len(cap)

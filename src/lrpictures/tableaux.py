@@ -25,11 +25,7 @@ __all__ = [
     "highest_tableau",
     "p_index",
     "enumerate_ssyt",
-    "DEFAULT_ENUMERATION_CELLS",
 ]
-
-# Largest shape enumerate_ssyt will exhaust.
-DEFAULT_ENUMERATION_CELLS = 12
 
 
 @dataclass(frozen=True)
@@ -252,13 +248,9 @@ def _fillings(shape: SkewShape, parts: list[int], cap: list[int]) -> Iterator[li
 def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     """All semistandard fillings with entries in 1..max_entry.
 
-    Output order is lexicographic in the J-order reading.  Shapes with more
-    than DEFAULT_ENUMERATION_CELLS boxes are refused.
+    Output order is lexicographic in the J-order reading.  The filler does
+    not recurse, so the shape may have any number of cells.
     """
-    if shape.size > DEFAULT_ENUMERATION_CELLS:
-        raise ValueError(
-            f"shape has {shape.size} cells, enumeration bound is {DEFAULT_ENUMERATION_CELLS}"
-        )
     # Rows g apart, each with room for g more boxes: a row gains at most
     # |shape| < g boxes, so no row catches up with the one above it and no
     # cap is reached, and the LR filler refuses no letter.

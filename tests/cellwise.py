@@ -2,10 +2,12 @@
 
 The cell-by-cell checks read a tableau one Cell at a time through
 SkewTableau.entry, so they share no logic with the row-based kernels they
-are compared against.  The LR crystal reference filters every semistandard
-tableau by lr_membership instead of pruning a filling.  The picture search
-reference checks each candidate image against every assigned pair of Cells,
-and the picture reference compares every pair of cells both ways.
+are compared against.  lr_member_by_addition is the first form of
+lr_membership: the whole reading, read at a rank, goes through
+add_sequence.  The LR crystal reference filters every semistandard tableau
+by it instead of pruning a filling.  The picture search reference checks
+each candidate image against every assigned pair of Cells, and the picture
+reference compares every pair of cells both ways.
 add_one builds a shape one box at a time, for a second route to add_sequence.
 c1_by_new_cells and rsk_inverse_by_max_scan are the first forms of the c1
 and RSK-inverse kernels: a new Cell per image, and a max scan of Q's column
@@ -23,7 +25,6 @@ from collections import Counter
 from functools import lru_cache
 
 from lrpictures import Cell, CrystalPair, Picture, SkewShape, TwoRowedArray
-from lrpictures.crystal import lr_membership
 from lrpictures.pictures import _coordinates, is_pj_standard
 from lrpictures.rsk import _to_columns, _unbump, column_insert_sequence
 from lrpictures.shapes import (
@@ -65,7 +66,8 @@ def in_s_set_with_content_check(ctx, s):
     top = max([outer.rows, *counts.keys()], default=0)
     if any(counts.get(i, 0) != outer.part(i) - inner.part(i) for i in range(1, top + 1)):
         return False
-    return add_sequence(ctx.lambda2, me_reading(s, rank=ctx.rank).letters) == ctx.nu2
+    rank = max(ctx.nu1.rows, ctx.nu2.rows, 1)
+    return add_sequence(ctx.lambda2, me_reading(s, rank=rank).letters) == ctx.nu2
 
 
 def add_one(parts, i):
@@ -76,15 +78,21 @@ def add_one(parts, i):
     return tuple(parts)
 
 
+def lr_member_by_addition(t, lam, nu, n):
+    """lr_membership(t, lam, nu).member read at rank n: does adding one box
+    per letter of t's reading carry lam to nu through partitions?"""
+    return add_sequence(lam, me_reading(t, rank=n).letters) == nu
+
+
 def lr_crystal_by_filter(mu, lam, nu, n):
     """enumerate_lr_crystal by exhaustion: every shape-mu semistandard
-    tableau with entries at most n+1 that passes lr_membership."""
+    tableau with entries at most n+1 that passes lr_member_by_addition."""
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return ()
     return tuple(
         t
         for t in enumerate_ssyt(SkewShape(mu), n + 1)
-        if lr_membership(t, lam, nu, n).member
+        if lr_member_by_addition(t, lam, nu, n)
     )
 
 

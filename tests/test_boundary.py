@@ -59,7 +59,6 @@ READERS = [
     (TwoRowedArray, "top"),
     (CrystalPair, "first"),
     (Picture, "pairs"),
-    (CorrespondenceContext, "kappa1"),
 ]
 
 
@@ -81,7 +80,6 @@ DOCUMENTS = [
         Picture,
         {"domain": SHAPE, "codomain": SHAPE, "pairs": [[[1, 2], [2, 1]], [[2, 1], [1, 2]]]},
     ),
-    (CorrespondenceContext, {"kappa1": SHAPE, "kappa2": SHAPE}),
 ]
 
 

@@ -45,7 +45,7 @@ from lrpictures.shapes import j_order_cells
 from lrpictures.tableaux import enumerate_ssyt, p_index
 from lrpictures.words import TensorWord, Word
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
-from cellwise import c1_by_new_cells, in_s_set_with_content_check
+from cellwise import c1_by_new_cells, in_s_set_with_content_check, lr_member_by_addition
 from conftest import roundtrip_population
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -68,7 +68,8 @@ def small_contexts():
 def test_context_derives_everything():
     ctx = CorrespondenceContext(HOOK, SkewShape(Partition((2, 1)), Partition((1,))))
     assert ctx.lambda1 == Partition((1,)) and ctx.nu1 == Partition((2, 1))
-    assert ctx.size == 2 and ctx.rank == 2
+    assert ctx.lambda2 == Partition((1,)) and ctx.nu2 == Partition((2, 1))
+    assert ctx.size == 2
     with pytest.raises(ValueError):
         CorrespondenceContext(HOOK, SkewShape(Partition((1,))))
 
@@ -187,9 +188,10 @@ def test_c1_takes_the_codomain_cells():
 
 def test_lr_kernel_matches_lr_membership():
     # every straight tableau with entries at most n + 1, read against each
-    # side (lambda, nu) of every context at the context's rank n
+    # side (lambda, nu) of every context at the context's rank n, the row
+    # count of its larger outer shape
     sides = {
-        (lam, nu, ctx.rank)
+        (lam, nu, max(ctx.nu1.rows, ctx.nu2.rows, 1))
         for ctx in acceptance_contexts(5)
         for lam, nu in ((ctx.lambda1, ctx.nu1), (ctx.lambda2, ctx.nu2))
     }
@@ -197,8 +199,9 @@ def test_lr_kernel_matches_lr_membership():
     for lam, nu, n in sides:
         for mu in partitions_of(nu.size - lam.size):
             for t in cached_ssyt(SkewShape(mu), n + 1):
-                verdict = _lr_member(t.reading(), lam, nu)
-                assert verdict == lr_membership(t, lam, nu, n).member, (lam, nu, n, t)
+                verdict = lr_member_by_addition(t, lam, nu, n)
+                assert _lr_member(t.reading(), lam, nu) == verdict, (lam, nu, n, t)
+                assert lr_membership(t, lam, nu).member == verdict, (lam, nu, n, t)
                 members += verdict
                 tableaux += 1
     assert 0 < members < tableaux
@@ -211,7 +214,7 @@ def test_in_s_set_matches_the_content_checked_definition():
     # semistandard fillings are the ones that tell them apart.
     groups = defaultdict(list)
     for ctx in acceptance_contexts(4):
-        groups[ctx.kappa1, ctx.rank + 2].append(ctx)
+        groups[ctx.kappa1, max(ctx.nu1.rows, ctx.nu2.rows, 1) + 2].append(ctx)
     members = 0
     for (kappa1, max_entry), ctxs in groups.items():
         fillings = list(enumerate_ssyt(kappa1, max_entry))

@@ -36,14 +36,12 @@ MODULES = ["lrpictures"] + [
     if m.name != "__main__"
 ]
 
-# Every per-process memo, by defining module and name.  verify's memo is
-# the only unbounded one: it keeps one shape family per suite setting.
+# Every per-process memo, by defining module and name.
 MEMOS = {
     "lrpictures.cli._parsed_argument",
     "lrpictures.crystal._lr_fillings_cached",
     "lrpictures.crystal.cached_ssyt",
     "lrpictures.shapes._shape_cached",
-    "lrpictures.verify._family_shapes",
 }
 
 
@@ -68,5 +66,4 @@ def test_every_memo_is_listed_and_bounded():
                     found[f"{x.__module__}.{x.__qualname__}"] = x
     assert found.keys() == MEMOS
     for name, memo in found.items():
-        if not name.startswith("lrpictures.verify."):
-            assert memo.cache_info().maxsize is not None, name
+        assert memo.cache_info().maxsize is not None, name

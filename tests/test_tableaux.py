@@ -103,8 +103,15 @@ def test_enumerate_ssyt_examples():
 
 
 def test_enumerate_ssyt_bound():
-    with pytest.raises(ValueError):
-        list(enumerate_ssyt(SkewShape(Partition((5, 5, 3))), 3))
+    # enumerate_ssyt bounds no shape: these 13 cells are listed in the
+    # recursive filler's order, started from rows spaced as enumerate_ssyt
+    # spaces them; 63 is the number of (7,6) tableaux with entries at most 3
+    shape = SkewShape(Partition((7, 6)))
+    g = shape.size + 1
+    parts = [(3 - r) * g for r in range(3)]
+    expected = list(fillings_by_recursion(shape, 3, parts, [p + g for p in parts]))
+    assert list(enumerate_ssyt(shape, 3)) == expected
+    assert len(expected) == 63
 
 
 def same_fillings(shape, parts, cap):
