@@ -25,7 +25,7 @@ from .correspondence import (
     lr_coefficient,
     lr_routes,
 )
-from .pictures import Picture, enumerate_pictures
+from .pictures import Picture, _picture_readings, enumerate_pictures
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
 from .shapes import Partition, SkewShape, _json_object, _kept
 from .tableaux import SkewTableau
@@ -208,10 +208,10 @@ def _read_shapes(args, stdin) -> tuple[SkewShape, SkewShape]:
 
 def _run_pictures(args, stdin):
     kappa1, kappa2 = _read_shapes(args, stdin)
-    found = enumerate_pictures(kappa1, kappa2, max_cells=_bound_override())
+    bound = _bound_override()
     if args.count_only:
-        return {"count": sum(1 for _ in found)}, 0
-    pictures = [f.to_json() for f in found]
+        return {"count": sum(1 for _ in _picture_readings(kappa1, kappa2, bound))}, 0
+    pictures = [f.to_json() for f in enumerate_pictures(kappa1, kappa2, bound)]
     return {"count": len(pictures), "pictures": pictures}, 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .crystal import _lr_count, _lr_member, enumerate_lr_crystal
-from .pictures import Picture, enumerate_pictures, validate_picture
+from .pictures import Picture, _lr_picture, enumerate_pictures, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
 from .shapes import Partition, SkewShape, _interned_shape, _json_object, partitions_of
 from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
@@ -203,16 +203,7 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
 
 
 def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
-    # The cells of one entry form a horizontal strip, so the J order lists
-    # them right to left and a running count is each cell's p_index.  The
-    # t-th letter k goes to (k, lambda2_k + t), taken from kappa2's cells.
-    index, cells = ctx.kappa2._j_index, ctx.kappa2._j_order
-    col = [0, *ctx.lambda2.parts] + [0] * (ctx.nu2.rows - ctx.lambda2.rows)
-    images = []
-    for k in reading:
-        col[k] += 1
-        images.append(cells[index[k, col[k]]])
-    return Picture(ctx.kappa1, ctx.kappa2, tuple(images))
+    return _lr_picture(ctx.kappa1, ctx.kappa2, reading)
 
 
 def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture:
@@ -250,13 +241,15 @@ def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]
 
 
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
-    """The Littlewood-Richardson coefficient computed three independent ways.
+    """The Littlewood-Richardson coefficient computed three ways, from two
+    fills.
 
-    'crystal' fills shape mu so that its reading carries lam to nu,
-    'pictures' counts pictures from straight mu to nu/lam, and
+    'crystal' fills shape mu so that its reading carries lam to nu, and
     'skew_tableaux' fills nu/lam with content mu and a lattice reading (the
-    LR rule).  Each route is a backtrack in a single frame, so mu may have
-    any number of cells.
+    LR rule).  'pictures' lists the pictures from straight mu to nu/lam,
+    which are s1's inverse over the crystal route's fill: it checks the
+    image map, not the fill.  Each fill is a backtrack in a single frame, so
+    mu may have any number of cells.
     """
     if lam.size + mu.size != nu.size or not nu.contains(lam):
         return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}

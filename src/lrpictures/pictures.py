@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
+from .crystal import _lr_readings
 from .shapes import Cell, SkewShape, _json_object, _json_pair, j_order_cells, leq_j, leq_p
 from .tableaux import _semistandard
 
@@ -131,81 +133,50 @@ def validate_picture(p: Picture) -> bool:
     return _semistandard(r, p.domain) and _semistandard(back, p.codomain)
 
 
-def enumerate_pictures(
+def _picture_readings(
     kappa1: SkewShape, kappa2: SkewShape, max_cells: int | None = None
-) -> Iterator[Picture]:
-    """All pictures from kappa1 to kappa2, by backtracking over images.
-
-    Images are assigned along the domain's J order and candidates tried in
-    the codomain's J order, so output order is deterministic.  Codomain
-    cells are numbered in J order, where leq_j is <= on the numbers.  The
-    forward condition on the current source is an open interval of numbers:
-    above the image of the cell above it, below the image of its right
-    neighbour, both earlier sources.  The images assigned so far respect
-    <=_p, and every earlier source weakly north-west (south-east) of the
-    current one lies in the rectangle through the cell above (the right
-    neighbour), so these two images are the extremes.  The inverse
-    condition is a lookahead: an image is taken only when the cell above it
-    and its left neighbour are used, so the used cells stay an order ideal
-    and every codomain cell weakly north-west of the image is used.  This
-    is exact, because a cell still unused gets its source later, so J-after
-    the current source, which the inverse condition forbids.  Every leaf is
-    therefore a picture and is yielded without re-validation.  The tests
-    compare the output with a brute force filtered by validate_picture and
-    with a search that checks every assigned pair.
-
-    Shapes past max_cells cells (default DEFAULT_PICTURE_CELLS) are refused
-    with ValueError.  The search is one backtrack in this frame, as in
-    tableaux._fillings, so no cell costs a frame and there is no other bound.
-    """
+) -> Iterator[list[int]]:
+    """enumerate_pictures' checks, then the LR readings it maps to its
+    pictures: those of kappa1 from kappa2's inner to its outer partition."""
     bound = DEFAULT_PICTURE_CELLS if max_cells is None else max_cells
     if kappa1.size != kappa2.size:
         raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
     if kappa1.size > bound:
         raise ValueError(f"{kappa1.size} cells exceed the enumeration bound {bound}")
+    return _lr_readings(kappa1, kappa2.inner, kappa2.outer)
 
-    codomain = j_order_cells(kappa2)
-    n = len(codomain)
-    if not n:
-        yield Picture(kappa1, kappa2, ())
-        return
-    right, up = kappa1._fill_bounds
-    # The bits of the cell above each codomain cell and of its left
-    # neighbour, the cell whose right neighbour it is.
-    right2, up2 = kappa2._fill_bounds
-    need = [0 if a is None else 1 << a for a in up2]
-    for v, u in enumerate(right2):
-        if u is not None:
-            need[u] |= 1 << v
-    # images holds the image number at each position and used the bits of
-    # the images taken.  The first source has no cell above it and no right
-    # neighbour.
-    last = n - 1
-    images = [0] * n
-    pos, y, hi, used = 0, 0, n, 0
-    while True:
-        while y < hi:
-            if not used >> y & 1 and used & need[y] == need[y]:
-                break
-            y += 1
-        else:
-            # No candidate is left at pos: take back the image before it.
-            if not pos:
-                return
-            pos -= 1
-            y = images[pos]
-            used ^= 1 << y
-            j = right[pos]
-            hi = n if j is None else images[j]
-            y += 1
-            continue
-        images[pos] = y
-        if pos == last:
-            yield Picture(kappa1, kappa2, tuple(map(codomain.__getitem__, images)))
-            y += 1
-            continue
-        used |= 1 << y
-        pos += 1
-        i, j = up[pos], right[pos]
-        y = 0 if i is None else images[i] + 1
-        hi = n if j is None else images[j]
+
+def _lr_picture(kappa1: SkewShape, kappa2: SkewShape, reading: Sequence[int]) -> Picture:
+    """The picture whose images' rows are reading, an LR reading of kappa1
+    from kappa2's inner to its outer partition: the map c1.
+
+    The cells of one letter form a horizontal strip, read right to left, so
+    the t-th letter k goes to (k, inner_k + t), at J position end_k - t of
+    kappa2, where end_k is the position just past row k.
+    """
+    cells, end = kappa2._j_order, [0, *accumulate(kappa2._row_lengths)]
+    images = []
+    for k in reading:
+        end[k] -= 1
+        images.append(cells[end[k]])
+    return Picture(kappa1, kappa2, tuple(images))
+
+
+def enumerate_pictures(
+    kappa1: SkewShape, kappa2: SkewShape, max_cells: int | None = None
+) -> Iterator[Picture]:
+    """All pictures from kappa1 to kappa2, lexicographic in their images'
+    codomain J positions.
+
+    The listing is s1's inverse over the LR filler: s1 fills kappa1 with
+    its images' rows, a bijection onto the LR fillings of kappa1 from
+    kappa2's inner to its outer partition, and _lr_picture inverts it.  The
+    fillings come lexicographic in their readings, and where two readings
+    first differ their images lie in different rows, which the J order
+    numbers top to bottom; so the pictures come in order.
+
+    Shapes past max_cells cells (default DEFAULT_PICTURE_CELLS) are refused
+    with ValueError.  The filler does not recurse, so there is no other bound.
+    """
+    for reading in _picture_readings(kappa1, kappa2, max_cells):
+        yield _lr_picture(kappa1, kappa2, reading)

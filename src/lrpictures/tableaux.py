@@ -219,8 +219,12 @@ def _fillings(shape: SkewShape, parts: list[int], cap: list[int]) -> Iterator[li
     while True:
         while v <= hi:
             r = v - 1
-            if parts[r] < cap[r] and (r == 0 or parts[r - 1] > parts[r]):
-                break
+            if parts[r] < cap[r]:
+                if r == 0 or parts[r - 1] > parts[r]:
+                    break
+                if not parts[r - 1]:
+                    # Rows r - 1 onward are empty, so no larger letter fits.
+                    v = hi
             v += 1
         else:
             # No letter is left at pos: take back the one before it.

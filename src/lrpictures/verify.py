@@ -48,6 +48,10 @@ from .words import TensorWord, Word
 
 __all__ = ["SuiteReport", "SUITE_NAMES", "run_suite", "acceptance_contexts"]
 
+# What a broken guarantee raises inside the library: a stage's input check
+# refusing the previous stage's output, or a kernel indexing past a shape.
+_BROKEN = (ValueError, LookupError)
+
 SUITE_NAMES = (
     "roundtrip",
     "cardinality",
@@ -126,9 +130,15 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
     for ctx in acceptance_contexts(max_cells):
         report.count("contexts")
         images = set()
-        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+        # The listing runs c1's image map, so a fault there raises here.
+        try:
+            pictures = list(enumerate_pictures(ctx.kappa1, ctx.kappa2))
+        except _BROKEN as exc:
+            report.fail(context=ctx.to_json(), error=str(exc))
+            return report
+        for f in pictures:
             # Each stage's output is checked as the next stage's input, so a
-            # ValueError here is a broken guarantee of the construction.
+            # fault here is a broken guarantee of the construction.
             try:
                 s = s1_picture_to_skewtab(ctx, f)
                 w = s2_skewtab_to_array(ctx, s)
@@ -138,7 +148,7 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
                     and SkewTableau.from_reading(ctx.kappa1, w.bottom.letters) == s
                     and _c1(ctx, s.reading()) == f
                 )
-            except ValueError as exc:
+            except _BROKEN as exc:
                 report.fail(context=ctx.to_json(), picture=f.to_json(), error=str(exc))
                 return report
             report.count("pictures")

@@ -462,7 +462,7 @@ def test_lr_coeff_accepts_mu_past_the_recursion_limit(flags, out):
 
 
 def test_pictures_accepts_shapes_past_the_recursion_limit(monkeypatch):
-    # The search does not recurse, so LRPK_MAX_CELLS is its only cell bound.
+    # The filler does not recurse, so LRPK_MAX_CELLS is the only cell bound.
     monkeypatch.setenv("LRPK_MAX_CELLS", "1200")
     argv = ["pictures", "--kappa1", '{"outer":[1200]}', "--kappa2", "same", "--count-only"]
     assert cmd_run(argv) == (0, '{"count":1}\n')

@@ -19,7 +19,9 @@ from lrpictures import (
     full_s,
     lr_coefficient,
     lr_routes,
+    partitions_in_box,
     partitions_of,
+    subpartitions,
 )
 from lrpictures.correspondence import (
     _c1,
@@ -421,6 +423,25 @@ def test_lr_coefficient_values(lam, mu, nu, expected):
     assert lr_coefficient(lam, mu, nu) == expected
     routes = lr_routes(lam, mu, nu)
     assert routes == {"crystal": expected, "pictures": expected, "skew_tableaux": expected}
+
+
+def _conjugate(p):
+    return Partition(tuple(sum(1 for x in p.parts if x > j) for j in range(p.part(1))))
+
+
+def test_lr_coefficient_symmetries():
+    # c(lam, mu; nu) = c(mu, lam; nu) = c(lam', mu'; nu'): each side fills a
+    # different shape, so these compare fills that lr_routes does not
+    triples = nonzero = 0
+    for nu in partitions_in_box(10, 5, 5):
+        for lam in subpartitions(nu):
+            for mu in partitions_of(nu.size - lam.size):
+                c = lr_coefficient(lam, mu, nu)
+                assert c == lr_coefficient(mu, lam, nu), (lam, mu, nu)
+                assert c == lr_coefficient(_conjugate(lam), _conjugate(mu), _conjugate(nu))
+                triples += 1
+                nonzero += c > 0
+    assert (triples, nonzero) == (11482, 3418)
 
 
 def test_lr_routes_agree_spot():

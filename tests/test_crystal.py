@@ -402,7 +402,7 @@ def test_filling_cache_keeps_by_the_shape_keep_rule(mu, lam, nu, kept):
 
 def test_counts_equal_the_listing_and_the_pictures_route():
     # Every triple with nu in the 4x4 box, |nu| <= 10 and 4 <= |mu| <= 7:
-    # the count, the listed crystal and the picture search agree.
+    # the count, the listed crystal and the pictures route agree.
     checked = 0
     for nu in partitions_in_box(10, 4, 4):
         for lam in subpartitions(nu):

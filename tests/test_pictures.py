@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 
@@ -13,7 +12,8 @@ from lrpictures import (
     partitions_in_box,
     subpartitions,
 )
-from lrpictures.pictures import is_pj_standard, validate_picture
+from lrpictures.cli import cmd_run
+from lrpictures.pictures import _picture_readings, is_pj_standard, validate_picture
 from lrpictures.shapes import j_order_cells
 from lrpictures.verify import acceptance_contexts
 from cellwise import inverse_picture, picture_by_all_pairs, pictures_by_pairwise_search
@@ -90,13 +90,19 @@ def test_enumeration_errors():
     assert len(list(enumerate_pictures(big, big, max_cells=9))) >= 1
 
 
-def test_enumeration_runs_past_the_recursion_limit():
-    # one row and one column, each one cell longer than the recursion limit:
-    # the search takes no frame per cell
-    m = sys.getrecursionlimit() + 1
+def test_enumeration_lists_a_long_row_and_column():
+    # one picture each, read off one LR filling; the filler stops its letter
+    # scan at the first empty row, so the column is not quadratic
+    m = 20000
     for shape in (SkewShape(Partition((m,))), SkewShape(Partition((1,) * m))):
         found = list(enumerate_pictures(shape, shape, max_cells=m))
         assert len(found) == 1 and validate_picture(found[0])
+
+
+def test_cross_check_counts_a_long_row_and_column():
+    for mu in ([6000], [1] * 6000):
+        argv = ["lr-coeff", "--lambda", "[]", "--mu", str(mu), "--nu", str(mu), "--cross-check"]
+        assert cmd_run(argv) == (0, '{"coefficient":1,"routes_agree":true}\n')
 
 
 def test_empty_shapes_have_one_picture():
@@ -125,6 +131,14 @@ def test_count_symmetry_small_family():
                 assert len(found) == backward
                 for p in found:
                     assert validate_picture(inverse_picture(p))
+    # The count of each direction fills a different shape: kappa1 from
+    # kappa2's inner partition, and kappa2 from kappa1's.
+    pictures = 0
+    for ctx in acceptance_contexts(6):
+        forward = sum(1 for _ in _picture_readings(ctx.kappa1, ctx.kappa2))
+        assert forward == sum(1 for _ in _picture_readings(ctx.kappa2, ctx.kappa1)), ctx
+        pictures += forward
+    assert pictures == 13594
 
 
 def test_picture_json_round_trip():

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import lrpictures.pictures
 import lrpictures.verify
 from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray
 from lrpictures.words import Word
@@ -111,6 +112,19 @@ def _shift_one_image(real):
     return broken
 
 
+def _shift_images_one_position(real):
+    # every image one J position later in the codomain: on two cells the
+    # image at the last position runs past the codomain, so the map raises
+    def broken(kappa1, kappa2, reading):
+        f = real(kappa1, kappa2, reading)
+        if kappa1.size != 2:
+            return f
+        index, cells = kappa2._j_index, kappa2._j_order
+        return Picture(kappa1, kappa2, tuple(cells[index[c.row, c.col] + 1] for c in f.images))
+
+    return broken
+
+
 def _raise_bottom_row(real):
     def broken(p, q):
         w = real(p, q)
@@ -130,20 +144,23 @@ def _raise_written_entries(real):
     return SimpleNamespace(from_reading=from_reading)
 
 
+# Each entry names the module attribute to break; a listing that raises is
+# reported with the error, and no picture.
 PLANTED = {
-    "pair-dropped": ("enumerate_crystal_pairs", _drop_last_pair, "pair"),
-    "pair-twice": ("enumerate_crystal_pairs", _repeat_last_pair, "pair"),
-    "picture-twice": ("enumerate_pictures", _repeat_first_picture, "picture"),
-    "c1-kernel": ("_c1", _shift_one_image, "picture"),
-    "c2-kernel": ("SkewTableau", _raise_written_entries, "picture"),
-    "c3-kernel": ("_rsk_inverse", _raise_bottom_row, "picture"),
+    "pair-dropped": (lrpictures.verify, "enumerate_crystal_pairs", _drop_last_pair, "pair"),
+    "pair-twice": (lrpictures.verify, "enumerate_crystal_pairs", _repeat_last_pair, "pair"),
+    "picture-twice": (lrpictures.verify, "enumerate_pictures", _repeat_first_picture, "picture"),
+    "c1-kernel": (lrpictures.verify, "_c1", _shift_one_image, "picture"),
+    "c2-kernel": (lrpictures.verify, "SkewTableau", _raise_written_entries, "picture"),
+    "c3-kernel": (lrpictures.verify, "_rsk_inverse", _raise_bottom_row, "picture"),
+    "image-map": (lrpictures.pictures, "_lr_picture", _shift_images_one_position, "error"),
 }
 
 
 @pytest.fixture(params=sorted(PLANTED))
 def planted(request, monkeypatch):
-    name, build, key = PLANTED[request.param]
-    monkeypatch.setattr(lrpictures.verify, name, build(getattr(lrpictures.verify, name)))
+    module, name, build, key = PLANTED[request.param]
+    monkeypatch.setattr(module, name, build(getattr(module, name)))
     return key
 
 
