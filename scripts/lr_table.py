@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tabulate nonzero Littlewood-Richardson coefficients, cross-checked three ways.
+"""Tabulate nonzero Littlewood-Richardson coefficients, cross-checked two ways:
+the crystal route and the Littlewood-Richardson rule on nu/lam.
 
 Usage: python scripts/lr_table.py [--max-size N]
 """

@@ -160,7 +160,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--lambda", dest="lam", required=True, help="partition JSON, e.g. [2,1]")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--cross-check", action="store_true", help="compare all three counting routes")
+    p.add_argument("--cross-check", action="store_true", help="compare the two counting routes")
 
     p = sub.add_parser("rsk", help="column-insert a lexicographic two-rowed array")
     p.add_argument("--array", required=True, help="array JSON, or - for stdin")

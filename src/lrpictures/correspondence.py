@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .crystal import _lr_count, _lr_member, enumerate_lr_crystal
-from .pictures import Picture, _lr_picture, enumerate_pictures, validate_picture
+from .pictures import Picture, _lr_picture, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
 from .shapes import Partition, SkewShape, _interned_shape, _json_object, partitions_of
 from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
@@ -241,28 +241,24 @@ def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]
 
 
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:
-    """The Littlewood-Richardson coefficient computed three ways, from two
-    fills.
+    """The Littlewood-Richardson coefficient computed by two fills.
 
     'crystal' fills shape mu so that its reading carries lam to nu, and
     'skew_tableaux' fills nu/lam with content mu and a lattice reading (the
-    LR rule).  'pictures' lists the pictures from straight mu to nu/lam,
-    which are s1's inverse over the crystal route's fill: it checks the
-    image map, not the fill.  Each fill is a backtrack in a single frame, so
-    mu may have any number of cells.
+    LR rule).  The pictures from straight mu to nu/lam are s1's inverse over
+    the crystal route's fill, so they count nothing new.  Each fill is a
+    backtrack in a single frame, so mu may have any number of cells.
     """
     if lam.size + mu.size != nu.size or not nu.contains(lam):
-        return {"crystal": 0, "pictures": 0, "skew_tableaux": 0}
-    domain, codomain = _interned_shape(mu.parts, ()), _interned_shape(nu.parts, lam.parts)
+        return {"crystal": 0, "skew_tableaux": 0}
     return {
-        "crystal": _lr_count(domain, lam, nu),
-        "pictures": sum(1 for _ in enumerate_pictures(domain, codomain, max_cells=mu.size)),
-        "skew_tableaux": _lr_count(codomain, Partition(), mu),
+        "crystal": _lr_count(_interned_shape(mu.parts, ()), lam, nu),
+        "skew_tableaux": _lr_count(_interned_shape(nu.parts, lam.parts), Partition(), mu),
     }
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient of (lam, mu, nu), by the crystal
     route, counted without building a tableau; lr_routes compares it with
-    the other two.  mu may have any number of cells."""
+    the skew-tableau route.  mu may have any number of cells."""
     return _lr_count(_interned_shape(mu.parts, ()), lam, nu)

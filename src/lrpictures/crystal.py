@@ -1,5 +1,5 @@
-"""Crystal operators on tensor words, the combinatorial R matrix, Knuth and
-crystal equivalence, and Littlewood-Richardson crystal membership.
+"""Crystal operators on words, the combinatorial R matrix, Knuth and crystal
+equivalence, and Littlewood-Richardson crystal membership.
 
 The operator convention is the signature rule: for index k, each letter k is
 an opening bracket and each letter k+1 a closing one; brackets match when an
@@ -8,7 +8,8 @@ rightmost unmatched k+1 into k, the lowering operator turns the leftmost
 unmatched k into k+1.  Equivalently, on two factors the first factor is
 preferred exactly when phi(first) >= eps(second) (raising) or
 phi(first) > eps(second) (lowering), where phi and eps count the lowering
-and raising steps that apply.
+and raising steps that apply.  No rank enters: the raising operator for an
+index k at or past a word's largest letter vanishes, since no k+1 occurs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterator, Literal
 
 from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept
 from .tableaux import SkewTableau, _fillings, _reading_rows, _semistandard_reading, enumerate_ssyt
-from .words import TensorWord, Word
+from .words import Word
 
 __all__ = [
     "LrWitness",
@@ -29,7 +30,6 @@ __all__ = [
     "combinatorial_r",
     "neighbours",
     "equiv_check",
-    "tensor_concat",
     "lr_membership",
     "enumerate_lr_crystal",
     "DEFAULT_BFS_LENGTH",
@@ -70,16 +70,14 @@ def _unmatched(letters: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
-def _check_index(w: TensorWord, k: int) -> None:
-    if not 1 <= k <= w.rank:
-        raise ValueError(f"operator index {k} out of range 1..{w.rank}")
+def _check_index(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"operator index must be positive, got {k}")
 
 
-def apply_crystal_op(
-    w: TensorWord, k: int, direction: Literal["raise", "lower"]
-) -> TensorWord | None:
+def apply_crystal_op(w: Word, k: int, direction: Literal["raise", "lower"]) -> Word | None:
     """Apply the raising or lowering operator for index k; None when it vanishes."""
-    _check_index(w, k)
+    _check_index(k)
     minus, plus = _unmatched(w.letters, k)
     if direction == "raise":
         if not minus:
@@ -91,20 +89,19 @@ def apply_crystal_op(
         i, new = plus[0], k + 1
     else:
         raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    letters = list(w.letters)
-    letters[i] = new
-    return TensorWord(w.rank, tuple(letters))
+    return Word._built(w.letters[:i] + (new,) + w.letters[i + 1:])
 
 
-def epsilon(w: TensorWord, k: int) -> int:
+def epsilon(w: Word, k: int) -> int:
     """How many times the raising operator for k applies."""
-    _check_index(w, k)
+    _check_index(k)
     return len(_unmatched(w.letters, k)[0])
 
 
-def is_highest_weight(w: TensorWord) -> bool:
-    """Every raising operator vanishes; equivalently every prefix has #k >= #(k+1)."""
-    return all(epsilon(w, k) == 0 for k in range(1, w.rank + 1))
+def is_highest_weight(w: Word) -> bool:
+    """Every raising operator vanishes; equivalently every prefix has #k >= #(k+1).
+    Only the k below the largest letter are checked: no larger k has a k+1."""
+    return all(epsilon(w, k) == 0 for k in range(1, max(w.letters, default=1)))
 
 
 def _r_move(letters: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -119,11 +116,11 @@ def _r_move(letters: tuple[int, ...], i: int) -> tuple[int, ...]:
     return letters
 
 
-def combinatorial_r(w: TensorWord, pos: int) -> TensorWord:
+def combinatorial_r(w: Word, pos: int) -> Word:
     """Apply the combinatorial R matrix to the three factors at pos (1-based)."""
     if not 1 <= pos <= len(w.letters) - 2:
         raise ValueError(f"window {pos}..{pos + 2} out of range for length {len(w.letters)}")
-    return TensorWord(w.rank, _r_move(w.letters, pos - 1))
+    return Word._built(_r_move(w.letters, pos - 1))
 
 
 def _knuth_moves(letters: tuple[int, ...], i: int) -> tuple[tuple[int, ...], ...]:
@@ -163,7 +160,7 @@ def neighbours(
 
 
 def _letters_of(x) -> tuple[int, ...]:
-    if isinstance(x, (Word, TensorWord)):
+    if isinstance(x, Word):
         return x.letters
     return _ints(x)
 
@@ -172,7 +169,7 @@ def equiv_check(x, y, mode: Literal["knuth", "crystal"] = "knuth") -> bool:
     """Exact equivalence by closure under single moves.
 
     mode 'knuth' closes a word under the fundamental Knuth transformations;
-    mode 'crystal' closes a tensor word under R at every window.  The two
+    mode 'crystal' closes a word under R at every window.  The two
     notions correspond under letter reversal.  Words longer than
     DEFAULT_BFS_LENGTH are refused.
     """
@@ -199,10 +196,6 @@ def _closure(
                 seen.add(m)
                 todo.append(m)
                 yield m
-
-
-def tensor_concat(a: TensorWord, b: TensorWord) -> TensorWord:
-    return TensorWord(max(a.rank, b.rank), a.letters + b.letters)
 
 
 def lr_membership(t: SkewTableau, lam: Partition, nu: Partition) -> LrWitness:

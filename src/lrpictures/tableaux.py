@@ -15,7 +15,7 @@ from .shapes import (
     _parsed_shape,
     j_order_cells,
 )
-from .words import TensorWord, Word
+from .words import Word
 
 __all__ = [
     "SkewTableau",
@@ -152,18 +152,13 @@ def _semistandard(r: Sequence[int], shape: SkewShape) -> bool:
     return True
 
 
-def me_reading(t: SkewTableau, rank: int | None = None) -> TensorWord:
-    """Read the entries along the J order of the shape.
-
-    The rank defaults to the smallest value compatible with both the outer
-    shape's row count and the letters present.
-    """
-    if not validate_semistandard(t):
+def me_reading(t: SkewTableau) -> Word:
+    """The entries of a semistandard t along the J order of its shape, as a
+    word the crystal operators read."""
+    reading = _semistandard_reading(t)
+    if reading is None:
         raise ValueError("tableau is not semistandard")
-    letters = t.reading()
-    if rank is None:
-        rank = max(t.shape.outer.rows, max(letters, default=1) - 1, 1)
-    return TensorWord(rank, letters)
+    return Word._built(reading)
 
 
 def skew_word(t: SkewTableau) -> Word:

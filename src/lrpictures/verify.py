@@ -30,9 +30,8 @@ from .crystal import (
     equiv_check,
     is_highest_weight,
     neighbours,
-    tensor_concat,
 )
-from .pictures import DEFAULT_PICTURE_CELLS, enumerate_pictures
+from .pictures import DEFAULT_PICTURE_CELLS, _picture_readings, enumerate_pictures
 from .rsk import (
     TwoRowedArray,
     _rsk_inverse,
@@ -44,7 +43,7 @@ from .rsk import (
 )
 from .shapes import Partition, SkewShape, add_sequence, partitions_in_box, partitions_of, subpartitions
 from .tableaux import SkewTableau, highest_tableau, me_reading, skew_word
-from .words import TensorWord, Word
+from .words import Word
 
 __all__ = ["SuiteReport", "SUITE_NAMES", "run_suite", "acceptance_contexts"]
 
@@ -178,7 +177,7 @@ def check_cardinality_identity(max_cells: int = 5) -> SuiteReport:
     report = SuiteReport("cardinality-identity")
     for ctx in acceptance_contexts(max_cells):
         report.count("contexts")
-        left = sum(1 for _ in enumerate_pictures(ctx.kappa1, ctx.kappa2))
+        left = sum(1 for _ in _picture_readings(ctx.kappa1, ctx.kappa2))
         right = sum(1 for _ in enumerate_crystal_pairs(ctx))
         if left != right:
             report.fail(context=ctx.to_json(), pictures=left, crystal_pairs=right)
@@ -194,7 +193,7 @@ def check_staircase_counts() -> SuiteReport:
             Partition(tuple(range(n, 0, -1))), Partition(tuple(range(n - 1, 0, -1)))
         )
         report.count("staircases")
-        got = sum(1 for _ in enumerate_pictures(staircase, staircase))
+        got = sum(1 for _ in _picture_readings(staircase, staircase))
         if got != target:
             report.fail(staircase=staircase.to_json(), pictures=got, expected=target)
             return report
@@ -202,7 +201,7 @@ def check_staircase_counts() -> SuiteReport:
 
 
 def check_lr_triple_agreement() -> SuiteReport:
-    """The three coefficient routes agree for every triple in the box family."""
+    """The two coefficient routes agree for every triple in the box family."""
     report = SuiteReport("lr-triple-agreement")
     for nu in partitions_in_box(6, 4, 4):
         for lam in subpartitions(nu):
@@ -234,7 +233,7 @@ def _merge(name: str, parts: list[SuiteReport]) -> SuiteReport:
 
 def suite_cardinality(max_cells: int = 5) -> SuiteReport:
     """Picture counts match the crystal-product counts; staircase specials
-    give factorials; the three coefficient routes agree."""
+    give factorials; the two coefficient routes agree."""
     return _merge(
         "cardinality",
         [
@@ -349,7 +348,7 @@ def suite_knuth_crystal() -> SuiteReport:
 
     for length in range(3, 6):
         for letters in _words(3, length):
-            b = TensorWord(2, letters)
+            b = Word(letters)
             for pos in range(1, length - 1):
                 b2 = combinatorial_r(b, pos)
                 if b2 == b:
@@ -389,14 +388,12 @@ def check_highest_weight_equivalence() -> SuiteReport:
         for size in range(5):
             for mu in partitions_of(size):
                 for t in cached_ssyt(SkewShape(mu), n + 1):
-                    reading = me_reading(t, rank=n)
+                    reading = me_reading(t).letters
                     for lam in lambdas:
                         report.count("memberships")
-                        valid = add_sequence(lam, reading.letters) is not None
-                        # the prefix condition is rank-uniform, so read the
-                        # highest tableau at whatever rank its rows demand
+                        valid = add_sequence(lam, reading) is not None
                         highest = is_highest_weight(
-                            tensor_concat(me_reading(highest_tableau(lam)), reading)
+                            Word(me_reading(highest_tableau(lam)).letters + reading)
                         )
                         if valid != highest:
                             report.fail(
@@ -419,7 +416,7 @@ def check_tensor_decomposition() -> SuiteReport:
                 )
                 rhs = 0
                 for t in cached_ssyt(SkewShape(mu), n + 1):
-                    added = add_sequence(lam, me_reading(t, rank=n).letters)
+                    added = add_sequence(lam, me_reading(t).letters)
                     if added is not None:
                         rhs += len(cached_ssyt(SkewShape(added), n + 1))
                 if lhs != rhs:

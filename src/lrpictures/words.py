@@ -1,4 +1,5 @@
-"""Letter sequences: plain words and tensor words with an explicit rank."""
+"""Words: finite sequences of positive integers.  The crystal operators read a
+word as the tensor product of its letters, left to right."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Iterator
 
 from .shapes import _ints
 
-__all__ = ["Word", "TensorWord"]
+__all__ = ["Word"]
 
 
 @dataclass(frozen=True)
@@ -42,26 +43,3 @@ class Word:
     @classmethod
     def from_json(cls, obj) -> "Word":
         return cls(obj)
-
-
-@dataclass(frozen=True)
-class TensorWord:
-    """A sequence of letters from {1, ..., rank+1}, read as tensor factors left to right."""
-
-    rank: int
-    letters: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        _ints((self.rank,))
-        letters = _ints(self.letters)
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if any(not 1 <= a <= self.rank + 1 for a in letters):
-            raise ValueError(f"letters must lie in 1..{self.rank + 1}, got {letters}")
-        object.__setattr__(self, "letters", letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)

@@ -66,8 +66,17 @@ def in_s_set_with_content_check(ctx, s):
     top = max([outer.rows, *counts.keys()], default=0)
     if any(counts.get(i, 0) != outer.part(i) - inner.part(i) for i in range(1, top + 1)):
         return False
-    rank = max(ctx.nu1.rows, ctx.nu2.rows, 1)
-    return add_sequence(ctx.lambda2, me_reading(s, rank=rank).letters) == ctx.nu2
+    n = max(ctx.nu1.rows, ctx.nu2.rows, 1)
+    return add_sequence(ctx.lambda2, reading_at_rank(s, n)) == ctx.nu2
+
+
+def reading_at_rank(t, n):
+    """me_reading(t)'s letters, refused with ValueError past n + 1: the
+    letter range of a reading at rank n."""
+    letters = me_reading(t).letters
+    if any(a > n + 1 for a in letters):
+        raise ValueError(f"letters must lie in 1..{n + 1}, got {letters}")
+    return letters
 
 
 def add_one(parts, i):
@@ -81,7 +90,7 @@ def add_one(parts, i):
 def lr_member_by_addition(t, lam, nu, n):
     """lr_membership(t, lam, nu).member read at rank n: does adding one box
     per letter of t's reading carry lam to nu through partitions?"""
-    return add_sequence(lam, me_reading(t, rank=n).letters) == nu
+    return add_sequence(lam, reading_at_rank(t, n)) == nu
 
 
 def lr_crystal_by_filter(mu, lam, nu, n):
@@ -196,9 +205,9 @@ def rsk_inverse_by_max_scan(p, q):
 
 
 def equiv_by_insertion(x, y, mode):
-    """Equivalence of two words or tensor words by equality of their
-    column-insertion tableaux: a word is inserted right to left, a tensor
-    word left to right."""
+    """Equivalence of two words by equality of their column-insertion
+    tableaux: inserted right to left for mode 'knuth', left to right for
+    mode 'crystal'."""
     a, b = x.letters, y.letters
     if mode == "knuth":
         a, b = a[::-1], b[::-1]

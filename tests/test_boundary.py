@@ -18,7 +18,7 @@ from lrpictures import (
 )
 from lrpictures.rsk import column_insert, column_insert_sequence
 from lrpictures.verify import acceptance_contexts
-from lrpictures.words import TensorWord, Word
+from lrpictures.words import Word
 from cellwise import (
     crystal_pair_from_json_by_constructor,
     picture_from_json_by_helpers,
@@ -30,8 +30,6 @@ BUILDERS = {
     "cell-col": lambda x: Cell(1, x),
     "partition": lambda x: Partition((3, x)),
     "word": lambda x: Word((2, x)),
-    "tensor-word-rank": lambda x: TensorWord(x, (1,)),
-    "tensor-word-letter": lambda x: TensorWord(2, (1, x)),
     "tableau-straight": lambda x: SkewTableau.straight(((x, 2),)),
     "tableau": lambda x: SkewTableau(SkewShape(Partition((2,))), ((1, x),)),
     "column-insert": lambda x: column_insert(SkewTableau.straight(((1,),)), x),

@@ -427,8 +427,8 @@ def test_env_bound_past_the_int_digit_limit_exits_2(monkeypatch, capsys):
 
 
 def test_lr_coeff_past_twelve_cells():
-    # The 13-cell shape is filled directly; swapped, all three routes run
-    # on the 6-cell one.
+    # The 13-cell shape is filled directly; swapped, both routes fill six
+    # cells (mu, and nu/lam).
     small, big, nu = "[3,2,1]", "[5,4,3,1]", "[7,5,4,2,1]"
     assert run_ok(["lr-coeff", "--lambda", small, "--mu", big, "--nu", nu]) == {"coefficient": 8}
     swapped = run_ok(["lr-coeff", "--lambda", big, "--mu", small, "--nu", nu, "--cross-check"])

@@ -45,7 +45,7 @@ from lrpictures.crystal import (
 from lrpictures.rsk import column_insert_sequence, validate_lex_array
 from lrpictures.shapes import j_order_cells
 from lrpictures.tableaux import enumerate_ssyt, p_index
-from lrpictures.words import TensorWord, Word
+from lrpictures.words import Word
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
 from cellwise import c1_by_new_cells, in_s_set_with_content_check, lr_member_by_addition
 from conftest import roundtrip_population
@@ -393,7 +393,7 @@ def test_r_move_on_insertion_word_swaps_two_new_boxes():
     # sequence by exactly one adjacent transposition inside the window
     for length in range(3, 6):
         for letters in product(range(1, 4), repeat=length):
-            b = TensorWord(2, letters)
+            b = Word(letters)
             for pos in range(1, length - 1):
                 b2 = combinatorial_r(b, pos)
                 if b2 == b:
@@ -422,7 +422,7 @@ def test_lr_coefficient_values(lam, mu, nu, expected):
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     assert lr_coefficient(lam, mu, nu) == expected
     routes = lr_routes(lam, mu, nu)
-    assert routes == {"crystal": expected, "pictures": expected, "skew_tableaux": expected}
+    assert routes == {"crystal": expected, "skew_tableaux": expected}
 
 
 def _conjugate(p):
@@ -446,7 +446,7 @@ def test_lr_coefficient_symmetries():
 
 def test_lr_routes_agree_spot():
     routes = lr_routes(Partition((2, 1)), Partition((2, 1)), Partition((3, 2, 1)))
-    assert routes == {"crystal": 2, "pictures": 2, "skew_tableaux": 2}
+    assert routes == {"crystal": 2, "skew_tableaux": 2}
 
 
 def test_empty_context_round_trip():

@@ -1,6 +1,6 @@
 import pytest
 
-from lrpictures.words import TensorWord, Word
+from lrpictures.words import Word
 
 
 def test_word_validation():
@@ -8,15 +8,6 @@ def test_word_validation():
     assert len(Word(())) == 0
     with pytest.raises(ValueError):
         Word((0, 1))
-
-
-def test_tensor_word_validation():
-    w = TensorWord(2, (1, 3, 2))
-    assert list(w) == [1, 3, 2]
-    with pytest.raises(ValueError):
-        TensorWord(2, (4,))
-    with pytest.raises(ValueError):
-        TensorWord(0, ())
 
 
 def test_json_round_trips():
@@ -31,7 +22,3 @@ def test_json_round_trips():
 def test_from_json_accepts_integers_only(obj):
     with pytest.raises(ValueError):
         Word.from_json(obj)
-    with pytest.raises(ValueError):
-        TensorWord(2, obj)
-    with pytest.raises(ValueError):
-        TensorWord(obj[0], (1,))
