@@ -2,19 +2,21 @@
 """Run the benchmark in a parent checkout and in this one, in alternating
 pairs, and record the runs in BENCH_<pr>.json.
 
-Usage: python scripts/bench_pairs.py PARENT_DIR WORKLOAD FIRST-LAST --pr N [--claim]
+Usage: python scripts/bench_pairs.py PARENT_DIR WORKLOAD FIRST-LAST --pr N [--claim METRIC]
 
 For each seed from FIRST to LAST, the benchmark command of BENCHMARK.json
 runs for its run_seconds once in PARENT_DIR and once in this checkout.  The
 parent goes first on the first seed, and the sides swap every seed.  The
 pairs are added to BENCH_<pr>.json at the root of this checkout, which is
-made if missing.  With --claim they go under "pairs" and the claim line is
+made if missing.  With --claim METRIC, METRIC one of the end-to-end
+metrics of BENCHMARK.json, they go under "pairs" and the claim line is
 written again from every claimed pair of the workload: the pairs the change
-wins on ops_per_s, both medians and the distance between the parent's
-quartiles.  A gain stands when the change wins at least nine in ten pairs,
-its median beats the parent's by more than that distance, and no change
-run failed more ops than its pair's parent run.  Without --claim the pairs
-go under "runs", for workloads that must only not regress.
+wins on METRIC, read as its "better" says, both medians and the distance
+between the parent's quartiles.  A gain stands when the change wins at
+least nine in ten pairs, its median beats the parent's by more than that
+distance, and no change run failed more ops than its pair's parent run.
+Without --claim the pairs go under "runs", for workloads that must only
+not regress.
 
 After every invocation, each workload's pairs, claimed or not, are checked
 for regression: for every end-to-end metric of BENCHMARK.json, one line
@@ -43,7 +45,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from lrpictures.cli import _integer  # noqa: E402
 
 SIDES = ("parent", "change")
-CLAIMED_METRIC = "ops_per_s"
+# The metric of each run's stderr progress line when no metric is claimed.
+PROGRESS_METRIC = "ops_per_s"
 
 
 def seed_range(text: str) -> range:
@@ -213,11 +216,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload")
     parser.add_argument("seeds", type=seed_range, help="FIRST-LAST, or one seed")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
-    parser.add_argument("--claim", action="store_true", help="pairs of the claimed workload")
+    parser.add_argument("--claim", metavar="METRIC", help="pairs of the workload claimed on METRIC")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json; "
+                     f"choose from {', '.join(better)}")
+    shown = args.claim or PROGRESS_METRIC
     seconds = bench["run_seconds"]
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {
@@ -238,13 +245,13 @@ def main(argv: list[str] | None = None) -> int:
         pair = {"workload": args.workload, "seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_side(checkouts[side], bench["command"], args.workload, seed, seconds)
-            print(f"{args.workload} seed {seed} {side}: "
-                  f"{pair[side]['metrics'][CLAIMED_METRIC]['value']:.4g}", file=sys.stderr)
+            print(f"{args.workload} seed {seed} {side}: {shown} "
+                  f"{pair[side]['metrics'][shown]['value']:.4g}", file=sys.stderr)
         doc[key].append(pair)
         write_bench(path, doc)  # keep every finished pair if a later run fails
     if args.claim:
         claimed = [p for p in doc["pairs"] if p["workload"] == args.workload]
-        summary = summarize(claimed, CLAIMED_METRIC, better[CLAIMED_METRIC])
+        summary = summarize(claimed, args.claim, better[args.claim])
         doc["claim"] = claim_line(summary)
         print(doc["claim"])
     every = doc.get("pairs", []) + doc.get("runs", [])

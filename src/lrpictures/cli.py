@@ -29,7 +29,6 @@ from .pictures import Picture, _picture_readings, enumerate_pictures
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
 from .shapes import Partition, SkewShape, _json_object, _kept
 from .tableaux import SkewTableau
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["cmd_run", "main"]
 
@@ -41,6 +40,17 @@ _ARGUMENT_CACHE_SIZE = 256
 # cache holds at most 256 texts of this many characters and their values.
 _CACHED_ARGUMENT_CHARS = 512
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# The suites of lrpictures.verify, in the order of --suite all.  They are
+# named here so that the parser is built without importing verify, which
+# only the verify command loads.
+SUITE_NAMES = (
+    "roundtrip",
+    "cardinality",
+    "rsk-bijection",
+    "bumping-lemma",
+    "knuth-crystal",
+    "lr-highest",
+)
 
 
 def _read_json(raw: str, stdin):
@@ -252,6 +262,8 @@ def _run_unrsk(args, stdin):
 
 
 def _run_verify(args, stdin):
+    from .verify import run_suite
+
     start = time.monotonic()
     reports = run_suite(
         args.suite, seed=args.seed, instances=args.instances, max_cells=args.max_cells

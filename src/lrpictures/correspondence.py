@@ -15,13 +15,12 @@ reads each tableau of the pair once, for its semistandard and its LR test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .crystal import _lr_count, _lr_member, enumerate_lr_crystal
 from .pictures import Picture, _lr_picture, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
-from .shapes import Partition, SkewShape, _interned_shape, _json_object, partitions_of
+from .shapes import Partition, SkewShape, _interned_shape, _json_object, _value_type, partitions_of
 from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
 from .words import Word
 
@@ -43,18 +42,17 @@ __all__ = [
     "lr_coefficient",
 ]
 
-@dataclass(frozen=True)
+@_value_type
 class CorrespondenceContext:
     """Fixes the two skew shapes; their inner and outer partitions are derived."""
 
-    kappa1: SkewShape
-    kappa2: SkewShape
+    __slots__ = ("kappa1", "kappa2")
 
-    def __post_init__(self) -> None:
-        if self.kappa1.size != self.kappa2.size:
-            raise ValueError(
-                f"sizes differ: {self.kappa1.size} vs {self.kappa2.size}"
-            )
+    def __init__(self, kappa1: SkewShape, kappa2: SkewShape) -> None:
+        if kappa1.size != kappa2.size:
+            raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
+        object.__setattr__(self, "kappa1", kappa1)
+        object.__setattr__(self, "kappa2", kappa2)
 
     @property
     def lambda1(self) -> Partition:
@@ -80,18 +78,19 @@ class CorrespondenceContext:
         return {"kappa1": self.kappa1.to_json(), "kappa2": self.kappa2.to_json()}
 
 
-@dataclass(frozen=True)
+@_value_type
 class CrystalPair:
     """Two same-shaped straight tableaux; the common shape plays the role of mu."""
 
-    first: SkewTableau
-    second: SkewTableau
+    __slots__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if not (self.first.shape.is_straight and self.second.shape.is_straight):
+    def __init__(self, first: SkewTableau, second: SkewTableau) -> None:
+        if not (first.shape.is_straight and second.shape.is_straight):
             raise ValueError("both tableaux must be straight")
-        if self.first.shape != self.second.shape:
+        if first.shape != second.shape:
             raise ValueError("tableaux must share one shape")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
     def to_json(self) -> dict:
         return {"first": self.first.to_json(), "second": self.second.to_json()}

@@ -14,11 +14,10 @@ index k at or past a word's largest letter vanishes, since no k+1 occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept
+from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept, _value_type
 from .tableaux import SkewTableau, _fillings, _reading_rows, _semistandard_reading, enumerate_ssyt
 from .words import Word
 
@@ -48,11 +47,14 @@ _FILLINGS_CACHE_SIZE = 4096
 _SSYT_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
+@_value_type
 class LrWitness:
     """Outcome of a Littlewood-Richardson membership test."""
 
-    member: bool
+    __slots__ = ("member",)
+
+    def __init__(self, member: bool) -> None:
+        object.__setattr__(self, "member", member)
 
 
 def _unmatched(letters: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:

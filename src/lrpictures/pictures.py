@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .crystal import _lr_readings
-from .shapes import Cell, SkewShape, _json_object, _json_pair, j_order_cells, leq_j, leq_p
+from .shapes import Cell, SkewShape, _json_object, _json_pair, _value_type, j_order_cells, leq_j, leq_p
 from .tableaux import _semistandard
 
 __all__ = [
@@ -22,19 +21,18 @@ __all__ = [
 DEFAULT_PICTURE_CELLS = 8
 
 
-@dataclass(frozen=True)
+@_value_type
 class Picture:
     """A cell map stored as the image sequence along the domain's J order."""
 
-    domain: SkewShape
-    codomain: SkewShape
-    images: tuple[Cell, ...]
+    __slots__ = ("domain", "codomain", "images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.domain.size:
-            raise ValueError(
-                f"{len(self.images)} images for a domain of {self.domain.size} cells"
-            )
+    def __init__(self, domain: SkewShape, codomain: SkewShape, images: tuple[Cell, ...]) -> None:
+        if len(images) != domain.size:
+            raise ValueError(f"{len(images)} images for a domain of {domain.size} cells")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "images", images)
 
     def to_json(self) -> dict:
         return {

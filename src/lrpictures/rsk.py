@@ -10,10 +10,9 @@ bijection with lexicographic arrays all hold.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .shapes import Cell, SkewShape, _interned_shape, _ints, _json_object
+from .shapes import Cell, SkewShape, _interned_shape, _ints, _json_object, _value_type
 from .tableaux import SkewTableau, validate_semistandard
 from .words import Word
 
@@ -29,18 +28,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class TwoRowedArray:
     """Two aligned words; lexicographic validity is checked separately."""
 
-    top: Word
-    bottom: Word
+    __slots__ = ("top", "bottom")
 
-    def __post_init__(self) -> None:
-        if len(self.top) != len(self.bottom):
-            raise ValueError(
-                f"rows have different lengths: {len(self.top)} vs {len(self.bottom)}"
-            )
+    def __init__(self, top: Word, bottom: Word) -> None:
+        if len(top) != len(bottom):
+            raise ValueError(f"rows have different lengths: {len(top)} vs {len(bottom)}")
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
 
     def __len__(self) -> int:
         return len(self.top)

@@ -6,10 +6,10 @@ column.  All values here are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import ge, lt
+from functools import cached_property, lru_cache, partial
+from operator import attrgetter, ge, lt
 from typing import Iterable, Iterator
+from weakref import ref
 
 __all__ = [
     "Cell",
@@ -72,18 +72,57 @@ def _json_object(obj, *keys: str, optional: tuple[str, ...] = ()) -> dict:
     raise ValueError(f"missing keys {', '.join(missing)}; {expected}")
 
 
-@dataclass(frozen=True)
+def _value_type(cls: type) -> type:
+    """cls as a frozen value over its fields, the names in its __slots__
+    that are not dunders: == holds within the class over the field tuple,
+    the hash and repr are those of that tuple, a field cannot be assigned
+    or deleted, and copies and pickles call the constructor on the fields.
+    cls writes its fields in __init__ with object.__setattr__."""
+    names = tuple(n for n in cls.__slots__ if not n.startswith("__"))
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other is self:  # as the field tuples would compare: fields equal themselves
+            return True
+        if other.__class__ is self.__class__:
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        inside = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self)))
+        return f"{self.__class__.__qualname__}({inside})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, fields(self)
+
+    for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@_value_type
 class Cell:
     """One box, 1-based, rows counted downward."""
 
-    row: int
-    col: int
+    __slots__ = ("row", "col")
 
-    def __post_init__(self) -> None:
-        if type(self.row) is not int or type(self.col) is not int:
-            _ints((self.row, self.col))
-        if self.row < 1 or self.col < 1:
-            raise ValueError(f"cell coordinates are 1-based, got ({self.row}, {self.col})")
+    def __init__(self, row: int, col: int) -> None:
+        if type(row) is not int or type(col) is not int:
+            _ints((row, col))
+        if row < 1 or col < 1:
+            raise ValueError(f"cell coordinates are 1-based, got ({row}, {col})")
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
 
     def to_json(self) -> list[int]:
         return [self.row, self.col]
@@ -99,14 +138,14 @@ def leq_j(a: Cell, b: Cell) -> bool:
     return a.row < b.row or (a.row == b.row and a.col >= b.col)
 
 
-@dataclass(frozen=True)
+@_value_type
 class Partition:
     """Weakly decreasing non-negative parts; trailing zeros are stripped."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = _ints(self.parts)
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = _ints(parts)
         if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
         if any(map(lt, parts, parts[1:])):
@@ -139,19 +178,21 @@ class Partition:
         return cls(obj)
 
 
-@dataclass(frozen=True)
+@_value_type
 class SkewShape:
     """The diagram outer minus inner; a straight shape has an empty inner."""
 
-    outer: Partition
-    inner: Partition = Partition()
-
-    def __post_init__(self) -> None:
-        if not self.outer.contains(self.inner):
-            raise ValueError(f"inner {self.inner.parts} not contained in outer {self.outer.parts}")
-
     # The size and the tables below are kept in the instance __dict__,
-    # outside the dataclass fields, so equality and hashing ignore them.
+    # outside the fields, so equality and hashing ignore them; _live_shapes
+    # holds kept shapes by weak reference.
+    __slots__ = ("outer", "inner", "__dict__", "__weakref__")
+
+    def __init__(self, outer: Partition, inner: Partition = Partition()) -> None:
+        if not outer.contains(inner):
+            raise ValueError(f"inner {inner.parts} not contained in outer {outer.parts}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+
     @cached_property
     def size(self) -> int:
         return self.outer.size - self.inner.size
@@ -258,13 +299,34 @@ def _interned_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape
     the ints before anything is built."""
     if _kept(len(outer), sum(outer) - sum(inner)):
         return _shape_cached(outer, inner)
-    return _shape_cached.__wrapped__(outer, inner)
+    return SkewShape(Partition(outer), Partition(inner))
+
+
+# A weak reference to every kept shape still alive, by its (outer, inner)
+# key; a plain dict, as a WeakValueDictionary costs ~1 us more per new
+# shape.  The entry goes when its shape is freed.
+_live_shapes: dict[tuple, ref] = {}
+
+
+def _forget_shape(key: tuple, dead: ref) -> None:
+    """Drop key's entry once its shape is freed, unless it names a newer one."""
+    if _live_shapes.get(key) is dead:
+        del _live_shapes[key]
 
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_cached(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
-    """_interned_shape's body, kept per process by its key."""
-    return SkewShape(Partition(outer), Partition(inner))
+    """_interned_shape of a kept key, held per process by its key.  A key
+    that this cache has dropped while its shape lives on elsewhere, in a
+    cached LR listing say, gets that same shape back from _live_shapes, so
+    a kept shape has one object and one set of tables at a time."""
+    key = (outer, inner)
+    live = _live_shapes.get(key)
+    shape = None if live is None else live()
+    if shape is None:
+        shape = SkewShape(Partition(outer), Partition(inner))
+        _live_shapes[key] = ref(shape, partial(_forget_shape, key))
+    return shape
 
 
 def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:

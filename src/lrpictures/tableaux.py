@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .shapes import (
@@ -13,6 +12,7 @@ from .shapes import (
     _ints,
     _json_object,
     _parsed_shape,
+    _value_type,
     j_order_cells,
 )
 from .words import Word
@@ -28,18 +28,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class SkewTableau:
     """A filling of a skew shape; rows[i] covers columns inner[i]+1 .. outer[i] of row i+1."""
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("shape", "rows")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rows, (list, tuple)):
-            raise ValueError(f"expected a list of rows, got {self.rows!r}")
-        rows = tuple(map(_ints, self.rows))
-        lengths = self.shape._row_lengths
+    def __init__(self, shape: SkewShape, rows: tuple[tuple[int, ...], ...] = ()) -> None:
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"expected a list of rows, got {rows!r}")
+        rows = tuple(map(_ints, rows))
+        lengths = shape._row_lengths
         if len(rows) != len(lengths):
             raise ValueError(f"expected {len(lengths)} rows, got {len(rows)}")
         for i, (row, m) in enumerate(zip(rows, lengths), start=1):
@@ -47,6 +46,7 @@ class SkewTableau:
                 raise ValueError(f"row {i} has {len(row)} entries, shape wants {m}")
             if row and min(row) < 1:
                 raise ValueError(f"entries must be positive, got row {row}")
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
     @classmethod

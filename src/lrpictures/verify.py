@@ -10,9 +10,9 @@ crystal pairs with the images as a set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
 
+from .cli import SUITE_NAMES
 from .correspondence import (
     CorrespondenceContext,
     _c1,
@@ -51,22 +51,15 @@ __all__ = ["SuiteReport", "SUITE_NAMES", "run_suite", "acceptance_contexts"]
 # refusing the previous stage's output, or a kernel indexing past a shape.
 _BROKEN = (ValueError, LookupError)
 
-SUITE_NAMES = (
-    "roundtrip",
-    "cardinality",
-    "rsk-bijection",
-    "bumping-lemma",
-    "knuth-crystal",
-    "lr-highest",
-)
 
-
-@dataclass
 class SuiteReport:
-    suite: str
-    ok: bool = True
-    checked: dict[str, int] = field(default_factory=dict)
-    counterexample: dict | None = None
+    """One suite's instance counts per key, and its first counterexample."""
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.ok = True
+        self.checked: dict[str, int] = {}
+        self.counterexample: dict | None = None
 
     def count(self, key: str, n: int = 1) -> None:
         self.checked[key] = self.checked.get(key, 0) + n

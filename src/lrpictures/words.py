@@ -3,22 +3,21 @@ word as the tensor product of its letters, left to right."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import _ints
+from .shapes import _ints, _value_type
 
 __all__ = ["Word"]
 
 
-@dataclass(frozen=True)
+@_value_type
 class Word:
     """A finite sequence of positive integers."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        letters = _ints(self.letters)
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        letters = _ints(letters)
         if any(a < 1 for a in letters):
             raise ValueError(f"letters must be positive, got {letters}")
         object.__setattr__(self, "letters", letters)

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -790,3 +792,23 @@ def test_module_entry_point_writes_the_help_cmd_run_returns():
         )
         assert (out.returncode, out.stdout) == cmd_run(argv)
         assert out.stdout.startswith("usage: lrpictures")
+
+
+def test_the_command_line_starts_without_dataclasses_or_verify():
+    # Only the verify command loads lrpictures.verify, and no module loads
+    # dataclasses; a fresh interpreter shows what an import pulls in.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys, {0}; print(sorted({{'dataclasses', 'lrpictures.verify'}} & sys.modules.keys()))"
+    )
+    for module, loaded in (("lrpictures.cli", "[]"), ("lrpictures.verify", "['lrpictures.verify']")):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(module)], env=env, capture_output=True, text=True
+        )
+        assert (out.returncode, out.stdout) == (0, loaded + "\n"), out.stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "lrpictures", "verify", "--suite", "roundtrip", "--max-cells", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0 and json.loads(out.stdout)["status"] == "ok", out.stderr

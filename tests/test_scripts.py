@@ -68,12 +68,13 @@ def test_lr_table_refuses_negative_sizes(argv):
     assert out.stdout == "" and "must not be negative" in out.stderr
 
 
-def canned_pair(seed, parent, change, first="parent", failed=(0, 0)):
-    def result(ops_per_s, failed):
+def canned_pair(seed, parent, change, first="parent", failed=(0, 0), metric="ops_per_s",
+                workload="roundtrip"):
+    def result(value, failed):
         return {"correct": failed == 0, "attempted": 1000, "failed": failed,
-                "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}}}
+                "metrics": {metric: {"value": value}}}
 
-    return {"workload": "roundtrip", "seed": seed, "first": first,
+    return {"workload": workload, "seed": seed, "first": first,
             "parent": result(parent, failed[0]), "change": result(change, failed[1])}
 
 
@@ -102,6 +103,35 @@ def test_bench_pairs_summarizes_canned_pairs(tmp_path):
     bench.write_bench(path, {"claim": "x", "pairs": pairs[:2]})
     assert json.loads(path.read_text()) == {"claim": "x", "pairs": pairs[:2]}
     assert len(path.read_text().splitlines()) == 7  # one line per pair
+
+
+def test_bench_pairs_summarizes_a_lower_is_better_claim():
+    bench = load_script("bench_pairs")
+    parent = [0.100, 0.101, 0.099, 0.103, 0.100, 0.098, 0.102, 0.100, 0.104, 0.101]
+    change = [0.080, 0.082, 0.079, 0.081, 0.099, 0.080, 0.078, 0.101, 0.080, 0.083]
+    pairs = [canned_pair(3 + k, p, c, metric="setup_s", workload="lr_coeff")
+             for k, (p, c) in enumerate(zip(parent, change))]
+    s = bench.summarize(pairs, "setup_s", "lower")
+    # seed 10 is lost (0.100 -> 0.101): 9 wins of 10
+    assert (s["wins"], s["pairs"], s["gain_stands"]) == (9, 10, True)
+    assert (s["parent_median"], s["change_median"]) == (0.1005, 0.0805)
+    assert bench.claim_line(s) == (
+        "lr_coeff setup_s; pairs on seeds 3-12: change better in 9 of 10, "
+        "median 0.101 -> 0.0805 (-20%), parent quartile distance 0.00175; the gain stands"
+    )
+    # Read as higher-is-better, the same pairs lose nine of ten.
+    assert bench.summarize(pairs, "setup_s", "higher")["wins"] == 1
+
+
+@pytest.mark.parametrize("metric", ["ops", "SETUP_S", ""])
+def test_bench_pairs_refuses_a_claim_on_no_end_to_end_metric(metric, capsys):
+    bench = load_script("bench_pairs")
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["no-such-parent", "lr_coeff", "3-12", "--pr", "0", "--claim", metric])
+    assert exc.value.code == 2
+    assert (f"--claim {metric!r} is not an end-to-end metric of BENCHMARK.json; choose from "
+            "setup_s, ops_per_s, op_p50_ms, op_p90_ms, peak_rss_mb") in capsys.readouterr().err
+    assert not (ROOT / "BENCH_0.json").exists()
 
 
 def test_bench_pairs_refuses_a_gain_with_more_failed_ops():

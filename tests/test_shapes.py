@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 from operator import ge, lt
 
 import pytest
@@ -20,6 +22,7 @@ from lrpictures.shapes import (
     _CACHED_SHAPE_CELLS,
     _SHAPE_CACHE_SIZE,
     _interned_shape,
+    _live_shapes,
     _shape_cached,
     add_sequence,
     j_order_cells,
@@ -285,9 +288,16 @@ def test_equal_json_gives_one_shared_shape():
 
 def test_shape_cache_is_bounded():
     assert _shape_cached.cache_info().maxsize == _SHAPE_CACHE_SIZE
+    key = ((9, 9, 9, 9, 9, 9, 9), (1,))  # no other test interns it
+    dropped = weakref.ref(_shape_cached(*key))
+    assert _live_shapes[key]() is dropped()
     for nu in itertools.islice(partitions_in_box(20, 6, 6), _SHAPE_CACHE_SIZE + 50):
         SkewShape.from_json({"outer": list(nu.parts)})
     assert _shape_cached.cache_info().currsize == _SHAPE_CACHE_SIZE
+    # a shape the cache has dropped and nothing else holds is freed, and
+    # leaves no entry behind in the map of live shapes
+    gc.collect()
+    assert dropped() is None and key not in _live_shapes
 
 
 @pytest.mark.parametrize(
