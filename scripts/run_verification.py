@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the verification suites and print a small table.
 
-Usage: python scripts/run_verification.py [suite] [--seed N] [--instances N]
+Usage: python scripts/run_verification.py [suite] [--seed N] [--instances N] [--max-cells N]
 """
 
 import argparse
@@ -17,12 +17,15 @@ def main() -> int:
     parser.add_argument("suite", nargs="?", default="all", help=f"{', '.join(SUITE_NAMES)} or all")
     parser.add_argument("--seed", type=_integer, default=0)
     parser.add_argument("--instances", type=_non_negative, default=10000)
+    parser.add_argument("--max-cells", type=_non_negative, default=5)
     args = parser.parse_args()
 
     start = time.monotonic()
     try:
-        reports = run_suite(args.suite, seed=args.seed, instances=args.instances)
-    except ValueError as exc:  # an unknown suite, refused before any work
+        reports = run_suite(
+            args.suite, seed=args.seed, instances=args.instances, max_cells=args.max_cells
+        )
+    except ValueError as exc:  # an unknown suite or too many cells, refused before any work
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - start

@@ -27,7 +27,7 @@ from .correspondence import (
 )
 from .pictures import Picture, _picture_readings, enumerate_pictures
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
-from .shapes import Partition, SkewShape, _json_object, _kept
+from .shapes import Partition, SkewShape, _interned_shape, _json_object
 from .tableaux import SkewTableau
 
 __all__ = ["cmd_run", "main"]
@@ -65,23 +65,21 @@ def _read_json(raw: str, stdin):
 
 @lru_cache(maxsize=_ARGUMENT_CACHE_SIZE)
 def _parsed_argument(kind: type[Partition] | type[SkewShape], raw: str):
-    """kind.from_json of the JSON text raw, kept per process by the text.
+    """kind.from_json of the JSON text raw, kept per process by the text;
+    a shape is kept as its (outer, inner) parts, which _argument interns.
     Equal values written apart ("[2]", "[2.0]") are read apart, and a
-    refused text, which raises, is never kept.  A shape that shapes._kept
-    refuses is kept as None, so the tables built on it are not kept."""
+    refused text, which raises, is never kept."""
     value = kind.from_json(_read_json(raw, None))
-    return value if kind is Partition or _kept(value.outer.rows, value.size) else None
+    return value if kind is Partition else (value.outer.parts, value.inner.parts)
 
 
 def _argument(kind: type[Partition] | type[SkewShape], raw: str, stdin):
     """A partition or shape argument; '-' reads stdin, and both it and a text
-    past _CACHED_ARGUMENT_CHARS characters bypass the cache, as does a shape
-    that the cache does not keep."""
-    if raw != "-" and len(raw) <= _CACHED_ARGUMENT_CHARS:
-        value = _parsed_argument(kind, raw)
-        if value is not None:
-            return value
-    return kind.from_json(_read_json(raw, stdin))
+    past _CACHED_ARGUMENT_CHARS characters bypass the cache."""
+    if raw == "-" or len(raw) > _CACHED_ARGUMENT_CHARS:
+        return kind.from_json(_read_json(raw, stdin))
+    value = _parsed_argument(kind, raw)
+    return value if kind is Partition else _interned_shape(*value)
 
 
 def _tableau_text(t: SkewTableau) -> str:

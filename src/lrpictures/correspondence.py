@@ -226,17 +226,35 @@ def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
 
 
 def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:
-    """All same-shaped pairs with each side in its Littlewood-Richardson crystal."""
-    for mu in partitions_of(ctx.size):
-        if mu.rows > ctx.nu1.rows:
-            continue
-        firsts = enumerate_lr_crystal(mu, ctx.lambda1, ctx.nu1)
-        if not firsts:
-            continue
-        seconds = enumerate_lr_crystal(mu, ctx.lambda2, ctx.nu2)
+    """All same-shaped pairs with each side in its Littlewood-Richardson
+    crystal, mu by mu in the order of partitions_of."""
+    return _crystal_pairs(ctx, {})
+
+
+def _crystal_pairs(ctx: CorrespondenceContext, listings: dict) -> Iterator[CrystalPair]:
+    """enumerate_crystal_pairs(ctx), reading each side's LR crystals from
+    listings, a dict from a shape to its _lr_crystals, and listing a shape
+    that it lacks into it; verify shares one dict across a suite's contexts."""
+    for firsts, seconds in zip(
+        _lr_crystals(listings, ctx.kappa1), _lr_crystals(listings, ctx.kappa2)
+    ):
         for t1 in firsts:
             for t2 in seconds:
                 yield CrystalPair(t1, t2)
+
+
+def _lr_crystals(listings: dict, kappa: SkewShape) -> list[tuple[SkewTableau, ...]]:
+    """enumerate_lr_crystal(mu, kappa.inner, kappa.outer) for each partition
+    mu of kappa's size, in order, kept in listings under kappa.  A mu with
+    more rows than kappa's outer has no filling, so it is not filled."""
+    found = listings.get(kappa)
+    if found is None:
+        lam, nu = kappa.inner, kappa.outer
+        found = listings[kappa] = [
+            enumerate_lr_crystal(mu, lam, nu) if mu.rows <= nu.rows else ()
+            for mu in partitions_of(kappa.size)
+        ]
+    return found
 
 
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:

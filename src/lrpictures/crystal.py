@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, _interned_shape, _ints, _kept, _value_type
+from .shapes import Partition, SkewShape, _interned_shape, _ints, _value_type
 from .tableaux import SkewTableau, _fillings, _reading_rows, _semistandard_reading, enumerate_ssyt
 from .words import Word
 
@@ -38,12 +38,9 @@ __all__ = [
 # Longest words equiv_check will close over.
 DEFAULT_BFS_LENGTH = 8
 
-# Memo bounds for long-running processes; `verify --suite all` uses about
-# 450 filling keys and 65 tableau lists.  A filling key is kept only by
-# the keep rule shapes._kept (see _lr_fillings), so the cache holds at most
-# 4,096 keys of bounded size.  Counts are not kept: the lr_coeff benchmark
-# repeats no triple, and verify one in nine.
-_FILLINGS_CACHE_SIZE = 4096
+# Tableau lists kept per process by cached_ssyt; `verify --suite all` uses
+# 65.  LR listings and counts are made afresh on every call: no benchmark
+# workload repeats one, and verify keeps its own per suite call.
 _SSYT_CACHE_SIZE = 256
 
 
@@ -257,19 +254,7 @@ def _lr_readings(shape: SkewShape, lam: Partition, nu: Partition) -> Iterator[li
 
 
 def _lr_fillings(shape: SkewShape, lam: Partition, nu: Partition) -> tuple[SkewTableau, ...]:
-    """The tableaux of _lr_readings(shape, lam, nu), in its order; kept per
-    process when shapes._kept keeps the shape with the largest row count of
-    shape, lam and nu."""
-    if _kept(max(shape.outer.rows, lam.rows, nu.rows), shape.size):
-        return _lr_fillings_cached(shape, lam, nu)
-    return _lr_fillings_cached.__wrapped__(shape, lam, nu)
-
-
-@lru_cache(maxsize=_FILLINGS_CACHE_SIZE)
-def _lr_fillings_cached(
-    shape: SkewShape, lam: Partition, nu: Partition
-) -> tuple[SkewTableau, ...]:
-    """_lr_fillings' body, kept per process by its key."""
+    """The tableaux of _lr_readings(shape, lam, nu), in its order."""
     return tuple(
         SkewTableau._built(shape, _reading_rows(shape, r))
         for r in _lr_readings(shape, lam, nu)

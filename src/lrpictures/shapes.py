@@ -6,10 +6,9 @@ column.  All values here are immutable and hashable.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import attrgetter, ge, lt
 from typing import Iterable, Iterator
-from weakref import ref
 
 __all__ = [
     "Cell",
@@ -25,10 +24,11 @@ __all__ = [
 ]
 
 # Distinct skew shapes kept per process by SkewShape.from_json and
-# SkewTableau.straight; the roundtrip benchmark uses 93.
+# SkewTableau.straight; the roundtrip benchmark uses 93.  This cache is the
+# one holder of shared shapes: no other memo keeps a shape it hands out.
 _SHAPE_CACHE_SIZE = 256
-# The bounds of _kept, the keep rule of every cache that can hold a shape.
-# Every benchmark shape has at most 12 rows and 9 cells.
+# The bounds of _kept, the shape cache's keep rule.  Every benchmark shape
+# has at most 12 rows and 9 cells.
 _CACHED_ROWS = 32
 _CACHED_SHAPE_CELLS = 64
 
@@ -183,9 +183,8 @@ class SkewShape:
     """The diagram outer minus inner; a straight shape has an empty inner."""
 
     # The size and the tables below are kept in the instance __dict__,
-    # outside the fields, so equality and hashing ignore them; _live_shapes
-    # holds kept shapes by weak reference.
-    __slots__ = ("outer", "inner", "__dict__", "__weakref__")
+    # outside the fields, so equality and hashing ignore them.
+    __slots__ = ("outer", "inner", "__dict__")
 
     def __init__(self, outer: Partition, inner: Partition = Partition()) -> None:
         if not outer.contains(inner):
@@ -287,9 +286,9 @@ def _parsed_shape(outer, inner) -> SkewShape:
 
 
 def _kept(rows: int, cells: int) -> bool:
-    """The keep rule of every per-process cache that can hold a shape: keep
-    one of this many rows and cells only within _CACHED_ROWS and
-    _CACHED_SHAPE_CELLS; build a larger one afresh on every call."""
+    """The shape cache's keep rule: keep a shape of this many rows and cells
+    only within _CACHED_ROWS and _CACHED_SHAPE_CELLS; build a larger one
+    afresh on every call."""
     return rows <= _CACHED_ROWS and cells <= _CACHED_SHAPE_CELLS
 
 
@@ -302,31 +301,10 @@ def _interned_shape(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape
     return SkewShape(Partition(outer), Partition(inner))
 
 
-# A weak reference to every kept shape still alive, by its (outer, inner)
-# key; a plain dict, as a WeakValueDictionary costs ~1 us more per new
-# shape.  The entry goes when its shape is freed.
-_live_shapes: dict[tuple, ref] = {}
-
-
-def _forget_shape(key: tuple, dead: ref) -> None:
-    """Drop key's entry once its shape is freed, unless it names a newer one."""
-    if _live_shapes.get(key) is dead:
-        del _live_shapes[key]
-
-
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape_cached(outer: tuple[int, ...], inner: tuple[int, ...]) -> SkewShape:
-    """_interned_shape of a kept key, held per process by its key.  A key
-    that this cache has dropped while its shape lives on elsewhere, in a
-    cached LR listing say, gets that same shape back from _live_shapes, so
-    a kept shape has one object and one set of tables at a time."""
-    key = (outer, inner)
-    live = _live_shapes.get(key)
-    shape = None if live is None else live()
-    if shape is None:
-        shape = SkewShape(Partition(outer), Partition(inner))
-        _live_shapes[key] = ref(shape, partial(_forget_shape, key))
-    return shape
+    """_interned_shape of a kept key, held per process by its key."""
+    return SkewShape(Partition(outer), Partition(inner))
 
 
 def j_order_cells(shape: SkewShape) -> tuple[Cell, ...]:

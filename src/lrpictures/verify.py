@@ -16,7 +16,7 @@ from .cli import SUITE_NAMES
 from .correspondence import (
     CorrespondenceContext,
     _c1,
-    enumerate_crystal_pairs,
+    _crystal_pairs,
     lr_routes,
     s1_picture_to_skewtab,
     s2_skewtab_to_array,
@@ -119,6 +119,7 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
     and c3, c2 and c1 would accept it and recover that picture's stages.
     """
     report = SuiteReport("roundtrip")
+    listings: dict = {}  # each family shape's LR crystals, listed once
     for ctx in acceptance_contexts(max_cells):
         report.count("contexts")
         images = set()
@@ -153,7 +154,7 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
             if not equiv_check(s.reading(), pair.second.reading(), "crystal"):
                 report.fail(context=ctx.to_json(), tableau=s.to_json())
                 return report
-        for pair in enumerate_crystal_pairs(ctx):
+        for pair in _crystal_pairs(ctx, listings):
             report.count("pairs")
             if pair not in images:  # not an image, or enumerated twice
                 report.fail(context=ctx.to_json(), pair=pair.to_json())
@@ -168,10 +169,11 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
 def check_cardinality_identity(max_cells: int = 5) -> SuiteReport:
     """Picture counts match the crystal-product counts on the whole family."""
     report = SuiteReport("cardinality-identity")
+    listings: dict = {}  # as in suite_roundtrip
     for ctx in acceptance_contexts(max_cells):
         report.count("contexts")
         left = sum(1 for _ in _picture_readings(ctx.kappa1, ctx.kappa2))
-        right = sum(1 for _ in enumerate_crystal_pairs(ctx))
+        right = sum(1 for _ in _crystal_pairs(ctx, listings))
         if left != right:
             report.fail(context=ctx.to_json(), pictures=left, crystal_pairs=right)
             return report

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -692,6 +693,31 @@ def test_argument_cache_keeps_by_the_shape_keep_rule(outer, kept):
     a, b = (_argument(SkewShape, raw, None) for _ in range(2))
     assert a == b == SkewShape.from_json({"outer": outer})
     assert (a is b) == kept
+
+
+def test_an_argument_keeps_no_shape_past_the_shape_cache():
+    # The argument text stays in the argument cache while ~800 other kept
+    # shapes push its shape out of the shape cache; then no copy of the
+    # shape may be alive.  The shape lies outside every family the tests
+    # build, so no other test's memo holds one.
+    rows = [{"outer": [a], "inner": [b]} for a in range(1, 64) for b in range(a)]
+
+    def churn(start):
+        for shape in rows[start:start + 800]:
+            SkewShape.from_json(shape)
+
+    kappa = '{"outer":[7,3],"inner":[2]}'
+    argv = ["pictures", "--kappa1", kappa, "--kappa2", "same", "--count-only"]
+    churn(0)
+    first = cmd_run(argv)
+    assert first == (0, '{"count":3}\n')
+    churn(800)
+    gc.collect()
+    key = (7, 3), (2,)
+    live = [x for x in gc.get_objects() if type(x) is SkewShape and
+            (x.outer.parts, x.inner.parts) == key]
+    assert live == []
+    assert cmd_run(argv) == first
 
 
 def test_short_texts_of_large_shapes_are_not_kept():

@@ -18,7 +18,6 @@ from lrpictures import (
 from lrpictures.crystal import (
     _knuth_moves,
     _lr_fillings,
-    _lr_fillings_cached,
     apply_crystal_op,
     cached_ssyt,
     combinatorial_r,
@@ -331,13 +330,12 @@ def test_skew_route_equals_the_crystal_route():
 
 def test_filling_caches_stay_bounded():
     # 10,000 distinct triples: one box added to a row of 1 to 10,000 cells,
-    # counted and listed.
+    # counted and listed, with no memo left to fill; then 1,000 distinct
+    # tableau lists.
     for k in range(1, 10001):
         triple = Partition((k,)), Partition((1,)), Partition((k + 1,))
         assert lr_coefficient(*triple) == 1
         assert len(enumerate_lr_crystal(triple[1], triple[0], triple[2])) == 1
-    info = _lr_fillings_cached.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
     for k in range(1, 1001):
         assert len(cached_ssyt(SkewShape(Partition((k,)), Partition((k - 1,))), 1)) == 1
     info = cached_ssyt.cache_info()
@@ -345,9 +343,8 @@ def test_filling_caches_stay_bounded():
 
 
 def test_long_fillings_are_not_kept():
-    # 300 distinct lam = nu of 2,000 rows, listed from the empty mu: each
-    # key has rows past the filling cache's row bound, so none is kept.
-    # With the bound lifted they hold about 5 MB.
+    # 300 distinct lam = nu of 2,000 rows, listed from the empty mu: no
+    # listing is kept.  A listing cache keyed by them holds about 5 MB.
     def long(k):
         return Partition((2,) * k + (1,) * (2000 - k))
 
@@ -365,9 +362,9 @@ def test_long_fillings_are_not_kept():
 
 def test_fillings_of_shapes_past_the_cell_bound_are_not_kept():
     # 100 distinct one-row mu of 500-599 cells, listed from the empty
-    # lambda to nu = mu: each shape has more cells than the shape
-    # cache keeps, so the filling cache keeps none of them either.  Keeping
-    # them by their rows alone holds about 2.5 MB.
+    # lambda to nu = mu: each shape has more cells than the shape cache
+    # keeps, and no listing is kept.  A listing cache keyed by them holds
+    # about 2.5 MB.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -378,27 +375,6 @@ def test_fillings_of_shapes_past_the_cell_bound_are_not_kept():
     finally:
         tracemalloc.stop()
     assert held < 1 << 17
-
-
-@pytest.mark.parametrize(
-    "mu, lam, nu, kept",
-    [
-        ((8,) * 8, (), None, True),  # 64 cells in 8 rows
-        ((65,), (), None, False),
-        ((1,), (1,) * 32, None, True),  # 32 rows
-        ((1,), (1,) * 33, None, False),  # 33 rows: lam's and nu's rows count
-        ((1,), (1,) * 32, (1,) * 33, False),  # 33 rows: nu's alone count
-    ],
-)
-def test_filling_cache_keeps_by_the_shape_keep_rule(mu, lam, nu, kept):
-    # nu is mu and lam added row by row unless it is given.
-    mu, lam = Partition(mu), Partition(lam)
-    if nu is None:
-        nu = tuple(a + b for a, b in itertools.zip_longest(mu.parts, lam.parts, fillvalue=0))
-    nu = Partition(nu)
-    first = enumerate_lr_crystal(mu, lam, nu)
-    assert len(first) == 1
-    assert (enumerate_lr_crystal(mu, lam, nu) is first) == kept
 
 
 def test_counts_equal_the_listing_and_the_pictures_route():

@@ -40,6 +40,12 @@ def test_run_verification_prints_an_ok_row():
     assert out.stdout.splitlines()[0].startswith("knuth-crystal  ok ")
 
 
+def test_run_verification_takes_max_cells():
+    out = run_script("run_verification.py", "roundtrip", "--max-cells", "3")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0].startswith("roundtrip  ok ")
+
+
 def test_run_verification_refuses_negative_instances():
     out = run_script("run_verification.py", "bumping-lemma", "--instances", "-5")
     assert out.returncode == 2
@@ -52,6 +58,8 @@ def test_run_verification_refuses_negative_instances():
         (["--seed", "+2"], "invalid int value: '+2'"),
         (["--seed", " 2"], "invalid int value: ' 2'"),
         (["nosuch"], "error: unknown suite 'nosuch'"),
+        (["--max-cells", "9"], "error: max_cells 9 exceeds the picture enumeration bound 8"),
+        (["roundtrip", "--max-cells", "-1"], "must not be negative"),
     ],
 )
 def test_run_verification_refuses_what_the_cli_refuses(argv, message):

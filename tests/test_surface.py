@@ -39,7 +39,6 @@ MODULES = ["lrpictures"] + [
 # Every per-process memo, by defining module and name.
 MEMOS = {
     "lrpictures.cli._parsed_argument",
-    "lrpictures.crystal._lr_fillings_cached",
     "lrpictures.crystal.cached_ssyt",
     "lrpictures.shapes._shape_cached",
 }

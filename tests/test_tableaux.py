@@ -13,7 +13,7 @@ from lrpictures import (
     subpartitions,
 )
 from lrpictures.crystal import enumerate_lr_crystal
-from lrpictures.shapes import _shape_cached, j_order_cells
+from lrpictures.shapes import j_order_cells
 from lrpictures.tableaux import (
     _fillings,
     enumerate_ssyt,
@@ -191,22 +191,6 @@ def test_each_shape_keeps_one_fill_table():
     (t,) = enumerate_lr_crystal(mu, Partition((1,)), Partition((2, 2)))
     assert t.shape is SkewShape.from_json({"outer": [2, 1]})
     assert enumerate_lr_crystal(mu, Partition((1,)), Partition((3, 1)))[0].shape is t.shape
-
-
-def test_a_cached_listing_keeps_its_shape_shared_past_the_shape_cache():
-    # The LR listing cache (4,096 keys) outlives the shape cache (256): a
-    # listing still holds its mu after the shape cache has dropped it, and
-    # interning mu again gives that same shape back, tables and all.
-    mu = Partition((2, 1))
-    (t,) = enumerate_lr_crystal(mu, Partition((1,)), Partition((2, 2)))
-    table = t.shape._fill_bounds
-    for a in range(1, 40):
-        for b in range(a + 1):
-            SkewShape.from_json({"outer": [a, b]})  # 819 shapes, past the 256 kept
-    assert _shape_cached(t.shape.outer.parts, ()) is t.shape
-    again = SkewShape.from_json({"outer": [2, 1]})
-    assert again is t.shape and again._fill_bounds is table
-    assert enumerate_lr_crystal(mu, Partition((1,)), Partition((2, 2)))[0].shape is again
 
 
 def test_library_built_tableaux_equal_the_checked_constructor():

@@ -6,9 +6,11 @@ import pytest
 
 import lrpictures.pictures
 import lrpictures.verify
-from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray
+from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray, partitions_of
 from lrpictures.words import Word
 from lrpictures.cli import cmd_run
+from lrpictures.correspondence import CrystalPair, _crystal_pairs, enumerate_crystal_pairs
+from lrpictures.crystal import enumerate_lr_crystal
 from lrpictures.verify import (
     SUITE_NAMES,
     SuiteReport,
@@ -82,12 +84,16 @@ def test_broken_stage_exits_1_not_2(monkeypatch):
 # Each fault breaks one fact the round-trip suite checks, on the two-cell
 # contexts only; each builder takes the real function and returns the broken one.
 def _drop_last_pair(real):
-    return lambda ctx: list(real(ctx))[:-1] if ctx.size == 2 else real(ctx)
+    def broken(ctx, listings):
+        pairs = list(real(ctx, listings))
+        return pairs[:-1] if ctx.size == 2 else pairs
+
+    return broken
 
 
 def _repeat_last_pair(real):
-    def broken(ctx):
-        pairs = list(real(ctx))
+    def broken(ctx, listings):
+        pairs = list(real(ctx, listings))
         return pairs + pairs[-1:] if ctx.size == 2 else pairs
 
     return broken
@@ -147,8 +153,8 @@ def _raise_written_entries(real):
 # Each entry names the module attribute to break; a listing that raises is
 # reported with the error, and no picture.
 PLANTED = {
-    "pair-dropped": (lrpictures.verify, "enumerate_crystal_pairs", _drop_last_pair, "pair"),
-    "pair-twice": (lrpictures.verify, "enumerate_crystal_pairs", _repeat_last_pair, "pair"),
+    "pair-dropped": (lrpictures.verify, "_crystal_pairs", _drop_last_pair, "pair"),
+    "pair-twice": (lrpictures.verify, "_crystal_pairs", _repeat_last_pair, "pair"),
     "picture-twice": (lrpictures.verify, "enumerate_pictures", _repeat_first_picture, "picture"),
     "c1-kernel": (lrpictures.verify, "_c1", _shift_one_image, "picture"),
     "c2-kernel": (lrpictures.verify, "SkewTableau", _raise_written_entries, "picture"),
@@ -182,3 +188,31 @@ def test_family_grows_with_max_cells(max_cells, count):
     # the outer-shape bound follows max_cells past six; at five and below
     # the family is unchanged (see test_acceptance_family_matches_specification)
     assert sum(1 for _ in acceptance_contexts(max_cells)) == count
+
+
+def _pairs_mu_by_mu(ctx):
+    """The crystal pairs of ctx with each side listed apart for each mu."""
+    for mu in partitions_of(ctx.size):
+        firsts = enumerate_lr_crystal(mu, ctx.lambda1, ctx.nu1)
+        seconds = enumerate_lr_crystal(mu, ctx.lambda2, ctx.nu2)
+        for t1 in firsts:
+            for t2 in seconds:
+                yield CrystalPair(t1, t2)
+
+
+def test_per_suite_pairs_equal_the_listing_of_each_context():
+    # verify's path shares one listings dict across the family; every
+    # context must still get enumerate_crystal_pairs' listing, order
+    # included, and a listing mu by mu with nothing shared.  The digest
+    # pins the listing's order over the whole family.
+    listings: dict = {}
+    digest, pairs = hashlib.md5(), 0
+    for ctx in acceptance_contexts(6):
+        shared = list(_crystal_pairs(ctx, listings))
+        assert shared == list(enumerate_crystal_pairs(ctx)) == list(_pairs_mu_by_mu(ctx)), ctx
+        for pair in shared:
+            digest.update(json.dumps(pair.to_json()).encode())
+        digest.update(b"|")
+        pairs += len(shared)
+    assert pairs == 13594
+    assert digest.hexdigest() == "012436bb87c72497a2ace713e3dcf0da"
