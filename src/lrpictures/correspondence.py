@@ -135,19 +135,18 @@ def _s3(w: TwoRowedArray) -> CrystalPair:
 
 
 def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
-    """s3's image of w when w is in the W set of this context, else None."""
-    if len(w) != ctx.size or not validate_lex_array(w):
+    """s3's image of w when w is in the W set of this context, else None.
+    The LR memberships of Q and P fix the top and bottom rows' contents to
+    kappa1's and kappa2's rows, and so the length."""
+    if not validate_lex_array(w):
         return None
-    for word, kappa in ((w.top, ctx.kappa1), (w.bottom, ctx.kappa2)):
-        if tuple(sorted(word.letters)) != kappa._j_rows:
-            return None
     pair = _s3(w)
     return pair if _in_product(ctx, pair) else None
 
 
 def in_w_set(ctx: CorrespondenceContext, w: TwoRowedArray) -> bool:
-    """Is w a lexicographic array of this context, with both RSK tableaux in
-    their Littlewood-Richardson crystals?"""
+    """Is w a lexicographic array whose RSK tableaux both lie in their
+    Littlewood-Richardson crystals of this context?"""
     return _w_pair(ctx, w) is not None
 
 
@@ -201,15 +200,11 @@ def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTab
     return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, w.bottom.letters))
 
 
-def _c1(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> Picture:
-    return _lr_picture(ctx.kappa1, ctx.kappa2, reading)
-
-
 def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture:
     """Send each cell to (entry, lambda2-offset + rank from the right among equal entries)."""
     if not in_s_set(ctx, s):
         raise ValueError("tableau is not in the S set of this context")
-    return _c1(ctx, s.reading())
+    return _lr_picture(ctx.kappa1, ctx.kappa2, s.reading())
 
 
 def full_s(ctx: CorrespondenceContext, f: Picture) -> CrystalPair:
@@ -222,7 +217,7 @@ def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
     """Crystal pair to picture, the inverse of full_s: c1(c2(c3(pair))),
     checking only the pair.  The J-order reading of c2's tableau is the
     array's bottom row."""
-    return _c1(ctx, c3_pair_to_array(ctx, pair).bottom.letters)
+    return _lr_picture(ctx.kappa1, ctx.kappa2, c3_pair_to_array(ctx, pair).bottom.letters)
 
 
 def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:

@@ -70,6 +70,8 @@ def _unmatched(letters: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
 
 
 def _check_index(k: int) -> None:
+    if type(k) is not int:
+        _ints((k,))
     if k < 1:
         raise ValueError(f"operator index must be positive, got {k}")
 
@@ -117,6 +119,8 @@ def _r_move(letters: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 def combinatorial_r(w: Word, pos: int) -> Word:
     """Apply the combinatorial R matrix to the three factors at pos (1-based)."""
+    if type(pos) is not int:
+        _ints((pos,))
     if not 1 <= pos <= len(w.letters) - 2:
         raise ValueError(f"window {pos}..{pos + 2} out of range for length {len(w.letters)}")
     return Word._built(_r_move(w.letters, pos - 1))

@@ -99,10 +99,10 @@ def _bump(cols: list[list[int]], x: int) -> tuple[int, int]:
 
 
 def _check_letter(x: int) -> None:
-    if x < 1:
-        raise ValueError(f"letters must be positive, got {x}")
     if type(x) is not int:
         _ints((x,))
+    if x < 1:
+        raise ValueError(f"letters must be positive, got {x}")
 
 
 def column_insert(t: SkewTableau, x: int) -> BumpOutcome:

@@ -326,6 +326,8 @@ def add_sequence(base: Partition, word: Iterable[int]) -> Partition | None:
     parts = list(base.parts)
     valid = True
     for i in word:
+        if type(i) is not int:
+            _ints((i,))
         if i < 1:
             raise ValueError(f"row index must be positive, got {i}")
         while len(parts) < i:

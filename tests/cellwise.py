@@ -2,7 +2,9 @@
 
 The cell-by-cell checks read a tableau one Cell at a time through
 SkewTableau.entry, so they share no logic with the row-based kernels they
-are compared against.  lr_member_by_addition is the first form of
+are compared against.  The two set tests with content checks are the first
+forms of in_s_set and in_w_set, which dropped those checks as implied by
+the LR memberships.  lr_member_by_addition is the first form of
 lr_membership: the whole reading, read at a rank, goes through
 add_sequence.  The LR crystal reference filters every semistandard tableau
 by it instead of pruning a filling.  The picture search reference checks
@@ -26,7 +28,13 @@ from functools import lru_cache
 
 from lrpictures import Cell, CrystalPair, Picture, SkewShape, TwoRowedArray
 from lrpictures.pictures import _coordinates, is_pj_standard
-from lrpictures.rsk import _to_columns, _unbump, column_insert_sequence
+from lrpictures.rsk import (
+    _to_columns,
+    _unbump,
+    column_insert_sequence,
+    rsk_forward,
+    validate_lex_array,
+)
 from lrpictures.shapes import (
     _json_pair,
     _parsed_shape,
@@ -68,6 +76,21 @@ def in_s_set_with_content_check(ctx, s):
         return False
     n = max(ctx.nu1.rows, ctx.nu2.rows, 1)
     return add_sequence(ctx.lambda2, reading_at_rank(s, n)) == ctx.nu2
+
+
+def in_w_set_with_content_check(ctx, w):
+    """in_w_set with its explicit checks of the length and of each row's
+    content against its shape's rows, before the two LR memberships."""
+    if len(w) != ctx.size or not validate_lex_array(w):
+        return False
+    for word, kappa in ((w.top, ctx.kappa1), (w.bottom, ctx.kappa2)):
+        if Counter(word.letters) != Counter(c.row for c in j_order_cells(kappa)):
+            return False
+    p, q = rsk_forward(w)
+    n = max(ctx.nu1.rows, ctx.nu2.rows, 1)
+    return lr_member_by_addition(q, ctx.lambda1, ctx.nu1, n) and lr_member_by_addition(
+        p, ctx.lambda2, ctx.nu2, n
+    )
 
 
 def reading_at_rank(t, n):

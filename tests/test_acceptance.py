@@ -62,7 +62,7 @@ def test_criterion_03_permutation_specialization():
 
 
 def test_criterion_04_rsk_bijectivity():
-    report = suite_rsk_bijection(((3, 3), (2, 4)))
+    report = suite_rsk_bijection()
     report_line(4, "RSK bijectivity", report.ok)
     assert report.ok, report.counterexample
     assert report.checked["arrays[3;3]"] == report.checked["pairs[3;3]"] == 165

@@ -1,5 +1,7 @@
 """Library constructors and from_json refuse what the CLI refuses."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from lrpictures import (
     enumerate_pictures,
     full_s,
 )
+from lrpictures.crystal import apply_crystal_op, combinatorial_r, epsilon
 from lrpictures.rsk import column_insert, column_insert_sequence
+from lrpictures.shapes import add_sequence
 from lrpictures.verify import acceptance_contexts
 from lrpictures.words import Word
 from cellwise import (
@@ -34,13 +38,22 @@ BUILDERS = {
     "tableau": lambda x: SkewTableau(SkewShape(Partition((2,))), ((1, x),)),
     "column-insert": lambda x: column_insert(SkewTableau.straight(((1,),)), x),
     "column-insert-sequence": lambda x: column_insert_sequence((2, x)),
+    "apply-crystal-op": lambda x: apply_crystal_op(Word((1, 1)), x, "lower"),
+    "epsilon": lambda x: epsilon(Word((2, 1)), x),
+    "combinatorial-r": lambda x: combinatorial_r(Word((2, 1, 3)), x),
+    "add-sequence": lambda x: add_sequence(Partition((2, 1)), [x]),
 }
 
 
-@pytest.mark.parametrize("x", [1.0, 1.5, 2.9, True], ids=["1.0", "1.5", "2.9", "True"])
+# A non-integer is refused as one before any range test: 0.5 would fail a
+# range test, 1.0 and True pass one, and "a" cannot be compared.
+NON_INTEGERS = [1.0, 1.5, 2.9, True, "a", 0.5]
+
+
+@pytest.mark.parametrize("x", NON_INTEGERS, ids=map(str, NON_INTEGERS))
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
 def test_constructors_refuse_non_integers(build, x):
-    with pytest.raises(ValueError, match="expected an integer"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'expected an integer, got {x!r}')}$"):
         build(x)
 
 
@@ -49,6 +62,12 @@ def test_constructors_keep_integer_input():
     assert Partition([2, 1]).parts == (2, 1)
     assert Word([2, 1]).letters == (2, 1)
     assert SkewTableau.straight(((1, 2),)).rows == ((1, 2),)
+    assert column_insert(SkewTableau.straight(((1,),)), 1).tableau.rows == ((1, 1),)
+    assert column_insert_sequence((2, 1))[0].rows == ((1, 2),)
+    assert apply_crystal_op(Word((1, 1)), 1, "lower") == Word((2, 1))
+    assert epsilon(Word((2, 1)), 1) == 1
+    assert combinatorial_r(Word((2, 1, 3)), 1) == Word((2, 3, 1))
+    assert add_sequence(Partition((2, 1)), [1]) == Partition((3, 1))
 
 
 READERS = [

@@ -1,7 +1,7 @@
 import importlib
 import sys
 from collections import Counter, defaultdict
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -24,7 +24,6 @@ from lrpictures import (
     subpartitions,
 )
 from lrpictures.correspondence import (
-    _c1,
     c1_skewtab_to_picture,
     c2_array_to_skewtab,
     c3_pair_to_array,
@@ -42,12 +41,18 @@ from lrpictures.crystal import (
     combinatorial_r,
     lr_membership,
 )
+from lrpictures.pictures import _lr_picture
 from lrpictures.rsk import column_insert_sequence, validate_lex_array
 from lrpictures.shapes import j_order_cells
 from lrpictures.tableaux import enumerate_ssyt, p_index
 from lrpictures.words import Word
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
-from cellwise import c1_by_new_cells, in_s_set_with_content_check, lr_member_by_addition
+from cellwise import (
+    c1_by_new_cells,
+    in_s_set_with_content_check,
+    in_w_set_with_content_check,
+    lr_member_by_addition,
+)
 from conftest import roundtrip_population
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
@@ -125,7 +130,7 @@ def test_in_w_set_examples():
     assert in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((2, 1))))
     assert not in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 1)), Word((1, 2))))
     assert not in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((1, 1))))
-    # a letter past the rank is refused by the content check, not by a raise
+    # a letter past the rank is refused by the LR membership, not by a raise
     assert not in_w_set(HOOK_CTX, TwoRowedArray(Word((1, 2)), Word((5, 1))))
 
 
@@ -181,7 +186,7 @@ def test_c1_takes_the_codomain_cells():
         own = {id(c) for c in j_order_cells(ctx.kappa2)}
         for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
             reading = s1_picture_to_skewtab(ctx, f).reading()
-            g = _c1(ctx, reading)
+            g = _lr_picture(ctx.kappa1, ctx.kappa2, reading)
             assert g == c1_by_new_cells(ctx, reading) == f, (ctx, f)
             assert {id(c) for c in g.images} == own
             pictures += 1
@@ -231,6 +236,28 @@ def test_in_s_set_matches_the_content_checked_definition():
             assert tuple(found) == _lr_fillings(ctx.kappa1, ctx.lambda2, ctx.nu2), ctx
             members += len(found)
     assert members > 0
+
+
+def test_in_w_set_matches_the_content_checked_definition():
+    # in_w_set dropped its length and content checks as implied by the two
+    # LR memberships.  Every array with a weakly increasing top, lexicographic
+    # or not, is asked of every context; most have the wrong length or
+    # content, and only the LR memberships refuse them now.
+    arrays = [
+        TwoRowedArray(Word(top), Word(bottom))
+        for m in range(4)
+        for top in combinations_with_replacement(range(1, 4), m)
+        for bottom in product(range(1, 4), repeat=m)
+    ]
+    assert len(arrays) == 334
+    cases = members = 0
+    for ctx in acceptance_contexts(3, box=(3, 3), max_outer=5):
+        for w in arrays:
+            verdict = in_w_set(ctx, w)
+            assert verdict == in_w_set_with_content_check(ctx, w), (ctx, w)
+            members += verdict
+            cases += 1
+    assert (cases, members) == (320974, 913)
 
 
 def test_stage_errors_are_value_errors():

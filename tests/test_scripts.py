@@ -1,11 +1,15 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from lrpictures.verify import SUITE_NAMES, SuiteReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,7 +47,33 @@ def test_run_verification_prints_an_ok_row():
 def test_run_verification_takes_max_cells():
     out = run_script("run_verification.py", "roundtrip", "--max-cells", "3")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[0].startswith("roundtrip  ok ")
+    row, total = out.stdout.splitlines()
+    assert re.fullmatch(r"roundtrip  ok +\d+\.\d\ds  contexts=\d+, .*", row), row
+    assert re.fullmatch(r"total \d+\.\ds", total), total
+
+
+def test_run_verification_times_each_suite(monkeypatch, capsys):
+    # each suite runs in its own run_suite call, and its row shows that
+    # call's seconds: on this clock the k-th call takes k seconds
+    script = load_script("run_verification")
+    calls, now = [], [0.0]
+
+    def run_suite(name, **kwargs):
+        calls.append(name)
+        now[0] += len(calls)
+        report = SuiteReport(name)
+        report.count("checks")
+        return [report]
+
+    monkeypatch.setattr(script, "run_suite", run_suite)
+    monkeypatch.setattr(script, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(sys, "argv", ["run_verification.py"])
+    assert script.main() == 0
+    assert calls == list(SUITE_NAMES)
+    width = max(map(len, SUITE_NAMES))
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name:<{width}}  ok   {k:6.2f}s  checks=1" for k, name in enumerate(SUITE_NAMES, 1)
+    ] + ["total 21.0s"]
 
 
 def test_run_verification_refuses_negative_instances():

@@ -108,9 +108,9 @@ def _repeat_first_picture(real):
 
 
 def _shift_one_image(real):
-    def broken(ctx, reading):
-        f = real(ctx, reading)
-        if ctx.size != 2:
+    def broken(kappa1, kappa2, reading):
+        f = real(kappa1, kappa2, reading)
+        if kappa1.size != 2:
             return f
         first, *rest = f.images
         return Picture(f.domain, f.codomain, (Cell(first.row, first.col + 1), *rest))
@@ -156,7 +156,7 @@ PLANTED = {
     "pair-dropped": (lrpictures.verify, "_crystal_pairs", _drop_last_pair, "pair"),
     "pair-twice": (lrpictures.verify, "_crystal_pairs", _repeat_last_pair, "pair"),
     "picture-twice": (lrpictures.verify, "enumerate_pictures", _repeat_first_picture, "picture"),
-    "c1-kernel": (lrpictures.verify, "_c1", _shift_one_image, "picture"),
+    "c1-kernel": (lrpictures.verify, "_lr_picture", _shift_one_image, "picture"),
     "c2-kernel": (lrpictures.verify, "SkewTableau", _raise_written_entries, "picture"),
     "c3-kernel": (lrpictures.verify, "_rsk_inverse", _raise_bottom_row, "picture"),
     "image-map": (lrpictures.pictures, "_lr_picture", _shift_images_one_position, "error"),
@@ -181,6 +181,33 @@ def test_roundtrip_reports_a_planted_fault(planted):
 def test_planted_fault_exits_1(planted):
     code, out = cmd_run(["verify", "--suite", "roundtrip", "--max-cells", "2"])
     assert code == 1 and '"status":"violation"' in out
+
+
+# Each fault breaks one side of the cardinality identity on the two-cell
+# contexts only.
+def _drop_one_tableau(real):
+    def broken(listings, kappa):
+        found = real(listings, kappa)
+        if kappa.size != 2:
+            return found
+        i = next(i for i, tableaux in enumerate(found) if tableaux)
+        return found[:i] + [found[i][1:]] + found[i + 1:]
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [("_lr_crystals", _drop_one_tableau), ("_picture_readings", _repeat_first_picture)],
+)
+def test_cardinality_reports_a_planted_fault(monkeypatch, name, build):
+    monkeypatch.setattr(lrpictures.verify, name, build(getattr(lrpictures.verify, name)))
+    code, out = cmd_run(["verify", "--suite", "cardinality", "--max-cells", "2"])
+    assert code == 1 and '"status":"violation"' in out
+    (report,) = json.loads(out)["payload"]["reports"]
+    assert set(report["counterexample"]) == {"context", "pictures", "crystal_pairs"}
+    kappa1 = report["counterexample"]["context"]["kappa1"]
+    assert sum(kappa1["outer"]) - sum(kappa1["inner"]) == 2
 
 
 @pytest.mark.parametrize("max_cells, count", [(6, 14068), (7, 31212)])
