@@ -15,12 +15,10 @@ reads each tableau of the pair once, for its semistandard and its LR test.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .crystal import _lr_count, _lr_member, enumerate_lr_crystal
+from .crystal import _lr_count, _lr_member
 from .pictures import Picture, _lr_picture, validate_picture
 from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
-from .shapes import Partition, SkewShape, _interned_shape, _json_object, _value_type, partitions_of
+from .shapes import Partition, SkewShape, _interned_shape, _json_object, _value_type
 from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
 from .words import Word
 
@@ -37,7 +35,6 @@ __all__ = [
     "in_w_set",
     "full_s",
     "full_c",
-    "enumerate_crystal_pairs",
     "lr_routes",
     "lr_coefficient",
 ]
@@ -129,9 +126,10 @@ def _in_product(ctx: CorrespondenceContext, pair: CrystalPair) -> bool:
 
 def _s3(w: TwoRowedArray) -> CrystalPair:
     # Every caller's array is lexicographic: s2's by construction, s3's
-    # input by _w_pair's check.
+    # input by _w_pair's check.  RSK output is two straight tableaux of one
+    # shape, so the pair skips CrystalPair's checks.
     p, q = _rsk_forward(w)
-    return CrystalPair(first=q, second=p)
+    return CrystalPair._built(q, p)
 
 
 def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
@@ -166,7 +164,8 @@ def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau
 
 
 def _s2(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> TwoRowedArray:
-    return TwoRowedArray(Word._built(ctx.kappa1._j_rows), Word._built(reading))
+    # Both rows have one letter per cell of kappa1.
+    return TwoRowedArray._built(Word._built(ctx.kappa1._j_rows), Word._built(reading))
 
 
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
@@ -218,38 +217,6 @@ def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
     checking only the pair.  The J-order reading of c2's tableau is the
     array's bottom row."""
     return _lr_picture(ctx.kappa1, ctx.kappa2, c3_pair_to_array(ctx, pair).bottom.letters)
-
-
-def enumerate_crystal_pairs(ctx: CorrespondenceContext) -> Iterator[CrystalPair]:
-    """All same-shaped pairs with each side in its Littlewood-Richardson
-    crystal, mu by mu in the order of partitions_of."""
-    return _crystal_pairs(ctx, {})
-
-
-def _crystal_pairs(ctx: CorrespondenceContext, listings: dict) -> Iterator[CrystalPair]:
-    """enumerate_crystal_pairs(ctx), reading each side's LR crystals from
-    listings, a dict from a shape to its _lr_crystals, and listing a shape
-    that it lacks into it; verify shares one dict across a suite's contexts."""
-    for firsts, seconds in zip(
-        _lr_crystals(listings, ctx.kappa1), _lr_crystals(listings, ctx.kappa2)
-    ):
-        for t1 in firsts:
-            for t2 in seconds:
-                yield CrystalPair(t1, t2)
-
-
-def _lr_crystals(listings: dict, kappa: SkewShape) -> list[tuple[SkewTableau, ...]]:
-    """enumerate_lr_crystal(mu, kappa.inner, kappa.outer) for each partition
-    mu of kappa's size, in order, kept in listings under kappa.  A mu with
-    more rows than kappa's outer has no filling, so it is not filled."""
-    found = listings.get(kappa)
-    if found is None:
-        lam, nu = kappa.inner, kappa.outer
-        found = listings[kappa] = [
-            enumerate_lr_crystal(mu, lam, nu) if mu.rows <= nu.rows else ()
-            for mu in partitions_of(kappa.size)
-        ]
-    return found
 
 
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:

@@ -101,8 +101,9 @@ def epsilon(w: Word, k: int) -> int:
 
 def is_highest_weight(w: Word) -> bool:
     """Every raising operator vanishes; equivalently every prefix has #k >= #(k+1).
-    Only the k below the largest letter are checked: no larger k has a k+1."""
-    return all(epsilon(w, k) == 0 for k in range(1, max(w.letters, default=1)))
+    Only k = a - 1 for the letters a > 1 of w are checked: the raising
+    operator for k needs an unmatched k+1."""
+    return all(epsilon(w, a - 1) == 0 for a in set(w.letters) if a > 1)
 
 
 def _r_move(letters: tuple[int, ...], i: int) -> tuple[int, ...]:

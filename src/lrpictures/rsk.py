@@ -226,6 +226,6 @@ def _rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
     p_cols = _to_columns(p)
     order = sorted(((u, j) for row in q.rows for j, u in enumerate(row)), reverse=True)
     ejected = [_unbump(p_cols, j) for _, j in order]
-    return TwoRowedArray(
+    return TwoRowedArray._built(
         Word._built(tuple(u for u, _ in reversed(order))), Word._built(tuple(reversed(ejected)))
     )

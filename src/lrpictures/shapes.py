@@ -77,10 +77,20 @@ def _value_type(cls: type) -> type:
     that are not dunders: == holds within the class over the field tuple,
     the hash and repr are those of that tuple, a field cannot be assigned
     or deleted, and copies and pickles call the constructor on the fields.
-    cls writes its fields in __init__ with object.__setattr__."""
+    cls writes its fields in __init__ with object.__setattr__.  cls._built
+    takes the fields in order and sets them with no check, for values the
+    library made itself; the constructor's checks are for values from
+    outside."""
     names = tuple(n for n in cls.__slots__ if not n.startswith("__"))
     get = attrgetter(*names)
     fields = get if len(names) > 1 else lambda self: (get(self),)
+    setters = tuple(getattr(cls, n).__set__ for n in names)
+
+    def _built(*values):
+        obj = object.__new__(cls)
+        for set_field, value in zip(setters, values):
+            set_field(obj, value)
+        return obj
 
     def __eq__(self, other):
         if other is self:  # as the field tuples would compare: fields equal themselves
@@ -107,6 +117,7 @@ def _value_type(cls: type) -> type:
 
     for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__):
         setattr(cls, method.__name__, method)
+    cls._built = staticmethod(_built)
     return cls
 
 
@@ -330,7 +341,10 @@ def add_sequence(base: Partition, word: Iterable[int]) -> Partition | None:
             _ints((i,))
         if i < 1:
             raise ValueError(f"row index must be positive, got {i}")
-        while len(parts) < i:
+        if i > len(parts) + 1:
+            valid = False  # a box past the first empty row leaves a gap above it
+            continue
+        if i > len(parts):
             parts.append(0)
         parts[i - 1] += 1
         if i > 1 and parts[i - 2] < parts[i - 1]:

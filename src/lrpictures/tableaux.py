@@ -57,16 +57,6 @@ class SkewTableau:
         return cls(shape, _reading_rows(shape, letters))
 
     @classmethod
-    def _built(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
-        """A tableau on rows the library made itself, from letters it has
-        already checked: tuples of positive ints that fit the shape.  The
-        constructor's checks are for rows that come from outside."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "shape", shape)
-        object.__setattr__(t, "rows", rows)
-        return t
-
-    @classmethod
     def straight(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewTableau":
         """A straight filling, on the shared shape of its row lengths."""
         return cls(_interned_shape(tuple(len(r) for r in rows), ()), rows)

@@ -22,14 +22,6 @@ class Word:
             raise ValueError(f"letters must be positive, got {letters}")
         object.__setattr__(self, "letters", letters)
 
-    @classmethod
-    def _built(cls, letters: tuple[int, ...]) -> "Word":
-        """A word on a tuple of positive ints the library made itself; the
-        constructor's checks are for letters that come from outside."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        return w
-
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -7,9 +7,10 @@ forms of in_s_set and in_w_set, which dropped those checks as implied by
 the LR memberships.  lr_member_by_addition is the first form of
 lr_membership: the whole reading, read at a rank, goes through
 add_sequence.  The LR crystal reference filters every semistandard tableau
-by it instead of pruning a filling.  The picture search reference checks
-each candidate image against every assigned pair of Cells, and the picture
-reference compares every pair of cells both ways.
+by it instead of pruning a filling.  enumerate_crystal_pairs lists the
+crystal product that the round-trip suite counts.  The picture search
+reference checks each candidate image against every assigned pair of
+Cells, and the picture reference compares every pair of cells both ways.
 add_one builds a shape one box at a time, for a second route to add_sequence.
 c1_by_new_cells and rsk_inverse_by_max_scan are the first forms of the c1
 and RSK-inverse kernels: a new Cell per image, and a max scan of Q's column
@@ -26,7 +27,8 @@ object through json_object_by_key_sets.
 from collections import Counter
 from functools import lru_cache
 
-from lrpictures import Cell, CrystalPair, Picture, SkewShape, TwoRowedArray
+from lrpictures import Cell, CrystalPair, Picture, SkewShape, TwoRowedArray, partitions_of
+from lrpictures.crystal import enumerate_lr_crystal
 from lrpictures.pictures import _coordinates, is_pj_standard
 from lrpictures.rsk import (
     _to_columns,
@@ -235,6 +237,24 @@ def equiv_by_insertion(x, y, mode):
     if mode == "knuth":
         a, b = a[::-1], b[::-1]
     return column_insert_sequence(a)[0] == column_insert_sequence(b)[0]
+
+
+def enumerate_crystal_pairs(ctx):
+    """All same-shaped pairs with each side in its Littlewood-Richardson
+    crystal, mu by mu in the order of partitions_of.  Each side lists its
+    crystals for every mu first; a mu with more rows than the side's outer
+    shape has none."""
+    sides = [
+        [
+            enumerate_lr_crystal(mu, lam, nu) if mu.rows <= nu.rows else ()
+            for mu in partitions_of(ctx.size)
+        ]
+        for lam, nu in ((ctx.lambda1, ctx.nu1), (ctx.lambda2, ctx.nu2))
+    ]
+    for firsts, seconds in zip(*sides):
+        for t1 in firsts:
+            for t2 in seconds:
+                yield CrystalPair(t1, t2)
 
 
 def inverse_picture(p):

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from lrpictures import enumerate_pictures
-from lrpictures.correspondence import enumerate_crystal_pairs
 from lrpictures.verify import (
     acceptance_contexts,
     check_cardinality_identity,
@@ -23,6 +22,7 @@ from lrpictures.verify import (
     suite_roundtrip,
     suite_rsk_bijection,
 )
+from cellwise import enumerate_crystal_pairs
 
 BUMPING_SEED = 0
 

@@ -32,9 +32,9 @@ from lrpictures.cli import (
     _picture_text,
     cmd_run,
 )
-from lrpictures.correspondence import enumerate_crystal_pairs
 from lrpictures.verify import acceptance_contexts
 from lrpictures.words import Word
+from cellwise import enumerate_crystal_pairs
 from conftest import roundtrip_population
 from schemas import (
     CRYSTAL_PAIR_SCHEMA,

@@ -27,7 +27,6 @@ from lrpictures.correspondence import (
     c1_skewtab_to_picture,
     c2_array_to_skewtab,
     c3_pair_to_array,
-    enumerate_crystal_pairs,
     in_s_set,
     in_w_set,
     s1_picture_to_skewtab,
@@ -49,6 +48,7 @@ from lrpictures.words import Word
 from lrpictures.verify import acceptance_contexts, suite_roundtrip
 from cellwise import (
     c1_by_new_cells,
+    enumerate_crystal_pairs,
     in_s_set_with_content_check,
     in_w_set_with_content_check,
     lr_member_by_addition,

@@ -67,6 +67,12 @@ def test_is_highest_weight_examples():
     assert not is_highest_weight(Word((2, 1)))
 
 
+def test_is_highest_weight_reads_only_the_letters_present():
+    # only k = 10**9 - 1 has a k+1 to raise; no index below it is tried
+    assert not is_highest_weight(Word((1, 10**9)))
+    assert is_highest_weight(Word((1, 2, 1, 3, 2, 4)))
+
+
 def test_raise_lower_are_inverse_exhaustively():
     for top in (2, 3):
         for length in range(6):
@@ -90,8 +96,8 @@ def test_epsilon_counts_raises():
 
 
 def test_highest_weight_prefix_characterization():
-    for top in (2, 3):
-        for length in range(7):
+    for top, longest in ((2, 6), (3, 6), (4, 5)):
+        for length in range(longest + 1):
             for w in all_words(top, length):
                 prefix_ok = all(
                     sum(1 for a in w.letters[:p] if a == k)

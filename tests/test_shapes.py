@@ -192,6 +192,17 @@ def test_add_sequence_refuses_a_row_below_one(word):
         add_sequence(Partition(()), word)
 
 
+def test_add_sequence_pads_no_row_past_the_first_empty_one():
+    # a letter past the first empty row leaves a gap, so the result is None
+    # without the rows between being made; later letters are still checked
+    assert add_sequence(Partition(()), [10**9]) is None
+    assert add_sequence(Partition((2, 1)), [4, 1]) is None
+    with pytest.raises(ValueError, match="row index must be positive, got 0"):
+        add_sequence(Partition(()), [10**9, 0])
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        add_sequence(Partition(()), [10**9, 1.5])
+
+
 def test_add_sequence_reports_first_failure_only():
     # (2, 2) -> (2, 3) -> (3, 3): the total is a partition, but the first
     # step was not, so the sequence fails

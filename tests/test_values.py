@@ -132,6 +132,16 @@ def test_copies_and_pickles_are_equal_values(cls, fields, other, text):
             setattr(twin, next(iter(fields)), None)
 
 
+@pytest.mark.parametrize("cls, fields, other, text", CASES, ids=IDS)
+def test_built_values_equal_the_constructed_ones(cls, fields, other, text):
+    # _built takes the fields in order and checks nothing
+    x = cls._built(*fields.values())
+    assert type(x) is cls and x == cls(**fields) and hash(x) == hash(cls(**fields))
+    assert repr(x) == text
+    with pytest.raises(AttributeError):
+        setattr(x, next(iter(fields)), None)
+
+
 def test_keyword_construction_keeps_defaults():
     assert Partition() == Partition(parts=()) == Partition((0, 0))
     assert Partition(parts=[2, 1, 0]).parts == (2, 1)

@@ -9,16 +9,19 @@ import lrpictures.verify
 from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray, partitions_of
 from lrpictures.words import Word
 from lrpictures.cli import cmd_run
-from lrpictures.correspondence import CrystalPair, _crystal_pairs, enumerate_crystal_pairs
+from lrpictures.correspondence import CrystalPair
 from lrpictures.crystal import enumerate_lr_crystal
 from lrpictures.verify import (
     SUITE_NAMES,
     SuiteReport,
+    _lr_counts,
+    _pair_count,
     acceptance_contexts,
     run_suite,
     suite_bumping_lemma,
     suite_roundtrip,
 )
+from cellwise import enumerate_crystal_pairs
 
 
 def test_report_mechanics():
@@ -47,6 +50,16 @@ def test_run_all_covers_every_suite():
     reports = json.loads(out)["payload"]["reports"]
     assert [r["suite"] for r in reports] == list(SUITE_NAMES)
     assert all(r["ok"] for r in reports)
+
+
+def test_larger_family_digests_are_pinned():
+    # The family suites past the default size, pinned as the 5-cell run is.
+    for argv, digest in (
+        (["--suite", "roundtrip", "--max-cells", "6"], "5629221c7a8aae4cfdf07fd85966d237"),
+        (["--suite", "cardinality", "--max-cells", "7"], "e559f7974add617030d3378e13dffe15"),
+    ):
+        code, out = cmd_run(["verify", *argv])
+        assert code == 0 and hashlib.md5(out.encode()).hexdigest() == digest, argv
 
 
 def test_bumping_suite_is_seed_deterministic():
@@ -83,18 +96,25 @@ def test_broken_stage_exits_1_not_2(monkeypatch):
 
 # Each fault breaks one fact the round-trip suite checks, on the two-cell
 # contexts only; each builder takes the real function and returns the broken one.
-def _drop_last_pair(real):
-    def broken(ctx, listings):
-        pairs = list(real(ctx, listings))
-        return pairs[:-1] if ctx.size == 2 else pairs
+def _one_pair_fewer(real):
+    def broken(counts, ctx):
+        return real(counts, ctx) - (ctx.size == 2)
 
     return broken
 
 
-def _repeat_last_pair(real):
-    def broken(ctx, listings):
-        pairs = list(real(ctx, listings))
-        return pairs + pairs[-1:] if ctx.size == 2 else pairs
+def _one_pair_more(real):
+    def broken(counts, ctx):
+        return real(counts, ctx) + (ctx.size == 2)
+
+    return broken
+
+
+def _first_pair_always(real):
+    # every image stays in the crystal product and the count still holds;
+    # the left inverse is the first check to see it
+    def broken(ctx, w):
+        return next(enumerate_crystal_pairs(ctx)) if ctx.size == 2 else real(ctx, w)
 
     return broken
 
@@ -150,30 +170,35 @@ def _raise_written_entries(real):
     return SimpleNamespace(from_reading=from_reading)
 
 
-# Each entry names the module attribute to break; a listing that raises is
-# reported with the error, and no picture.
+# Each entry names the module attribute to break and the counterexample's
+# keys besides the context; a listing that raises is reported with the
+# error, and no picture.
+COUNTS = ("pictures", "crystal_pairs")
 PLANTED = {
-    "pair-dropped": (lrpictures.verify, "_crystal_pairs", _drop_last_pair, "pair"),
-    "pair-twice": (lrpictures.verify, "_crystal_pairs", _repeat_last_pair, "pair"),
-    "picture-twice": (lrpictures.verify, "enumerate_pictures", _repeat_first_picture, "picture"),
-    "c1-kernel": (lrpictures.verify, "_lr_picture", _shift_one_image, "picture"),
-    "c2-kernel": (lrpictures.verify, "SkewTableau", _raise_written_entries, "picture"),
-    "c3-kernel": (lrpictures.verify, "_rsk_inverse", _raise_bottom_row, "picture"),
-    "image-map": (lrpictures.pictures, "_lr_picture", _shift_images_one_position, "error"),
+    "pair-dropped": (lrpictures.verify, "_pair_count", _one_pair_fewer, COUNTS),
+    "pair-twice": (lrpictures.verify, "_pair_count", _one_pair_more, COUNTS),
+    "pair-constant": (lrpictures.verify, "s3_array_to_pair", _first_pair_always, ("picture",)),
+    "picture-twice": (
+        lrpictures.verify, "enumerate_pictures", _repeat_first_picture, ("picture",)
+    ),
+    "c1-kernel": (lrpictures.verify, "_lr_picture", _shift_one_image, ("picture",)),
+    "c2-kernel": (lrpictures.verify, "SkewTableau", _raise_written_entries, ("picture",)),
+    "c3-kernel": (lrpictures.verify, "_rsk_inverse", _raise_bottom_row, ("picture",)),
+    "image-map": (lrpictures.pictures, "_lr_picture", _shift_images_one_position, ("error",)),
 }
 
 
 @pytest.fixture(params=sorted(PLANTED))
 def planted(request, monkeypatch):
-    module, name, build, key = PLANTED[request.param]
+    module, name, build, keys = PLANTED[request.param]
     monkeypatch.setattr(module, name, build(getattr(module, name)))
-    return key
+    return keys
 
 
 def test_roundtrip_reports_a_planted_fault(planted):
     report = suite_roundtrip(max_cells=2)
     assert not report.ok
-    assert set(report.counterexample) == {"context", planted}
+    assert set(report.counterexample) == {"context", *planted}
     kappa1 = report.counterexample["context"]["kappa1"]
     assert sum(kappa1["outer"]) - sum(kappa1["inner"]) == 2
 
@@ -185,20 +210,9 @@ def test_planted_fault_exits_1(planted):
 
 # Each fault breaks one side of the cardinality identity on the two-cell
 # contexts only.
-def _drop_one_tableau(real):
-    def broken(listings, kappa):
-        found = real(listings, kappa)
-        if kappa.size != 2:
-            return found
-        i = next(i for i, tableaux in enumerate(found) if tableaux)
-        return found[:i] + [found[i][1:]] + found[i + 1:]
-
-    return broken
-
-
 @pytest.mark.parametrize(
     "name, build",
-    [("_lr_crystals", _drop_one_tableau), ("_picture_readings", _repeat_first_picture)],
+    [("_pair_count", _one_pair_fewer), ("_picture_readings", _repeat_first_picture)],
 )
 def test_cardinality_reports_a_planted_fault(monkeypatch, name, build):
     monkeypatch.setattr(lrpictures.verify, name, build(getattr(lrpictures.verify, name)))
@@ -227,19 +241,31 @@ def _pairs_mu_by_mu(ctx):
                 yield CrystalPair(t1, t2)
 
 
-def test_per_suite_pairs_equal_the_listing_of_each_context():
-    # verify's path shares one listings dict across the family; every
-    # context must still get enumerate_crystal_pairs' listing, order
-    # included, and a listing mu by mu with nothing shared.  The digest
-    # pins the listing's order over the whole family.
-    listings: dict = {}
+def test_crystal_pair_listing_of_the_family_is_pinned_mu_by_mu():
+    # The listing the round-trip suite counts: each context's pairs equal a
+    # listing mu by mu, order included, and number as the suite counts
+    # them.  The digest pins the listing's order over the whole family.
+    counts: dict = {}
     digest, pairs = hashlib.md5(), 0
     for ctx in acceptance_contexts(6):
-        shared = list(_crystal_pairs(ctx, listings))
-        assert shared == list(enumerate_crystal_pairs(ctx)) == list(_pairs_mu_by_mu(ctx)), ctx
-        for pair in shared:
+        listed = list(enumerate_crystal_pairs(ctx))
+        assert listed == list(_pairs_mu_by_mu(ctx)), ctx
+        assert _pair_count(counts, ctx) == len(listed), ctx
+        for pair in listed:
             digest.update(json.dumps(pair.to_json()).encode())
         digest.update(b"|")
-        pairs += len(shared)
+        pairs += len(listed)
     assert pairs == 13594
     assert digest.hexdigest() == "012436bb87c72497a2ace713e3dcf0da"
+
+
+def test_suite_lr_counts_equal_the_lr_crystal_listings():
+    counts: dict = {}
+    shapes = {ctx.kappa1 for ctx in acceptance_contexts(6)}
+    for kappa in shapes:
+        listed = [
+            len(enumerate_lr_crystal(mu, kappa.inner, kappa.outer))
+            for mu in partitions_of(kappa.size)
+        ]
+        assert _lr_counts(counts, kappa) == listed, kappa
+    assert len(counts) == len(shapes) == 290
