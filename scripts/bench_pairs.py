@@ -25,6 +25,12 @@ change is worse by more than the metric's bound.  The same rows are stored
 under "no_regression".  One more line per workload gives each side's
 failed ops over its attempted ops, and the seeds where the change run
 failed more ops than the parent run; these rows are stored under "failed".
+
+Each run reads whatever bytecode its checkout holds, and .pyc files older
+than their edited sources would be compiled again in every benchmark child
+and read as a slower setup.  So the script exits 2 before any run when
+either checkout has a __pycache__ directory under src/ or perfbench/, and
+names each one; it deletes nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from lrpictures.cli import _integer  # noqa: E402
 
 SIDES = ("parent", "change")
+# The directories whose bytecode a benchmark child imports.
+SOURCE_DIRS = ("src", "perfbench")
 # The metric of each run's stderr progress line when no metric is claimed.
 PROGRESS_METRIC = "ops_per_s"
 
@@ -73,6 +81,11 @@ def parent_commit(parent: Path) -> str | None:
     print(f"warning: no git commit checked out at {parent}; parent_commit is recorded as null",
           file=sys.stderr)
     return None
+
+
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """The __pycache__ directories under checkout's SOURCE_DIRS, sorted."""
+    return sorted(p for d in SOURCE_DIRS for p in (checkout / d).rglob("__pycache__"))
 
 
 def run_side(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -224,6 +237,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim is not None and args.claim not in better:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json; "
                      f"choose from {', '.join(better)}")
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    caches = [p for side in SIDES for p in bytecode_caches(checkouts[side])]
+    if caches:
+        parser.error("remove the bytecode caches a run would read: "
+                     + ", ".join(map(str, caches)))
     shown = args.claim or PROGRESS_METRIC
     seconds = bench["run_seconds"]
     path = ROOT / f"BENCH_{args.pr}.json"
@@ -239,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     key = "pairs" if args.claim else "runs"
     doc.setdefault("claim", None)
     doc.setdefault(key, [])
-    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     for k, seed in enumerate(args.seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"workload": args.workload, "seed": seed, "first": order[0]}

@@ -19,13 +19,13 @@ from functools import lru_cache
 
 from .correspondence import (
     CorrespondenceContext,
-    CrystalPair,
-    full_c,
-    full_s,
+    _c3_rows,
+    _read_pair,
+    _s_rows,
     lr_coefficient,
     lr_routes,
 )
-from .pictures import Picture, _picture_readings, enumerate_pictures
+from .pictures import _lr_images, _picture_readings, _read_picture, enumerate_pictures
 from .rsk import TwoRowedArray, rsk_forward, rsk_inverse
 from .shapes import Partition, SkewShape, _interned_shape, _json_object
 from .tableaux import SkewTableau
@@ -82,26 +82,23 @@ def _argument(kind: type[Partition] | type[SkewShape], raw: str, stdin):
     return value if kind is Partition else _interned_shape(*value)
 
 
-def _tableau_text(t: SkewTableau) -> str:
-    """_ENCODE(t.to_json()), written from the text its shape keeps."""
-    rows = ",".join(["[" + ",".join(map(str, r)) + "]" for r in t.rows])
-    return f'{t.shape._json_head},"rows":[{rows}]}}'
+def _tableau_text(shape: SkewShape, rows) -> str:
+    """_ENCODE(t.to_json()) of the tableau t of these rows, from shape's text."""
+    rows = ",".join(["[" + ",".join(map(str, r)) + "]" for r in rows])
+    return f'{shape._json_head},"rows":[{rows}]}}'
 
 
-def _pair_text(pair: CrystalPair) -> str:
-    """_ENCODE(pair.to_json()), written as _tableau_text writes."""
-    return f'{{"first":{_tableau_text(pair.first)},"second":{_tableau_text(pair.second)}}}'
+def _pair_text(shape: SkewShape, first, second) -> str:
+    """_ENCODE(pair.to_json()) of the pair of these rows, as _tableau_text writes."""
+    return f'{{"first":{_tableau_text(shape, first)},"second":{_tableau_text(shape, second)}}}'
 
 
-def _picture_text(f: Picture) -> str:
-    """_ENCODE(f.to_json()), written from the texts its shapes keep; every
-    image must be a codomain cell, as in every picture full_c returns."""
-    index, images = f.codomain._j_index, f.codomain._cell_texts
-    pairs = ",".join(
-        [f"[{s},{images[index[c.row, c.col]]}]" for s, c in zip(f.domain._cell_texts, f.images)]
-    )
+def _picture_text(domain: SkewShape, codomain: SkewShape, images) -> str:
+    """_ENCODE(f.to_json()) of the picture f whose images, in the domain's J
+    order, are the codomain cells of these texts, from the shapes' texts."""
+    pairs = ",".join([f"[{s},{i}]" for s, i in zip(domain._cell_texts, images)])
     return (
-        f'{{"domain":{f.domain._json_head}}},"codomain":{f.codomain._json_head}}},'
+        f'{{"domain":{domain._json_head}}},"codomain":{codomain._json_head}}},'
         f'"pairs":[{pairs}]}}'
     )
 
@@ -224,14 +221,16 @@ def _run_pictures(args, stdin):
 
 
 def _run_to_pair(args, stdin):
-    f = Picture.from_json(_read_json(args.picture, stdin))
-    return _pair_text(full_s(CorrespondenceContext(f.domain, f.codomain), f)), 0
+    domain, codomain, positions, _ = _read_picture(_read_json(args.picture, stdin))
+    ctx = CorrespondenceContext(domain, codomain)
+    return _pair_text(*_s_rows(ctx, domain, codomain, positions)), 0
 
 
 def _run_to_picture(args, stdin):
     ctx = CorrespondenceContext(*_read_shapes(args, stdin))
-    pair = CrystalPair.from_json(_read_json(args.pair, stdin))
-    return _picture_text(full_c(ctx, pair)), 0
+    bottom = _c3_rows(ctx, *_read_pair(_read_json(args.pair, stdin)))[1]
+    images = _lr_images(ctx.kappa2, bottom, ctx.kappa2._cell_texts)
+    return _picture_text(ctx.kappa1, ctx.kappa2, images), 0
 
 
 def _run_lr_coeff(args, stdin):
@@ -239,17 +238,17 @@ def _run_lr_coeff(args, stdin):
     mu = _argument(Partition, args.mu, stdin)
     nu = _argument(Partition, args.nu, stdin)
     if not args.cross_check:
-        return {"coefficient": lr_coefficient(lam, mu, nu)}, 0
+        return f'{{"coefficient":{lr_coefficient(lam, mu, nu)}}}', 0
     routes = lr_routes(lam, mu, nu)
     agree = len(set(routes.values())) == 1
-    doc = {"coefficient": routes["crystal"], "routes_agree": agree}
-    return doc, 0 if agree else 1
+    text = f'{{"coefficient":{routes["crystal"]},"routes_agree":{"true" if agree else "false"}}}'
+    return text, 0 if agree else 1
 
 
 def _run_rsk(args, stdin):
     w = TwoRowedArray.from_json(_read_json(args.array, stdin))
     p, q = rsk_forward(w)
-    return f'{{"p":{_tableau_text(p)},"q":{_tableau_text(q)}}}', 0
+    return f'{{"p":{_tableau_text(p.shape, p.rows)},"q":{_tableau_text(q.shape, q.rows)}}}', 0
 
 
 def _run_unrsk(args, stdin):

@@ -5,19 +5,19 @@ Each public stage map checks its input once, as the caller's value, and
 raises ValueError when it lies outside the stage's set.  Outputs are not
 re-checked: that each stage lands in the next stage's set is a theorem of
 the construction, and ``verify --suite roundtrip`` sweeps it over the whole
-acceptance family.  The composed maps check only at the boundary: full_s
-checks the picture (s1's checks) and full_c the crystal pair (c3's test),
-and both then run the remaining stages unchecked, each stage's computation
-shared with its public map.  full_s builds no tableau for s1: the reading
-of s1's tableau is the images' rows, and s2 takes it as it is.  full_c
-reads each tableau of the pair once, for its semistandard and its LR test.
+acceptance family.  The composed maps check only at the boundary and run on
+plain values.  full_s is _s_rows: s1's checks on the codomain J positions of
+the images, then column RSK on the rows they read, to the pair's rows.
+full_c is _c3_rows, c3's check and the RSK inverse on the pair's rows, then
+c1's image map.  The to-pair and to-picture commands call these kernels on
+the documents they read, and build no picture, word, array or pair.
 """
 
 from __future__ import annotations
 
 from .crystal import _lr_count, _lr_member
-from .pictures import Picture, _lr_picture, validate_picture
-from .rsk import TwoRowedArray, _rsk_forward, _rsk_inverse, validate_lex_array
+from .pictures import Picture, _is_picture, _lr_picture, _positions
+from .rsk import TwoRowedArray, _rsk_forward, _rsk_rows, _unrsk_rows, validate_lex_array
 from .shapes import Partition, SkewShape, _interned_shape, _json_object, _value_type
 from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
 from .words import Word
@@ -82,10 +82,7 @@ class CrystalPair:
     __slots__ = ("first", "second")
 
     def __init__(self, first: SkewTableau, second: SkewTableau) -> None:
-        if not (first.shape.is_straight and second.shape.is_straight):
-            raise ValueError("both tableaux must be straight")
-        if first.shape != second.shape:
-            raise ValueError("tableaux must share one shape")
+        _pair_checks(first, second)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
@@ -94,8 +91,23 @@ class CrystalPair:
 
     @classmethod
     def from_json(cls, obj) -> "CrystalPair":
-        obj = _json_object(obj, "first", "second")
-        return cls(SkewTableau.from_json(obj["first"]), SkewTableau.from_json(obj["second"]))
+        return cls._built(*_read_pair(obj))
+
+
+def _pair_checks(first: SkewTableau, second: SkewTableau) -> None:
+    """CrystalPair's checks of its two tableaux."""
+    if not (first.shape.is_straight and second.shape.is_straight):
+        raise ValueError("both tableaux must be straight")
+    if first.shape != second.shape:
+        raise ValueError("tableaux must share one shape")
+
+
+def _read_pair(obj) -> tuple[SkewTableau, SkewTableau]:
+    """The two tableaux of a crystal pair document, after CrystalPair's checks."""
+    obj = _json_object(obj, "first", "second")
+    first, second = SkewTableau.from_json(obj["first"]), SkewTableau.from_json(obj["second"])
+    _pair_checks(first, second)
+    return first, second
 
 
 def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
@@ -111,11 +123,11 @@ def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
     return reading is not None and _lr_member(reading, ctx.lambda2, ctx.nu2)
 
 
-def _in_product(ctx: CorrespondenceContext, pair: CrystalPair) -> bool:
+def _in_product(ctx: CorrespondenceContext, first: SkewTableau, second: SkewTableau) -> bool:
     """Is each tableau of the pair in its Littlewood-Richardson crystal?  A
     tableau that is not semistandard is refused with ValueError, as
     lr_membership refuses it.  Each tableau is read once, for both tests."""
-    for t, lam, nu in ((pair.second, ctx.lambda2, ctx.nu2), (pair.first, ctx.lambda1, ctx.nu1)):
+    for t, lam, nu in ((second, ctx.lambda2, ctx.nu2), (first, ctx.lambda1, ctx.nu1)):
         reading = _semistandard_reading(t)
         if reading is None:
             raise ValueError("tableau is not semistandard")
@@ -124,22 +136,16 @@ def _in_product(ctx: CorrespondenceContext, pair: CrystalPair) -> bool:
     return True
 
 
-def _s3(w: TwoRowedArray) -> CrystalPair:
-    # Every caller's array is lexicographic: s2's by construction, s3's
-    # input by _w_pair's check.  RSK output is two straight tableaux of one
-    # shape, so the pair skips CrystalPair's checks.
-    p, q = _rsk_forward(w)
-    return CrystalPair._built(q, p)
-
-
 def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
     """s3's image of w when w is in the W set of this context, else None.
     The LR memberships of Q and P fix the top and bottom rows' contents to
     kappa1's and kappa2's rows, and so the length."""
     if not validate_lex_array(w):
         return None
-    pair = _s3(w)
-    return pair if _in_product(ctx, pair) else None
+    # RSK output is two straight tableaux of one shape, so the pair skips
+    # CrystalPair's checks.
+    p, q = _rsk_forward(w)
+    return CrystalPair._built(q, p) if _in_product(ctx, q, p) else None
 
 
 def in_w_set(ctx: CorrespondenceContext, w: TwoRowedArray) -> bool:
@@ -148,31 +154,29 @@ def in_w_set(ctx: CorrespondenceContext, w: TwoRowedArray) -> bool:
     return _w_pair(ctx, w) is not None
 
 
-def _s1_reading(ctx: CorrespondenceContext, f: Picture) -> tuple[int, ...]:
-    """The J-order reading of s1's tableau, after s1's checks: the row of
-    each image, in the domain's J order."""
-    if f.domain != ctx.kappa1 or f.codomain != ctx.kappa2:
+def _s1_reading(ctx: CorrespondenceContext, domain, codomain, positions) -> list[int]:
+    """The J-order reading of s1's tableau, after s1's checks, for the map
+    with the codomain J positions of its images: the row of each image."""
+    if domain != ctx.kappa1 or codomain != ctx.kappa2:
         raise ValueError("picture does not match the context's shapes")
-    if not validate_picture(f):
+    if not _is_picture(domain, codomain, positions):
         raise ValueError("map is not a picture")
-    return tuple(img.row for img in f.images)
+    rows = ctx.kappa2._j_rows
+    return [rows[k] for k in positions]
 
 
 def s1_picture_to_skewtab(ctx: CorrespondenceContext, f: Picture) -> SkewTableau:
     """Record the row coordinate of each image; the filling lands in the S set."""
-    return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, _s1_reading(ctx, f)))
-
-
-def _s2(ctx: CorrespondenceContext, reading: tuple[int, ...]) -> TwoRowedArray:
-    # Both rows have one letter per cell of kappa1.
-    return TwoRowedArray._built(Word._built(ctx.kappa1._j_rows), Word._built(reading))
+    reading = _s1_reading(ctx, f.domain, f.codomain, _positions(f))
+    return SkewTableau._built(ctx.kappa1, _reading_rows(ctx.kappa1, reading))
 
 
 def s2_skewtab_to_array(ctx: CorrespondenceContext, s: SkewTableau) -> TwoRowedArray:
     """Pair each reading letter with the row it was read from."""
     if not in_s_set(ctx, s):
         raise ValueError("tableau is not in the S set of this context")
-    return _s2(ctx, s.reading())
+    # Both rows have one letter per cell of kappa1.
+    return TwoRowedArray._built(Word._built(ctx.kappa1._j_rows), Word._built(s.reading()))
 
 
 def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair:
@@ -183,13 +187,17 @@ def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPai
     return pair
 
 
+def _c3_rows(ctx: CorrespondenceContext, first: SkewTableau, second: SkewTableau):
+    """c3 on a pair's tableaux, after c3's check, as the array's two rows.  With
+    CrystalPair's checks it makes all the checks of rsk_inverse."""
+    if not _in_product(ctx, first, second):
+        raise ValueError("pair is not in the crystal product of this context")
+    return _unrsk_rows(second.rows, first.rows)
+
+
 def c3_pair_to_array(ctx: CorrespondenceContext, pair: CrystalPair) -> TwoRowedArray:
     """Reverse-bump the second tableau using the first as recording tableau."""
-    # CrystalPair makes both tableaux straight and same-shaped and the LR
-    # memberships check them semistandard: all that rsk_inverse checks.
-    if not _in_product(ctx, pair):
-        raise ValueError("pair is not in the crystal product of this context")
-    return _rsk_inverse(pair.second, pair.first)
+    return TwoRowedArray._built(*map(Word._built, _c3_rows(ctx, pair.first, pair.second)))
 
 
 def c2_array_to_skewtab(ctx: CorrespondenceContext, w: TwoRowedArray) -> SkewTableau:
@@ -206,17 +214,24 @@ def c1_skewtab_to_picture(ctx: CorrespondenceContext, s: SkewTableau) -> Picture
     return _lr_picture(ctx.kappa1, ctx.kappa2, s.reading())
 
 
+def _s_rows(ctx: CorrespondenceContext, domain, codomain, positions):
+    """full_s on a map given as _s1_reading takes it: the pair's shape, then
+    its first and second tableau's rows."""
+    shape, p, q = _rsk_rows(ctx.kappa1._j_rows, _s1_reading(ctx, domain, codomain, positions))
+    return shape, q, p
+
+
 def full_s(ctx: CorrespondenceContext, f: Picture) -> CrystalPair:
-    """Picture to crystal pair: s3(s2(s1(f))), checking only the picture.
-    s1's tableau is not built: its reading is the images' rows."""
-    return _s3(_s2(ctx, _s1_reading(ctx, f)))
+    """Picture to crystal pair: s3(s2(s1(f))), checking only the picture."""
+    shape, first, second = _s_rows(ctx, f.domain, f.codomain, _positions(f))
+    return CrystalPair._built(SkewTableau._built(shape, first), SkewTableau._built(shape, second))
 
 
 def full_c(ctx: CorrespondenceContext, pair: CrystalPair) -> Picture:
     """Crystal pair to picture, the inverse of full_s: c1(c2(c3(pair))),
     checking only the pair.  The J-order reading of c2's tableau is the
     array's bottom row."""
-    return _lr_picture(ctx.kappa1, ctx.kappa2, c3_pair_to_array(ctx, pair).bottom.letters)
+    return _lr_picture(ctx.kappa1, ctx.kappa2, _c3_rows(ctx, pair.first, pair.second)[1])
 
 
 def lr_routes(lam: Partition, mu: Partition, nu: Partition) -> dict[str, int]:

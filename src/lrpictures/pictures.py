@@ -46,46 +46,52 @@ class Picture:
 
     @classmethod
     def from_json(cls, obj) -> "Picture":
-        obj = _json_object(obj, "domain", "codomain", "pairs")
-        domain = SkewShape.from_json(obj["domain"])
-        codomain = SkewShape.from_json(obj["codomain"])
-        pairs = obj["pairs"]
-        if not isinstance(pairs, (list, tuple)):
-            raise ValueError(f"expected a list of [cell, image] pairs, got {pairs!r}")
-        given = {}
-        for p in pairs:
-            # A JSON pair of two [row, col] lists of positive ints is read
-            # inline; any other item goes through the helpers, which give
-            # it the message of its first fault, or read a tuple alike.
-            if type(p) is list and len(p) == 2:
-                s, i = p
-                if type(s) is list and type(i) is list and len(s) == len(i) == 2:
-                    (a, b), (c, d) = s, i
-                    if (
-                        type(a) is int and type(b) is int and type(c) is int and type(d) is int
-                        and a > 0 and b > 0 and c > 0 and d > 0
-                    ):
-                        given[a, b] = c, d
-                        continue
-            s, i = _json_pair(p, "[cell, image]")
-            source = _coordinates(s)  # before the image, whose fault comes second
-            given[source] = _coordinates(i)
-        if len(given) != len(pairs):
-            raise ValueError("pairs name a domain cell more than once")
-        # Both sizes are checked before a shape builds its tables, so the
-        # tables are no larger than the pairs given.
-        if len(given) != domain.size or given.keys() != domain._j_index.keys():
-            raise ValueError("pairs do not cover exactly the domain cells")
-        if codomain.size != domain.size:
-            raise ValueError(f"sizes differ: {domain.size} vs {codomain.size}")
-        # Each image is the codomain's own Cell; one outside the codomain
-        # gets a Cell of its own, which validate_picture refuses.
-        index, cells = codomain._j_index, codomain._j_order
-        images = []
-        for x in domain._j_index:
-            k = index.get(given[x])
-            images.append(Cell(*given[x]) if k is None else cells[k])
-        return cls(domain, codomain, tuple(images))
+        # An image outside the codomain gets a Cell that validate_picture refuses.
+        domain, codomain, positions, given = _read_picture(obj)
+        cells = codomain._j_order
+        return cls(domain, codomain, tuple(
+            Cell(*given[x]) if k is None else cells[k] for x, k in zip(domain._j_index, positions)
+        ))
+
+
+def _read_picture(obj) -> tuple[SkewShape, SkewShape, list[int | None], dict]:
+    """A picture document as (domain, codomain, positions, given): positions[k]
+    is the codomain J position of the k-th domain cell's image, or None
+    outside the codomain, and given maps each (row, col) to its image's."""
+    obj = _json_object(obj, "domain", "codomain", "pairs")
+    domain = SkewShape.from_json(obj["domain"])
+    codomain = SkewShape.from_json(obj["codomain"])
+    pairs = obj["pairs"]
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"expected a list of [cell, image] pairs, got {pairs!r}")
+    given = {}
+    for p in pairs:
+        # A JSON pair of two [row, col] lists of positive ints is read
+        # inline; any other item goes through the helpers, which give it
+        # the message of its first fault, or read a tuple alike.
+        if type(p) is list and len(p) == 2:
+            s, i = p
+            if type(s) is list and type(i) is list and len(s) == len(i) == 2:
+                (a, b), (c, d) = s, i
+                if (
+                    type(a) is int and type(b) is int and type(c) is int and type(d) is int
+                    and a > 0 and b > 0 and c > 0 and d > 0
+                ):
+                    given[a, b] = c, d
+                    continue
+        s, i = _json_pair(p, "[cell, image]")
+        source = _coordinates(s)  # before the image, whose fault comes second
+        given[source] = _coordinates(i)
+    if len(given) != len(pairs):
+        raise ValueError("pairs name a domain cell more than once")
+    # Both sizes are checked before a shape builds its tables, so the
+    # tables are no larger than the pairs given.
+    if len(given) != domain.size or given.keys() != domain._j_index.keys():
+        raise ValueError("pairs do not cover exactly the domain cells")
+    if codomain.size != domain.size:
+        raise ValueError(f"sizes differ: {domain.size} vs {codomain.size}")
+    index = codomain._j_index
+    return domain, codomain, [index.get(given[x]) for x in domain._j_index], given
 
 
 def _coordinates(obj) -> tuple[int, int]:
@@ -111,24 +117,30 @@ def is_pj_standard(cells: Sequence[Cell], images: Sequence[Cell]) -> bool:
 
 
 def validate_picture(p: Picture) -> bool:
-    """Bijective onto the codomain, PJ-standard in both directions.
+    """Bijective onto the codomain, PJ-standard in both directions."""
+    return _is_picture(p.domain, p.codomain, _positions(p))
 
-    Each image becomes its codomain J position.  The map is a picture
-    exactly when these positions, written into the domain cells, form a
-    standard filling (increasing along rows and down columns), and the
-    inverse positions form one of the codomain: in a skew shape every
-    a <=_p b is a chain of right and down steps, and the J order is
-    transitive.  On distinct values, weak and strict increase agree, so the
-    semistandard check of tableaux serves both fillings.
-    """
+
+def _positions(p: Picture) -> list[int | None]:
+    """The codomain J position of each image, None for one outside it."""
     index = p.codomain._j_index
-    r = [index.get((c.row, c.col)) for c in p.images]
-    if len(r) != len(index) or None in r or len(set(r)) != len(r):
+    return [index.get((c.row, c.col)) for c in p.images]
+
+
+def _is_picture(domain: SkewShape, codomain: SkewShape, r: Sequence[int | None]) -> bool:
+    """validate_picture on the codomain J positions r of the images: the map
+    is a picture exactly when r, written into the domain cells, is a standard
+    filling (increasing along rows and down columns), and so are the inverse
+    positions in the codomain: in a skew shape every a <=_p b is a chain of
+    right and down steps, and the J order is transitive.  On distinct
+    values, weak and strict increase agree, so the semistandard check of
+    tableaux serves both fillings."""
+    if len(r) != codomain.size or None in r or len(set(r)) != len(r):
         return False
     back = [0] * len(r)
     for k, y in enumerate(r):
         back[y] = k
-    return _semistandard(r, p.domain) and _semistandard(back, p.codomain)
+    return _semistandard(r, domain) and _semistandard(back, codomain)
 
 
 def _picture_readings(
@@ -144,20 +156,26 @@ def _picture_readings(
     return _lr_readings(kappa1, kappa2.inner, kappa2.outer)
 
 
-def _lr_picture(kappa1: SkewShape, kappa2: SkewShape, reading: Sequence[int]) -> Picture:
-    """The picture whose images' rows are reading, an LR reading of kappa1
-    from kappa2's inner to its outer partition: the map c1.
+def _lr_images(kappa2: SkewShape, reading: Sequence[int], table: Sequence) -> list:
+    """c1's image map on an LR reading of kappa1 from kappa2's inner to its
+    outer partition: table's entry at each image's J position in kappa2,
+    such as its Cell or its text, or with table a range the position.
 
     The cells of one letter form a horizontal strip, read right to left, so
     the t-th letter k goes to (k, inner_k + t), at J position end_k - t of
     kappa2, where end_k is the position just past row k.
     """
-    cells, end = kappa2._j_order, [0, *accumulate(kappa2._row_lengths)]
+    end = [0, *accumulate(kappa2._row_lengths)]
     images = []
     for k in reading:
         end[k] -= 1
-        images.append(cells[end[k]])
-    return Picture(kappa1, kappa2, tuple(images))
+        images.append(table[end[k]])
+    return images
+
+
+def _lr_picture(kappa1: SkewShape, kappa2: SkewShape, reading: Sequence[int]) -> Picture:
+    """The picture of c1's image map on reading."""
+    return Picture(kappa1, kappa2, tuple(_lr_images(kappa2, reading, kappa2._j_order)))
 
 
 def enumerate_pictures(

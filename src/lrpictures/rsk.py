@@ -57,12 +57,14 @@ class BumpOutcome(NamedTuple):
     new_cell: Cell
 
 
-def _to_columns(t: SkewTableau) -> list[list[int]]:
-    cols: list[list[int]] = [[] for _ in range(t.shape.outer.part(1))]
-    for row in t.rows:
-        for j, a in enumerate(row):
-            cols[j].append(a)
-    return cols
+def _transpose(lines: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The columns of a straight filling from its rows, or its rows from its
+    columns: either way the lines are weakly shorter down the list."""
+    out: list[list[int]] = [[] for _ in lines[0]] if lines else []
+    for line in lines:
+        for other, a in zip(out, line):
+            other.append(a)
+    return out
 
 
 def _straight(rows: tuple[tuple[int, ...], ...]) -> SkewTableau:
@@ -71,11 +73,8 @@ def _straight(rows: tuple[tuple[int, ...], ...]) -> SkewTableau:
 
 
 def _columns_to_tableau(cols: Sequence[Sequence[int]]) -> SkewTableau:
-    cols = [c for c in cols if c]
-    nrows = len(cols[0]) if cols else 0
-    return _straight(
-        tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(nrows))
-    )
+    # _bump fills each column it opens; _unbump drops the last one it empties.
+    return _straight(tuple(map(tuple, _transpose(cols))))
 
 
 def _require_straight(t: SkewTableau) -> None:
@@ -109,7 +108,7 @@ def column_insert(t: SkewTableau, x: int) -> BumpOutcome:
     """Column-insert x into a straight semistandard tableau."""
     _require_straight(t)
     _check_letter(x)
-    cols = _to_columns(t)
+    cols = _transpose(t.rows)
     r, c = _bump(cols, x)
     return BumpOutcome(_columns_to_tableau(cols), Cell(r, c))
 
@@ -161,7 +160,7 @@ def reverse_column_insert(t: SkewTableau, c: Cell) -> tuple[SkewTableau, int]:
     _require_straight(t)
     if not _is_removable_corner(t.shape, c):
         raise ValueError(f"cell ({c.row}, {c.col}) is not a removable corner")
-    cols = _to_columns(t)
+    cols = _transpose(t.rows)
     carry = _unbump(cols, c.col - 1)
     return _columns_to_tableau(cols), carry
 
@@ -190,16 +189,22 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
 
 def _rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
     """rsk_forward on an array the caller knows to be lexicographic."""
+    shape, p, q = _rsk_rows(w.top.letters, w.bottom.letters)
+    return SkewTableau._built(shape, p), SkewTableau._built(shape, q)
+
+
+def _rsk_rows(top: Sequence[int], bottom: Sequence[int]):
+    """_rsk_forward on the array's two rows: the straight shape of P and Q,
+    interned once, then P's rows and Q's rows."""
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
-    for u, v in zip(w.top.letters, w.bottom.letters):
-        r, c = _bump(cols, v)
+    for u, v in zip(top, bottom):
+        r = _bump(cols, v)[0]
         if r > len(q_rows):
             q_rows.append([])
         q_rows[r - 1].append(u)
-    p = _columns_to_tableau(cols)
-    q = _straight(tuple(tuple(row) for row in q_rows))
-    return p, q
+    shape = _interned_shape(tuple(map(len, q_rows)), ())
+    return shape, tuple(map(tuple, _transpose(cols))), tuple(map(tuple, q_rows))
 
 
 def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
@@ -214,7 +219,12 @@ def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
 
 
 def _rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
-    """rsk_inverse on tableaux the caller has already checked.
+    """rsk_inverse on tableaux the caller has already checked."""
+    return TwoRowedArray._built(*map(Word._built, _unrsk_rows(p.rows, q.rows)))
+
+
+def _unrsk_rows(p_rows, q_rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_rsk_inverse on the rows of P and Q: the array's top and bottom rows.
 
     Repeatedly reverse-bump P from the position of the right-most maximum
     entry of Q; emitted pairs are stacked back to front so the result is
@@ -223,9 +233,7 @@ def _rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
     cells at column ends; so the removal order is Q's (entry, column) pairs
     sorted once, largest first.
     """
-    p_cols = _to_columns(p)
-    order = sorted(((u, j) for row in q.rows for j, u in enumerate(row)), reverse=True)
+    p_cols = _transpose(p_rows)
+    order = sorted(((u, j) for row in q_rows for j, u in enumerate(row)), reverse=True)
     ejected = [_unbump(p_cols, j) for _, j in order]
-    return TwoRowedArray._built(
-        Word._built(tuple(u for u, _ in reversed(order))), Word._built(tuple(reversed(ejected)))
-    )
+    return tuple(u for u, _ in reversed(order)), tuple(reversed(ejected))

@@ -31,7 +31,7 @@ from lrpictures import Cell, CrystalPair, Picture, SkewShape, TwoRowedArray, par
 from lrpictures.crystal import enumerate_lr_crystal
 from lrpictures.pictures import _coordinates, is_pj_standard
 from lrpictures.rsk import (
-    _to_columns,
+    _transpose,
     _unbump,
     column_insert_sequence,
     rsk_forward,
@@ -216,7 +216,7 @@ def c1_by_new_cells(ctx, reading):
 def rsk_inverse_by_max_scan(p, q):
     """The RSK inverse that finds each removed letter by scanning Q's column
     ends: the maximum, in the right-most column that ends with it."""
-    p_cols, q_cols = _to_columns(p), _to_columns(q)
+    p_cols, q_cols = _transpose(p.rows), _transpose(q.rows)
     pairs = []
     while q_cols:
         u = max(col[-1] for col in q_cols)

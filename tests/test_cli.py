@@ -14,11 +14,18 @@ import pytest
 
 from itertools import combinations_with_replacement
 
+import lrpictures.cli
+
 from lrpictures import (
+    CorrespondenceContext,
+    CrystalPair,
+    Picture,
     SkewShape,
     TwoRowedArray,
     enumerate_pictures,
+    full_c,
     full_s,
+    lr_coefficient,
     partitions_in_box,
     partitions_of,
     rsk_forward,
@@ -32,6 +39,7 @@ from lrpictures.cli import (
     _picture_text,
     cmd_run,
 )
+from lrpictures.pictures import _positions
 from lrpictures.verify import acceptance_contexts
 from lrpictures.words import Word
 from cellwise import enumerate_crystal_pairs
@@ -85,6 +93,27 @@ def test_lr_coeff_output_is_pinned():
     assert digest.hexdigest() == "0d9ab9c13e72b13edccfe8e3bf1cb3a4"
 
 
+def test_lr_coeff_writes_what_the_encoder_writes(monkeypatch):
+    # the pinned triples, plain and with --cross-check; then a cross-check
+    # whose routes disagree
+    triples = 0
+    for nu in partitions_in_box(8, 4, 4):
+        for lam in subpartitions(nu):
+            for mu in partitions_of(nu.size - lam.size):
+                argv = ["lr-coeff"]
+                for flag, p in (("--lambda", lam), ("--mu", mu), ("--nu", nu)):
+                    argv += [flag, _ENCODE(p.to_json())]
+                c = lr_coefficient(lam, mu, nu)
+                assert cmd_run(argv) == (0, _ENCODE({"coefficient": c}) + "\n")
+                doc = {"coefficient": c, "routes_agree": True}
+                assert cmd_run(argv + ["--cross-check"]) == (0, _ENCODE(doc) + "\n")
+                triples += 1
+    assert triples == 1986
+    monkeypatch.setattr(lrpictures.cli, "lr_routes", lambda *_: {"crystal": 3, "skew_tableaux": 2})
+    doc = {"coefficient": 3, "routes_agree": False}
+    assert cmd_run(argv + ["--cross-check"]) == (1, _ENCODE(doc) + "\n")
+
+
 def test_pictures_count_only():
     code, out = cmd_run(
         ["pictures", "--kappa1", HOOK, "--kappa2", "same", "--count-only"]
@@ -136,6 +165,103 @@ def test_round_trip_on_the_whole_five_to_seven_cell_family():
     assert pictures == 3044
 
 
+def picture_text(f):
+    texts = f.codomain._cell_texts
+    return _picture_text(f.domain, f.codomain, [texts[k] for k in _positions(f)])
+
+
+def pair_text(pair):
+    return _pair_text(pair.first.shape, pair.first.rows, pair.second.rows)
+
+
+def family_pictures(max_cells):
+    for ctx in acceptance_contexts(max_cells=max_cells):
+        for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
+            yield ctx, f
+
+
+def test_bijection_commands_print_the_public_maps():
+    # to-pair prints full_s's pair and to-picture full_c's picture, as the
+    # encoder writes them: a swap made in both commands alike shows here,
+    # though the round trip hides it.  The stdouts over the benchmark's
+    # population, in its order, are pinned.
+    for population, count in ((family_pictures(6), 13594), (roundtrip_population(), 3044)):
+        pairs, pictures, n = hashlib.md5(), hashlib.md5(), 0
+        for ctx, f in population:
+            pair = full_s(ctx, f)
+            code, pair_out = cmd_run(["to-pair", "--picture", _ENCODE(f.to_json())])
+            assert (code, pair_out) == (0, _ENCODE(pair.to_json()) + "\n"), f
+            shapes = ["--kappa1", _ENCODE(ctx.kappa1.to_json()),
+                      "--kappa2", _ENCODE(ctx.kappa2.to_json())]
+            code, picture_out = cmd_run(["to-picture", *shapes, "--pair", pair_out])
+            assert (code, picture_out) == (0, _ENCODE(full_c(ctx, pair).to_json()) + "\n"), f
+            pairs.update(pair_out.encode())
+            pictures.update(picture_out.encode())
+            n += 1
+        assert n == count
+    assert pairs.hexdigest() == "514bfa8f8897e74be2083a8c33ff5821"
+    assert pictures.hexdigest() == "2e4804a1d9d3ad45a6a896e7ecd4e4ab"
+
+
+ROW = '{"outer":[2]}'
+SWAP = '[[[1,1],[1,2]],[[1,2],[1,1]]]'  # the one picture from ROW to ROW
+PICTURE_TEXT = '{"domain":%s,"codomain":%s,"pairs":%s}'
+# (picture, its context's kappa1 and kappa2, message): to-pair reads the
+# context from the picture, full_s is given it.
+BAD_PICTURES = {
+    "image-outside": (PICTURE_TEXT % (ROW, ROW, '[[[1,1],[1,3]],[[1,2],[1,1]]]'), ROW, ROW,
+                      "map is not a picture"),
+    "image-twice": (PICTURE_TEXT % (ROW, ROW, '[[[1,1],[1,2]],[[1,2],[1,2]]]'), ROW, ROW,
+                    "map is not a picture"),
+    "not-pj-standard": (PICTURE_TEXT % (ROW, ROW, '[[[1,1],[1,1]],[[1,2],[1,2]]]'), ROW, ROW,
+                        "map is not a picture"),
+    "other-shapes": (PICTURE_TEXT % (ROW, ROW, SWAP), '{"outer":[1,1]}', ROW,
+                     "picture does not match the context's shapes"),
+}
+# (pair, message) of to-picture and full_c over kappa1 = kappa2 = ROW
+BAD_PAIRS = {
+    "not-semistandard": ('{"first":{"outer":[2],"rows":[[2,1]]},'
+                         '"second":{"outer":[2],"rows":[[1,1]]}}', "tableau is not semistandard"),
+    "not-straight": ('{"first":{"outer":[2],"inner":[1],"rows":[[1]]},'
+                     '"second":{"outer":[2],"inner":[1],"rows":[[1]]}}',
+                     "both tableaux must be straight"),
+    "two-shapes": ('{"first":{"outer":[2],"rows":[[1,1]]},'
+                   '"second":{"outer":[1,1],"rows":[[1],[2]]}}', "tableaux must share one shape"),
+    "outside-product": ('{"first":{"outer":[2],"rows":[[1,2]]},'
+                        '"second":{"outer":[2],"rows":[[1,1]]}}',
+                        "pair is not in the crystal product of this context"),
+}
+
+
+def shape(text):
+    return SkewShape.from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("name", BAD_PICTURES)
+def test_bad_pictures_are_refused_by_to_pair_and_full_s(name, capsys):
+    text, kappa1, kappa2, message = BAD_PICTURES[name]
+    f = Picture.from_json(json.loads(text))
+    with pytest.raises(ValueError) as exc:
+        full_s(CorrespondenceContext(shape(kappa1), shape(kappa2)), f)
+    assert str(exc.value) == message
+    if kappa1 != ROW:
+        # the command takes its context from the picture: shapes that do not
+        # match are shapes of two sizes
+        text, message = PICTURE_TEXT % (ROW, '{"outer":[3]}', SWAP), "sizes differ: 2 vs 3"
+    assert cmd_run(["to-pair", "--picture", text]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", BAD_PAIRS)
+def test_bad_pairs_are_refused_by_to_picture_and_full_c(name, capsys):
+    text, message = BAD_PAIRS[name]
+    assert cmd_run(["to-picture", "--kappa1", ROW, "--kappa2", ROW, "--pair", text]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError) as exc:
+        full_c(CorrespondenceContext(shape(ROW), shape(ROW)), CrystalPair.from_json(json.loads(text)))
+    assert str(exc.value) == message
+
+
 def test_writers_equal_the_encoder():
     # to-pair and to-picture write from the texts each shape keeps; on every
     # picture and crystal pair of the contexts of at most six cells, and of
@@ -143,17 +269,17 @@ def test_writers_equal_the_encoder():
     pictures = pairs = 0
     for ctx in acceptance_contexts(max_cells=6):
         for f in enumerate_pictures(ctx.kappa1, ctx.kappa2):
-            assert _picture_text(f) == _ENCODE(f.to_json()), f
+            assert picture_text(f) == _ENCODE(f.to_json()), f
             pictures += 1
         for pair in enumerate_crystal_pairs(ctx):
-            assert _pair_text(pair) == _ENCODE(pair.to_json()), pair
+            assert pair_text(pair) == _ENCODE(pair.to_json()), pair
             pairs += 1
     assert pictures == pairs == 13594
     population = 0
     for ctx, f in roundtrip_population():
         pair = full_s(ctx, f)
-        assert _picture_text(f) == _ENCODE(f.to_json()), f
-        assert _pair_text(pair) == _ENCODE(pair.to_json()), pair
+        assert picture_text(f) == _ENCODE(f.to_json()), f
+        assert pair_text(pair) == _ENCODE(pair.to_json()), pair
         population += 1
     assert population == 3044
 

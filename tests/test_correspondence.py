@@ -311,12 +311,15 @@ def test_full_maps_equal_the_composed_stages():
 # Counted functions, public and private, by the module that defines them.
 COUNTED = {
     "validate_picture": "pictures",
+    "_is_picture": "pictures",
     "validate_semistandard": "tableaux",
     "_semistandard_reading": "tableaux",
     "lr_membership": "crystal",
     "_lr_member": "crystal",
     "rsk_forward": "rsk",
     "_rsk_forward": "rsk",
+    "_rsk_rows": "rsk",
+    "_unrsk_rows": "rsk",
     "reverse_column_insert": "rsk",
     "rsk_inverse": "rsk",
     "in_s_set": "correspondence",
@@ -324,6 +327,7 @@ COUNTED = {
     "c1_skewtab_to_picture": "correspondence",
     "c2_array_to_skewtab": "correspondence",
     "c3_pair_to_array": "correspondence",
+    "_c3_rows": "correspondence",
 }
 
 
@@ -360,17 +364,19 @@ def test_full_maps_check_once(calls):
     f = next(enumerate_pictures(ctx.kappa1, ctx.kappa2))
     calls.clear()
     assert full_c(ctx, full_s(ctx, f)) == f
-    # full_s checks the picture and inserts its array unchecked; full_c
-    # checks through c3, which reads each tableau once, checks that reading
-    # semistandard and runs it through the LR kernel, then runs the RSK
-    # inverse unchecked; validate_semistandard, which reads again, is not
-    # called
+    # full_s checks the picture's image positions and inserts its rows
+    # unchecked; full_c checks through c3's kernel, which reads each tableau
+    # once, checks that reading semistandard and runs it through the LR
+    # kernel, then runs the RSK inverse on rows unchecked;
+    # validate_semistandard, which reads again, is not called, and no stage
+    # map's value is built
     assert calls == Counter(
-        validate_picture=1,
+        _is_picture=1,
         _lr_member=2,
         _semistandard_reading=2,
-        _rsk_forward=1,
-        c3_pair_to_array=1,
+        _rsk_rows=1,
+        _c3_rows=1,
+        _unrsk_rows=1,
     )
 
 
@@ -382,9 +388,11 @@ def test_roundtrip_suite_checks_each_set_once(calls):
     # tableau is checked semistandard once and read once by the LR kernel
     # (the skew tableau in in_s_set, the pair in s3's W membership)
     assert calls == Counter(
-        validate_picture=n,
+        _is_picture=n,
         in_s_set=n,
         _rsk_forward=n,
+        _rsk_rows=n,
+        _unrsk_rows=n,
         _lr_member=3 * n,
         _semistandard_reading=3 * n,
     )

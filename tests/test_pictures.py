@@ -13,10 +13,21 @@ from lrpictures import (
     subpartitions,
 )
 from lrpictures.cli import cmd_run
-from lrpictures.pictures import _picture_readings, is_pj_standard, validate_picture
+from lrpictures.pictures import (
+    _is_picture,
+    _lr_images,
+    _picture_readings,
+    is_pj_standard,
+    validate_picture,
+)
 from lrpictures.shapes import j_order_cells
 from lrpictures.verify import acceptance_contexts
-from cellwise import inverse_picture, picture_by_all_pairs, pictures_by_pairwise_search
+from cellwise import (
+    c1_by_new_cells,
+    inverse_picture,
+    picture_by_all_pairs,
+    pictures_by_pairwise_search,
+)
 
 HOOK = SkewShape(Partition((2, 1)), Partition((1,)))
 ROW2 = SkewShape(Partition((2,)))
@@ -215,6 +226,38 @@ def test_validate_picture_matches_the_pairwise_definition_off_bijections():
             maps += 1
             accepted += verdict
     assert (maps, accepted) == (98355, 4695)
+
+
+def test_positions_validator_matches_the_pairwise_definition():
+    # every bijection between equal-sized family shapes of at most four
+    # cells, as the codomain J positions of its images
+    maps = accepted = 0
+    for ctx in acceptance_contexts(max_cells=4):
+        cells = j_order_cells(ctx.kappa2)
+        for positions in itertools.permutations(range(ctx.size)):
+            verdict = _is_picture(ctx.kappa1, ctx.kappa2, positions)
+            f = Picture(ctx.kappa1, ctx.kappa2, tuple(cells[k] for k in positions))
+            assert verdict == picture_by_all_pairs(f), f
+            maps += 1
+            accepted += verdict
+    assert (maps, accepted) == (26817, 5096)
+
+
+def test_c1_positions_match_the_new_cell_kernel():
+    # c1's image map on every LR reading of the contexts of at most six
+    # cells, as positions, Cells and cell texts
+    readings = 0
+    for ctx in acceptance_contexts(max_cells=6):
+        kappa2 = ctx.kappa2
+        for reading in _picture_readings(ctx.kappa1, kappa2):
+            images = c1_by_new_cells(ctx, reading).images
+            positions = _lr_images(kappa2, reading, range(ctx.size))
+            assert positions == [kappa2._j_index[c.row, c.col] for c in images], reading
+            assert _lr_images(kappa2, reading, kappa2._j_order) == list(images)
+            texts = _lr_images(kappa2, reading, kappa2._cell_texts)
+            assert texts == [f"[{c.row},{c.col}]" for c in images]
+            readings += 1
+    assert readings == 13594
 
 
 def _connected(shape):

@@ -17,6 +17,8 @@ from lrpictures import (
 from lrpictures.crystal import equiv_check
 from lrpictures.rsk import (
     _rsk_inverse,
+    _rsk_rows,
+    _unrsk_rows,
     column_insert,
     column_insert_sequence,
     reverse_column_insert,
@@ -149,6 +151,29 @@ def test_sorted_removal_order_matches_the_max_scan():
             w = arr(tuple(u for u, _ in pairs), tuple(v for _, v in pairs))
             p, q = rsk_forward(w)
             assert _rsk_inverse(p, q) == rsk_inverse_by_max_scan(p, q) == w, w
+            count += 1
+    assert count == 5005
+
+
+def test_row_kernels_match_insertion_and_the_max_scan():
+    # the 5,005 arrays above: the row kernel inserts as column_insert_sequence
+    # does and records each new box's top letter; the reverse kernel undoes
+    # it as the max scan does
+    alphabet = sorted(itertools.product(range(1, 4), repeat=2), key=lambda uv: (uv[0], -uv[1]))
+    count = 0
+    for m in range(7):
+        for pairs in itertools.combinations_with_replacement(alphabet, m):
+            top, bottom = tuple(u for u, _ in pairs), tuple(v for _, v in pairs)
+            shape, p_rows, q_rows = _rsk_rows(top, bottom)
+            p, boxes = column_insert_sequence(bottom)
+            recorded = [[0] * n for n in p.shape._row_lengths]
+            for u, c in zip(top, boxes):
+                recorded[c.row - 1][c.col - 1] = u
+            assert shape is p.shape and p_rows == p.rows, pairs
+            assert q_rows == tuple(map(tuple, recorded)), pairs
+            q = SkewTableau.straight(q_rows)
+            w = rsk_inverse_by_max_scan(p, q)
+            assert _unrsk_rows(p_rows, q_rows) == (w.top.letters, w.bottom.letters) == (top, bottom)
             count += 1
     assert count == 5005
 

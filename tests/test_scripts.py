@@ -275,3 +275,27 @@ def test_bench_pairs_warns_on_a_parent_without_a_commit(tmp_path, capsys):
     head = subprocess.run([*git, "rev-parse", "--short", "HEAD"], capture_output=True, text=True)
     assert bench.parent_commit(tmp_path) == head.stdout.strip()
     assert capsys.readouterr().err == ""
+
+
+def test_bench_pairs_refuses_checkouts_with_bytecode_caches(tmp_path, monkeypatch, capsys):
+    bench = load_script("bench_pairs")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent / "tests" / "__pycache__", change / "perfbench"):
+        d.mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    # a cache outside src/ and perfbench/ is not read by a benchmark child
+    assert bench.bytecode_caches(parent) == bench.bytecode_caches(change) == []
+    stale = [parent / "src" / "lrpictures" / "__pycache__", change / "perfbench" / "__pycache__"]
+    for d in stale:
+        d.mkdir(parents=True)
+        (d / "cli.cpython-311.pyc").write_bytes(b"")
+    assert bench.bytecode_caches(parent) == stale[:1]
+    monkeypatch.setattr(bench, "ROOT", change)
+    with pytest.raises(SystemExit) as exc:
+        bench.main([str(parent), "roundtrip", "1", "--pr", "0"])
+    assert exc.value.code == 2
+    assert (f"error: remove the bytecode caches a run would read: {stale[0]}, {stale[1]}"
+            in capsys.readouterr().err)
+    # nothing is run, written or deleted
+    assert not (change / "BENCH_0.json").exists()
+    assert all((d / "cli.cpython-311.pyc").exists() for d in stale)
