@@ -215,9 +215,10 @@ def _run_pictures(args, stdin):
     kappa1, kappa2 = _read_shapes(args, stdin)
     bound = _bound_override()
     if args.count_only:
-        return {"count": sum(1 for _ in _picture_readings(kappa1, kappa2, bound))}, 0
+        count = sum(1 for _ in _picture_readings(kappa1, kappa2, bound))
+        return f'{{"count":{count}}}', 0
     pictures = [f.to_json() for f in enumerate_pictures(kappa1, kappa2, bound)]
-    return {"count": len(pictures), "pictures": pictures}, 0
+    return _ENCODE({"count": len(pictures), "pictures": pictures}), 0
 
 
 def _run_to_pair(args, stdin):
@@ -255,7 +256,7 @@ def _run_unrsk(args, stdin):
     obj = _json_object(_read_json(args.pair, stdin), "p", "q")
     p = SkewTableau.from_json(obj["p"])
     q = SkewTableau.from_json(obj["q"])
-    return rsk_inverse(p, q).to_json(), 0
+    return _ENCODE(rsk_inverse(p, q).to_json()), 0
 
 
 def _run_verify(args, stdin):
@@ -271,7 +272,7 @@ def _run_verify(args, stdin):
         "status": "ok" if ok else "violation",
         "payload": {"reports": [r.to_json() for r in reports]},
     }
-    return doc, 0 if ok else 1
+    return _ENCODE(doc), 0 if ok else 1
 
 
 _HANDLERS = {
@@ -335,17 +336,15 @@ def cmd_run(argv: list[str], stdin_text: str | None = None) -> tuple[int, str]:
             stdin_text = sys.stdin.read()
         return stdin_text
 
-    # A handler returns its document, or the document's text when it writes
-    # one itself.
     try:
-        doc, code = _HANDLERS[args.command](args, stdin)
+        text, code = _HANDLERS[args.command](args, stdin)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON input: {exc}", file=sys.stderr)
         return 2, ""
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
-    return code, (doc if type(doc) is str else _ENCODE(doc)) + "\n"
+    return code, text + "\n"
 
 
 def main() -> None:

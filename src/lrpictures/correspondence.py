@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .crystal import _lr_count, _lr_member
 from .pictures import Picture, _is_picture, _lr_picture, _positions
-from .rsk import TwoRowedArray, _rsk_forward, _rsk_rows, _unrsk_rows, validate_lex_array
+from .rsk import TwoRowedArray, _rsk_rows, _unrsk_rows, validate_lex_array
 from .shapes import Partition, SkewShape, _interned_shape, _json_object, _value_type
 from .tableaux import SkewTableau, _reading_rows, _semistandard_reading
 from .words import Word
@@ -123,29 +123,21 @@ def in_s_set(ctx: CorrespondenceContext, s: SkewTableau) -> bool:
     return reading is not None and _lr_member(reading, ctx.lambda2, ctx.nu2)
 
 
-def _in_product(ctx: CorrespondenceContext, first: SkewTableau, second: SkewTableau) -> bool:
-    """Is each tableau of the pair in its Littlewood-Richardson crystal?  A
-    tableau that is not semistandard is refused with ValueError, as
-    lr_membership refuses it.  Each tableau is read once, for both tests."""
-    for t, lam, nu in ((second, ctx.lambda2, ctx.nu2), (first, ctx.lambda1, ctx.nu1)):
-        reading = _semistandard_reading(t)
-        if reading is None:
-            raise ValueError("tableau is not semistandard")
-        if not _lr_member(reading, lam, nu):
-            return False
-    return True
-
-
 def _w_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPair | None:
     """s3's image of w when w is in the W set of this context, else None.
     The LR memberships of Q and P fix the top and bottom rows' contents to
-    kappa1's and kappa2's rows, and so the length."""
+    kappa1's and kappa2's rows, and so the length.  RSK output is two
+    semistandard straight tableaux of one shape, so each is read once, by
+    the LR kernel only, and the pair skips CrystalPair's checks."""
     if not validate_lex_array(w):
         return None
-    # RSK output is two straight tableaux of one shape, so the pair skips
-    # CrystalPair's checks.
-    p, q = _rsk_forward(w)
-    return CrystalPair._built(q, p) if _in_product(ctx, q, p) else None
+    shape, p, q = _rsk_rows(w.top.letters, w.bottom.letters)
+    second, first = SkewTableau._built(shape, p), SkewTableau._built(shape, q)
+    if _lr_member(second.reading(), ctx.lambda2, ctx.nu2) and _lr_member(
+        first.reading(), ctx.lambda1, ctx.nu1
+    ):
+        return CrystalPair._built(first, second)
+    return None
 
 
 def in_w_set(ctx: CorrespondenceContext, w: TwoRowedArray) -> bool:
@@ -188,10 +180,16 @@ def s3_array_to_pair(ctx: CorrespondenceContext, w: TwoRowedArray) -> CrystalPai
 
 
 def _c3_rows(ctx: CorrespondenceContext, first: SkewTableau, second: SkewTableau):
-    """c3 on a pair's tableaux, after c3's check, as the array's two rows.  With
-    CrystalPair's checks it makes all the checks of rsk_inverse."""
-    if not _in_product(ctx, first, second):
-        raise ValueError("pair is not in the crystal product of this context")
+    """c3 on a pair's tableaux, after c3's check, as the array's two rows.  The
+    check reads each tableau once, second then first, and refuses one that
+    is not semistandard, as lr_membership does, or not in its LR crystal.
+    With CrystalPair's checks it makes all the checks of rsk_inverse."""
+    for t, lam, nu in ((second, ctx.lambda2, ctx.nu2), (first, ctx.lambda1, ctx.nu1)):
+        reading = _semistandard_reading(t)
+        if reading is None:
+            raise ValueError("tableau is not semistandard")
+        if not _lr_member(reading, lam, nu):
+            raise ValueError("pair is not in the crystal product of this context")
     return _unrsk_rows(second.rows, first.rows)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator, Literal
 
-from .shapes import Partition, SkewShape, _interned_shape, _ints, _value_type
+from .shapes import Partition, SkewShape, _interned_shape, _ints, _positive, _value_type
 from .tableaux import SkewTableau, _fillings, _reading_rows, _semistandard_reading, enumerate_ssyt
 from .words import Word
 
@@ -69,16 +69,9 @@ def _unmatched(letters: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
-def _check_index(k: int) -> None:
-    if type(k) is not int:
-        _ints((k,))
-    if k < 1:
-        raise ValueError(f"operator index must be positive, got {k}")
-
-
 def apply_crystal_op(w: Word, k: int, direction: Literal["raise", "lower"]) -> Word | None:
     """Apply the raising or lowering operator for index k; None when it vanishes."""
-    _check_index(k)
+    _positive(k, "operator index")
     minus, plus = _unmatched(w.letters, k)
     if direction == "raise":
         if not minus:
@@ -95,7 +88,7 @@ def apply_crystal_op(w: Word, k: int, direction: Literal["raise", "lower"]) -> W
 
 def epsilon(w: Word, k: int) -> int:
     """How many times the raising operator for k applies."""
-    _check_index(k)
+    _positive(k, "operator index")
     return len(_unmatched(w.letters, k)[0])
 
 
@@ -235,9 +228,10 @@ def _lr_member(reading: tuple[int, ...], lam: Partition, nu: Partition) -> bool:
     return tuple(parts) == cap
 
 
-@lru_cache(maxsize=_SSYT_CACHE_SIZE)
+@lru_cache(maxsize=_SSYT_CACHE_SIZE, typed=True)
 def cached_ssyt(shape: SkewShape, max_entry: int) -> tuple[SkewTableau, ...]:
-    """Memoised exhaustive enumeration; shared by the counting routines."""
+    """Memoised exhaustive enumeration; shared by the counting routines.
+    Keys are typed, so True and 1.0 miss the entry of 1 and are refused."""
     return tuple(enumerate_ssyt(shape, max_entry))
 
 

@@ -6,7 +6,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .crystal import _lr_readings
-from .shapes import Cell, SkewShape, _json_object, _json_pair, _value_type, j_order_cells, leq_j, leq_p
+from .shapes import Cell, SkewShape, _ints, _json_object, _json_pair, _value_type, j_order_cells, leq_j, leq_p
 from .tableaux import _semistandard
 
 __all__ = [
@@ -148,7 +148,7 @@ def _picture_readings(
 ) -> Iterator[list[int]]:
     """enumerate_pictures' checks, then the LR readings it maps to its
     pictures: those of kappa1 from kappa2's inner to its outer partition."""
-    bound = DEFAULT_PICTURE_CELLS if max_cells is None else max_cells
+    bound = DEFAULT_PICTURE_CELLS if max_cells is None else _ints((max_cells,))[0]
     if kappa1.size != kappa2.size:
         raise ValueError(f"sizes differ: {kappa1.size} vs {kappa2.size}")
     if kappa1.size > bound:

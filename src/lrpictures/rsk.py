@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
-from .shapes import Cell, SkewShape, _interned_shape, _ints, _json_object, _value_type
+from .shapes import Cell, SkewShape, _interned_shape, _json_object, _positive, _value_type
 from .tableaux import SkewTableau, validate_semistandard
 from .words import Word
 
@@ -67,14 +67,11 @@ def _transpose(lines: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _straight(rows: tuple[tuple[int, ...], ...]) -> SkewTableau:
-    """SkewTableau.straight without the checks, for rows of checked letters."""
-    return SkewTableau._built(_interned_shape(tuple(map(len, rows)), ()), rows)
-
-
 def _columns_to_tableau(cols: Sequence[Sequence[int]]) -> SkewTableau:
+    """SkewTableau.straight without the checks, from columns of checked letters."""
     # _bump fills each column it opens; _unbump drops the last one it empties.
-    return _straight(tuple(map(tuple, _transpose(cols))))
+    rows = tuple(map(tuple, _transpose(cols)))
+    return SkewTableau._built(_interned_shape(tuple(map(len, rows)), ()), rows)
 
 
 def _require_straight(t: SkewTableau) -> None:
@@ -97,17 +94,10 @@ def _bump(cols: list[list[int]], x: int) -> tuple[int, int]:
         j += 1
 
 
-def _check_letter(x: int) -> None:
-    if type(x) is not int:
-        _ints((x,))
-    if x < 1:
-        raise ValueError(f"letters must be positive, got {x}")
-
-
 def column_insert(t: SkewTableau, x: int) -> BumpOutcome:
     """Column-insert x into a straight semistandard tableau."""
     _require_straight(t)
-    _check_letter(x)
+    _positive(x, "letters")
     cols = _transpose(t.rows)
     r, c = _bump(cols, x)
     return BumpOutcome(_columns_to_tableau(cols), Cell(r, c))
@@ -118,7 +108,7 @@ def column_insert_sequence(letters: Iterable[int]) -> tuple[SkewTableau, tuple[C
     cols: list[list[int]] = []
     boxes: list[Cell] = []
     for x in letters:
-        _check_letter(x)
+        _positive(x, "letters")
         r, c = _bump(cols, x)
         boxes.append(Cell(r, c))
     return _columns_to_tableau(cols), tuple(boxes)
@@ -184,18 +174,14 @@ def rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
     """
     if not validate_lex_array(w):
         raise ValueError("array is not in lexicographic order (of column type)")
-    return _rsk_forward(w)
-
-
-def _rsk_forward(w: TwoRowedArray) -> tuple[SkewTableau, SkewTableau]:
-    """rsk_forward on an array the caller knows to be lexicographic."""
     shape, p, q = _rsk_rows(w.top.letters, w.bottom.letters)
     return SkewTableau._built(shape, p), SkewTableau._built(shape, q)
 
 
 def _rsk_rows(top: Sequence[int], bottom: Sequence[int]):
-    """_rsk_forward on the array's two rows: the straight shape of P and Q,
-    interned once, then P's rows and Q's rows."""
+    """rsk_forward on the two rows of an array the caller knows to be
+    lexicographic: the straight shape of P and Q, interned once, then P's
+    rows and Q's rows."""
     cols: list[list[int]] = []
     q_rows: list[list[int]] = []
     for u, v in zip(top, bottom):
@@ -215,16 +201,12 @@ def rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
         raise ValueError("straight tableaux required")
     if not (validate_semistandard(p) and validate_semistandard(q)):
         raise ValueError("tableaux must be semistandard")
-    return _rsk_inverse(p, q)
-
-
-def _rsk_inverse(p: SkewTableau, q: SkewTableau) -> TwoRowedArray:
-    """rsk_inverse on tableaux the caller has already checked."""
     return TwoRowedArray._built(*map(Word._built, _unrsk_rows(p.rows, q.rows)))
 
 
 def _unrsk_rows(p_rows, q_rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_rsk_inverse on the rows of P and Q: the array's top and bottom rows.
+    """rsk_inverse on the rows of P and Q the caller has already checked:
+    the array's top and bottom rows.
 
     Repeatedly reverse-bump P from the position of the right-most maximum
     entry of Q; emitted pairs are stacked back to front so the result is

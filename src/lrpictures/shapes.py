@@ -45,6 +45,15 @@ def _ints(values) -> tuple[int, ...]:
     return values
 
 
+def _positive(x, what: str) -> None:
+    """Refuse x unless it is a positive int: a non-int as _ints refuses it,
+    then one below 1 as what."""
+    if type(x) is not int:
+        _ints((x,))
+    if x < 1:
+        raise ValueError(f"{what} must be positive, got {x}")
+
+
 def _json_pair(obj, what: str) -> list | tuple:
     """obj itself when it is a two-item list; otherwise a ValueError saying
     that a what pair was expected."""
@@ -337,10 +346,7 @@ def add_sequence(base: Partition, word: Iterable[int]) -> Partition | None:
     parts = list(base.parts)
     valid = True
     for i in word:
-        if type(i) is not int:
-            _ints((i,))
-        if i < 1:
-            raise ValueError(f"row index must be positive, got {i}")
+        _positive(i, "row index")
         if i > len(parts) + 1:
             valid = False  # a box past the first empty row leaves a gap above it
             continue
@@ -354,6 +360,7 @@ def add_sequence(base: Partition, word: Iterable[int]) -> Partition | None:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n with parts at most max_part, largest part first."""
+    _ints((n,) if max_part is None else (n, max_part))
     if n < 0:
         return
     cap = n if max_part is None else min(max_part, n)
@@ -371,6 +378,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 def partitions_in_box(max_size: int, max_rows: int, max_cols: int) -> Iterator[Partition]:
     """All partitions of size at most max_size with at most max_rows rows and parts at most max_cols."""
+    _ints((max_size, max_rows, max_cols))
     for n in range(max_size + 1):
         for p in partitions_of(n, max_part=max_cols):
             if p.rows <= max_rows:

@@ -240,6 +240,7 @@ def enumerate_ssyt(shape: SkewShape, max_entry: int) -> Iterator[SkewTableau]:
     Output order is lexicographic in the J-order reading.  The filler does
     not recurse, so the shape may have any number of cells.
     """
+    _ints((max_entry,))
     # Rows g apart, each with room for g more boxes: a row gains at most
     # |shape| < g boxes, so no row catches up with the one above it and no
     # cap is reached, and the LR filler refuses no letter.

@@ -34,7 +34,7 @@ from .crystal import (
 from .pictures import DEFAULT_PICTURE_CELLS, _lr_picture, _picture_readings, enumerate_pictures
 from .rsk import (
     TwoRowedArray,
-    _rsk_inverse,
+    _unrsk_rows,
     column_insert,
     column_insert_sequence,
     rsk_forward,
@@ -42,7 +42,7 @@ from .rsk import (
     validate_lex_array,
 )
 from .shapes import Partition, SkewShape, add_sequence, partitions_in_box, partitions_of, subpartitions
-from .tableaux import SkewTableau, highest_tableau, me_reading, skew_word
+from .tableaux import SkewTableau, highest_tableau, me_reading, skew_word, validate_semistandard
 from .words import Word
 
 __all__ = ["SuiteReport", "SUITE_NAMES", "run_suite", "acceptance_contexts"]
@@ -130,11 +130,13 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
 
     Per picture, s1, s2 and s3 check the picture, its skew tableau and its
     array against their sets (W membership includes both LR memberships).
-    The inverses run on the kernels and must recover each stage's input, and
-    the skew tableau's reading must stay crystal equivalent to the insertion
-    tableau's.  So the map sends the context's pictures, none listed twice,
-    into the crystal product, and each image determines its picture; it is
-    onto exactly when there are as many pictures as crystal pairs.
+    Both tableaux of the pair, which s3 takes from RSK unread, must be
+    semistandard; the inverses run on the kernels and must recover each
+    stage's input, and the skew tableau's reading must stay crystal
+    equivalent to the insertion tableau's.  So the map sends the context's
+    pictures, none listed twice, into the crystal product, and each image
+    determines its picture; it is onto exactly when there are as many
+    pictures as crystal pairs.
     """
     report = SuiteReport("roundtrip")
     counts: dict = {}  # each family shape's LR counts, counted once
@@ -156,7 +158,10 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
                 w = s2_skewtab_to_array(ctx, s)
                 pair = s3_array_to_pair(ctx, w)
                 inverted = (
-                    _rsk_inverse(pair.second, pair.first) == w
+                    validate_semistandard(pair.first)
+                    and validate_semistandard(pair.second)
+                    and _unrsk_rows(pair.second.rows, pair.first.rows)
+                    == (w.top.letters, w.bottom.letters)
                     and SkewTableau.from_reading(ctx.kappa1, w.bottom.letters) == s
                     and _lr_picture(ctx.kappa1, ctx.kappa2, reading) == f
                 )
@@ -169,7 +174,7 @@ def suite_roundtrip(max_cells: int = 5) -> SuiteReport:
                 return report
             readings.add(reading)
             report.count("transport")
-            # s2 and s3 checked both tableaux semistandard.
+            # s2 checked the skew tableau semistandard, and the test above the pair's.
             if not equiv_check(reading, pair.second.reading(), "crystal"):
                 report.fail(context=ctx.to_json(), tableau=s.to_json())
                 return report

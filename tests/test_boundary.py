@@ -18,9 +18,10 @@ from lrpictures import (
     enumerate_pictures,
     full_s,
 )
-from lrpictures.crystal import apply_crystal_op, combinatorial_r, epsilon
+from lrpictures.crystal import apply_crystal_op, cached_ssyt, combinatorial_r, epsilon
 from lrpictures.rsk import column_insert, column_insert_sequence
-from lrpictures.shapes import add_sequence
+from lrpictures.shapes import add_sequence, partitions_in_box, partitions_of
+from lrpictures.tableaux import enumerate_ssyt
 from lrpictures.verify import acceptance_contexts
 from lrpictures.words import Word
 from cellwise import (
@@ -28,6 +29,8 @@ from cellwise import (
     picture_from_json_by_helpers,
     tableau_from_json_by_constructor,
 )
+
+ROW2 = SkewShape(Partition((2,)))
 
 BUILDERS = {
     "cell-row": lambda x: Cell(x, 2),
@@ -42,6 +45,15 @@ BUILDERS = {
     "epsilon": lambda x: epsilon(Word((2, 1)), x),
     "combinatorial-r": lambda x: combinatorial_r(Word((2, 1, 3)), x),
     "add-sequence": lambda x: add_sequence(Partition((2, 1)), [x]),
+    "partitions-of": lambda x: list(partitions_of(x)),
+    "partitions-of-max-part": lambda x: list(partitions_of(3, max_part=x)),
+    "partitions-in-box-size": lambda x: list(partitions_in_box(x, 2, 2)),
+    "partitions-in-box-rows": lambda x: list(partitions_in_box(2, x, 2)),
+    "partitions-in-box-cols": lambda x: list(partitions_in_box(2, 2, x)),
+    "enumerate-ssyt": lambda x: list(enumerate_ssyt(ROW2, x)),
+    # the entry of 1 is made first: 1.0 and True hash as its key does
+    "cached-ssyt": lambda x: cached_ssyt(ROW2, 1) and cached_ssyt(ROW2, x),
+    "enumerate-pictures": lambda x: list(enumerate_pictures(ROW2, ROW2, max_cells=x)),
 }
 
 
@@ -68,6 +80,11 @@ def test_constructors_keep_integer_input():
     assert epsilon(Word((2, 1)), 1) == 1
     assert combinatorial_r(Word((2, 1, 3)), 1) == Word((2, 3, 1))
     assert add_sequence(Partition((2, 1)), [1]) == Partition((3, 1))
+    assert [p.parts for p in partitions_of(3, max_part=2)] == [(2, 1), (1, 1, 1)]
+    assert [p.parts for p in partitions_in_box(2, 1, 2)] == [(), (1,), (2,)]
+    assert [t.rows for t in enumerate_ssyt(ROW2, 1)] == [((1, 1),)]
+    assert cached_ssyt(ROW2, 2) == tuple(enumerate_ssyt(ROW2, 2))
+    assert len(list(enumerate_pictures(ROW2, ROW2, max_cells=2))) == 1
 
 
 READERS = [

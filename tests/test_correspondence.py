@@ -317,7 +317,6 @@ COUNTED = {
     "lr_membership": "crystal",
     "_lr_member": "crystal",
     "rsk_forward": "rsk",
-    "_rsk_forward": "rsk",
     "_rsk_rows": "rsk",
     "_unrsk_rows": "rsk",
     "reverse_column_insert": "rsk",
@@ -385,17 +384,33 @@ def test_roundtrip_suite_checks_each_set_once(calls):
     n = report.checked["pictures"]
     assert report.ok and n == report.checked["pairs"] > 0
     # no backward stage map: the inverses run on the kernels, and each
-    # tableau is checked semistandard once and read once by the LR kernel
-    # (the skew tableau in in_s_set, the pair in s3's W membership)
+    # tableau is read once by the LR kernel (the skew tableau in in_s_set,
+    # the pair in s3's W membership); in_s_set checks the skew tableau
+    # semistandard, and the suite checks the pair's tableaux, which s3
+    # takes from RSK unread
     assert calls == Counter(
         _is_picture=n,
         in_s_set=n,
-        _rsk_forward=n,
         _rsk_rows=n,
         _unrsk_rows=n,
         _lr_member=3 * n,
-        _semistandard_reading=3 * n,
+        _semistandard_reading=n,
+        validate_semistandard=2 * n,
     )
+
+
+def test_w_membership_reads_rsk_output_once(calls):
+    ctx = CorrespondenceContext(
+        SkewShape(Partition((3, 2, 1)), Partition((1,))),
+        SkewShape(Partition((4, 2)), Partition((1,))),
+    )
+    f = next(enumerate_pictures(ctx.kappa1, ctx.kappa2))
+    w = s2_skewtab_to_array(ctx, s1_picture_to_skewtab(ctx, f))
+    calls.clear()
+    assert in_w_set(ctx, w)
+    # RSK's tableaux are semistandard by construction: the LR kernel reads
+    # each once, and no semistandard check runs
+    assert calls == Counter(_rsk_rows=1, _lr_member=2)
 
 
 def test_stage_round_trips_small_family():

@@ -16,7 +16,6 @@ from lrpictures import (
 )
 from lrpictures.crystal import equiv_check
 from lrpictures.rsk import (
-    _rsk_inverse,
     _rsk_rows,
     _unrsk_rows,
     column_insert,
@@ -150,7 +149,7 @@ def test_sorted_removal_order_matches_the_max_scan():
         for pairs in itertools.combinations_with_replacement(alphabet, m):
             w = arr(tuple(u for u, _ in pairs), tuple(v for _, v in pairs))
             p, q = rsk_forward(w)
-            assert _rsk_inverse(p, q) == rsk_inverse_by_max_scan(p, q) == w, w
+            assert rsk_inverse(p, q) == rsk_inverse_by_max_scan(p, q) == w, w
             count += 1
     assert count == 5005
 

@@ -1,8 +1,10 @@
 """The package surface: every module's __all__ names only what the module
 defines, and lrpictures exports the documented list (see the README)."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import lrpictures
 
@@ -53,6 +55,24 @@ def test_every_module_star_imports():
 
 def test_package_exports_the_documented_list():
     assert lrpictures.__all__ == DOCUMENTED
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # every top-level _name function or class is read, as a name or an
+    # attribute, somewhere in the package's source
+    defined, read = set(), set()
+    for path in Path(lrpictures.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.add(f"{path.stem}.{node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined
+    assert sorted(d for d in defined if d.split(".")[1] not in read) == []
 
 
 def test_every_memo_is_listed_and_bounded():

@@ -1,13 +1,14 @@
 import hashlib
 import json
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import pytest
 
 import lrpictures.pictures
+import lrpictures.rsk
 import lrpictures.verify
-from lrpictures import Cell, Picture, SkewTableau, TwoRowedArray, partitions_of
-from lrpictures.words import Word
+from lrpictures import Cell, Picture, SkewTableau, partitions_of
 from lrpictures.cli import cmd_run
 from lrpictures.correspondence import CrystalPair
 from lrpictures.crystal import enumerate_lr_crystal
@@ -152,11 +153,31 @@ def _shift_images_one_position(real):
 
 
 def _raise_bottom_row(real):
-    def broken(p, q):
-        w = real(p, q)
-        if len(w) != 2:
-            return w
-        return TwoRowedArray(w.top, Word(tuple(a + 1 for a in w.bottom.letters)))
+    def broken(p_rows, q_rows):
+        top, bottom = real(p_rows, q_rows)
+        if len(top) != 2:
+            return top, bottom
+        return top, tuple(a + 1 for a in bottom)
+
+    return broken
+
+
+def _bump_below_equal_entries(real):
+    # bumps the topmost entry greater than x, so equal letters stack in one
+    # column: RSK's insertion tableau is not semistandard, though W's LR
+    # memberships may still hold
+    def broken(cols, x):
+        j = 0
+        while True:
+            if j == len(cols):
+                cols.append([])
+            col = cols[j]
+            i = bisect_right(col, x)
+            if i == len(col):
+                col.append(x)
+                return (len(col), j + 1)
+            col[i], x = x, col[i]
+            j += 1
 
     return broken
 
@@ -183,7 +204,8 @@ PLANTED = {
     ),
     "c1-kernel": (lrpictures.verify, "_lr_picture", _shift_one_image, ("picture",)),
     "c2-kernel": (lrpictures.verify, "SkewTableau", _raise_written_entries, ("picture",)),
-    "c3-kernel": (lrpictures.verify, "_rsk_inverse", _raise_bottom_row, ("picture",)),
+    "c3-kernel": (lrpictures.verify, "_unrsk_rows", _raise_bottom_row, ("picture",)),
+    "rsk-weak-column": (lrpictures.rsk, "_bump", _bump_below_equal_entries, ("picture",)),
     "image-map": (lrpictures.pictures, "_lr_picture", _shift_images_one_position, ("error",)),
 }
 
